@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .dbm import DBM, bound
+from .dbm import DBM, ScaleError, bound, parse_scaled
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -179,10 +179,6 @@ class ClockLayout:
     def automaton_indices(self) -> list[int]:
         return list(range(1, 1 + len(self.automaton_clocks)))
 
-    def aux_indices(self) -> list[int]:
-        base = 1 + len(self.automaton_clocks)
-        return list(range(base, base + len(self.aux_clocks)))
-
     def universal_zone(self) -> DBM:
         nonneg = set(range(1, self.dim))
         for c in self.unsigned:
@@ -245,28 +241,6 @@ def prune_included(states: Iterable[SymbolicState]) -> list[SymbolicState]:
     return out
 
 
-def succ(
-    states: Iterable[SymbolicState],
-    a: str,
-    tau: int,
-    automaton: TBA,
-    layout: ClockLayout,
-    time_clock: str = "time",
-) -> list[SymbolicState]:
-    """Timestamped successor set: post then pin ``time_clock`` to τ."""
-    if tau < 0:
-        raise ValueError("timestamps must be non-negative")
-    ti = layout.index(time_clock)
-    pinned = [(ti, 0, bound(tau)), (0, ti, bound(-tau))]
-    out: list[SymbolicState] = []
-    for s in states:
-        for p in post(s, a, automaton, layout):
-            z = p.zone.and_constraints(pinned)
-            if not z.is_empty():
-                out.append(SymbolicState(p.location, z))
-    return prune_included(out)
-
-
 # -- IO alternation product --------------------------------------------------
 
 INPUT_PHASE = "?i"
@@ -310,18 +284,6 @@ def io_alternation_product(automaton: TBA) -> TBA:
 # -- text format -------------------------------------------------------------
 
 
-def scale_decimal(text: str, scale: int, line: int, column: int) -> int:
-    try:
-        f = Fraction(text) * scale
-    except (ValueError, ZeroDivisionError):
-        raise TBAParseError(f"bad number {text!r}", line, column) from None
-    if f.denominator != 1:
-        raise TBAParseError(
-            f"constant {text!r} is not representable at scale {scale}",
-            line, column)
-    return int(f)
-
-
 def _parse_guard(text: str, scale: int, line: int, column: int
                  ) -> tuple[AtomicConstraint, ...]:
     out = []
@@ -334,10 +296,10 @@ def _parse_guard(text: str, scale: int, line: int, column: int
                 if not clock or not num:
                     raise TBAParseError(
                         f"malformed guard atom {part!r}", line, column)
-                const = scale_decimal(num, scale, line, column)
-                if const < 0:
-                    raise TBAParseError(
-                        "guard constants must be non-negative", line, column)
+                try:
+                    const = parse_scaled(num, scale, "guard constant")
+                except ScaleError as e:
+                    raise TBAParseError(str(e), line, column) from None
                 out.append(AtomicConstraint(clock, rel, const))
                 break
         else:
@@ -395,19 +357,16 @@ def parse_tba(text: str, scale: int = 10) -> TBA:
             raise TBAParseError(f"unknown declaration {kw!r}", lineno,
                                 raw.index(kw) + 1)
 
-    try:
-        return TBA(
-            alphabet=frozenset(alphabet),
-            locations=frozenset(locations),
-            initial=frozenset(initial),
-            clocks=tuple(dict.fromkeys(clocks)),
-            transitions=tuple(transitions),
-            accepting=frozenset(accepting),
-            inputs=frozenset(inputs),
-            outputs=frozenset(outputs),
-        )
-    except TBAError:
-        raise
+    return TBA(
+        alphabet=frozenset(alphabet),
+        locations=frozenset(locations),
+        initial=frozenset(initial),
+        clocks=tuple(dict.fromkeys(clocks)),
+        transitions=tuple(transitions),
+        accepting=frozenset(accepting),
+        inputs=frozenset(inputs),
+        outputs=frozenset(outputs),
+    )
 
 
 def _parse_edge(raw: str, line: str, scale: int, lineno: int) -> Transition:

@@ -21,6 +21,7 @@ reports response times and reach-set sizes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import statistics
 import sys
@@ -30,7 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, TextIO
 
 from .automata import TBA, TBAError, parse_tba
-from .dbm import INF, Interval
+from .dbm import INF, Interval, ScaleError, parse_scaled
+from .liveness import LivenessError
 from .monitor import DelayBounds, Monitor, MonitorError, Verdict
 from .tester import IODelayBounds, Tester
 
@@ -51,21 +53,6 @@ class TraceEvent:
 
 
 # -- scaled-decimal formatting ----------------------------------------------
-
-
-def parse_scaled(text: str, scale: int, what: str) -> int:
-    if text == "inf":
-        return INF
-    try:
-        f = Fraction(text) * scale
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"{what}: not a number: {text!r}") from None
-    if f.denominator != 1:
-        raise CliError(
-            f"{what}: {text!r} needs more precision than scale {scale}")
-    if f < 0:
-        raise CliError(f"{what}: {text!r} is negative")
-    return int(f)
 
 
 def fmt_scaled(value: int, scale: int) -> str:
@@ -130,7 +117,11 @@ def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
     for ev in events:
         if ev.symbol in inputs:
             shift = assigned["din"] + rng.randint(0, jitters["din"])
-            stamp = max(0, ev.timestamp - shift)
+            stamp = ev.timestamp - shift
+            if stamp < 0:
+                raise CliError(
+                    f"injected delays would send the stimulus at "
+                    f"ground-truth time {ev.timestamp} before time 0")
         else:
             stamp = (ev.timestamp + assigned["dout"]
                      + rng.randint(0, jitters["dout"]))
@@ -235,8 +226,10 @@ def build_parser() -> _Parser:
 def _bounds_pair(args, prefix: str, scale: int) -> DelayBounds:
     lat = getattr(args, f"{prefix}latency".replace("-", "_"))
     jit = getattr(args, f"{prefix}jitter".replace("-", "_"))
-    lo, hi = (parse_scaled(lat[0], scale, "latency"),
-              parse_scaled(lat[1], scale, "latency")) if lat else (0, 0)
+    lo, hi = 0, 0
+    if lat:
+        lo = parse_scaled(lat[0], scale, "latency")
+        hi = INF if lat[1] == "inf" else parse_scaled(lat[1], scale, "latency")
     eps = parse_scaled(jit, scale, "jitter") if jit else 0
     try:
         return DelayBounds(lo, hi, eps)
@@ -272,6 +265,15 @@ def _parse_inject(text: str, scale: int) -> tuple[dict[str, int], int]:
         else:
             raise CliError(f"--inject: unknown key {key!r}")
     return vals, seed
+
+
+def _open_trace(path: str) -> contextlib.AbstractContextManager[TextIO]:
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin)
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e.strerror}") from None
 
 
 def _load_tba(path: str, scale: int) -> TBA:
@@ -311,59 +313,56 @@ def run_stream(args, out: TextIO) -> int:
         jitters = {"din": 0, "dout": bounds.jitter}
         inject_bounds = {"dout": bounds}
 
-    if args.trace == "-":
-        events: Iterable[TraceEvent] = read_trace(sys.stdin, scale)
-    else:
-        try:
-            trace_file = open(args.trace, encoding="utf-8")
-        except OSError as e:
-            raise CliError(
-                f"cannot read {args.trace}: {e.strerror}") from None
-        events = read_trace(trace_file, scale)
+    with _open_trace(args.trace) as stream:
+        events: Iterable[TraceEvent] = read_trace(stream, scale)
 
-    if args.inject:
-        assigned, seed = _parse_inject(args.inject, scale)
-        for key, b in inject_bounds.items():
-            if key not in assigned:
-                raise CliError(f"--inject: missing {key}")
-            if not (b.latency_low <= assigned[key]
-                    and (b.latency_high == INF
-                         or assigned[key] <= b.latency_high)):
-                raise CliError(
-                    f"--inject: {key} outside the declared bounds")
-        assigned.setdefault("din", 0)
-        events = inject_delay(list(events), assigned, jitters,
-                              spec.inputs, seed)
+        if args.inject:
+            assigned, seed = _parse_inject(args.inject, scale)
+            for key, b in inject_bounds.items():
+                if key not in assigned:
+                    raise CliError(f"--inject: missing {key}")
+                if not (b.latency_low <= assigned[key]
+                        and (b.latency_high == INF
+                             or assigned[key] <= b.latency_high)):
+                    raise CliError(
+                        f"--inject: {key} outside the declared bounds")
+            assigned.setdefault("din", 0)
+            events = inject_delay(list(events), assigned, jitters,
+                                  spec.inputs, seed)
 
-    csv_rows = [CSV_HEADER] if args.csv else None
-    timings_ns: list[int] = []
-    max_states = 0
-    verdict = engine.verdict
-    count = 0
-    for ev in events:
-        out.write(f"Input: @{fmt_scaled(ev.timestamp, scale)} {ev.symbol}\n")
-        out.write("\n")
-        start = time_mod.perf_counter_ns()
-        verdict = observe(ev.symbol, ev.timestamp)
-        timings_ns.append(time_mod.perf_counter_ns() - start)
-        count += 1
-        max_states = max(
-            max_states, len(engine.pos.reach) + len(engine.neg.reach))
-        for line in block(engine, verdict, scale):
-            out.write(line + "\n")
-        out.write("\n")
-        if csv_rows is not None:
-            csv_rows.append(csv_row(engine, count, scale))
-        if verdict.conclusive and not args.keep_going:
-            break
+        csv_rows = [CSV_HEADER] if args.csv else None
+        timings_ns: list[int] = []
+        max_states = 0
+        verdict = engine.verdict
+        count = 0
+        for ev in events:
+            out.write(
+                f"Input: @{fmt_scaled(ev.timestamp, scale)} {ev.symbol}\n")
+            out.write("\n")
+            start = time_mod.perf_counter_ns()
+            verdict = observe(ev.symbol, ev.timestamp)
+            timings_ns.append(time_mod.perf_counter_ns() - start)
+            count += 1
+            max_states = max(
+                max_states, len(engine.pos.reach) + len(engine.neg.reach))
+            for line in block(engine, verdict, scale):
+                out.write(line + "\n")
+            out.write("\n")
+            if csv_rows is not None:
+                csv_rows.append(csv_row(engine, count, scale))
+            if verdict.conclusive and not args.keep_going:
+                break
 
     if count == 0:
         for line in block(engine, verdict, scale):
             out.write(line + "\n")
 
     if csv_rows is not None:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write("\n".join(csv_rows) + "\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as f:
+                f.write("\n".join(csv_rows) + "\n")
+        except OSError as e:
+            raise CliError(f"cannot write {args.csv}: {e.strerror}") from None
 
     if args.benchmark and timings_ns:
         out.write(f"Events: {count}\n")
@@ -381,10 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return run_stream(args, sys.stdout)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (TBAError, MonitorError) as e:
+    except (CliError, TBAError, MonitorError, ScaleError, LivenessError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -10,10 +10,20 @@ loop stays branch-free.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 INF = 2 ** 62  # absorbing +infinity bound
+
+# Exclusive cap on every scaled input value (times, latencies, jitters,
+# guard constants).  The engine's bounds are sums of a few inputs (a window
+# end τ + ε, a round-trip sum) chained along at most dim - 1 constraints by
+# the closure, so with this cap they stay far below the bound value of INF,
+# 2**61, and no finite bound can alias it.
+MAX_SCALED = 2 ** 50
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)", re.ASCII)
 
 
 def bound(value: int, strict: bool = False) -> int:
@@ -22,7 +32,6 @@ def bound(value: int, strict: bool = False) -> int:
 
 
 LE_ZERO = bound(0)   # <= 0
-LT_ZERO = bound(0, strict=True)
 
 
 def bound_value(b: int) -> int:
@@ -33,11 +42,32 @@ def bound_is_strict(b: int) -> bool:
     return not (b & 1)
 
 
-def add_bounds(a: int, b: int) -> int:
-    if a == INF or b == INF:
-        return INF
-    # strict wins: result weak only if both weak
-    return (((a >> 1) + (b >> 1)) << 1) | (a & b & 1)
+class ScaleError(ValueError):
+    """A decimal that is not a non-negative multiple of 1/scale below
+    :data:`MAX_SCALED`."""
+
+
+def parse_scaled(text: str, scale: int, what: str) -> int:
+    """Parse a non-negative decimal as an integer number of ``1/scale``
+    units; ``what`` names the value in the error message."""
+    # Plain decimals only: Fraction also takes exponents, and "1e999999999"
+    # would take minutes to expand.
+    if not _DECIMAL.fullmatch(text):
+        raise ScaleError(f"{what}: not a number: {text!r}")
+    try:
+        f = Fraction(text) * scale
+    except ValueError:  # more digits than int() converts
+        raise ScaleError(f"{what}: not a number: {text!r}") from None
+    if f.denominator != 1:
+        raise ScaleError(
+            f"{what}: {text!r} needs more precision than scale {scale}")
+    if f < 0:
+        raise ScaleError(f"{what}: {text!r} is negative")
+    if f >= MAX_SCALED:
+        raise ScaleError(
+            f"{what}: {text!r} is too large: scaled values must stay "
+            f"below 2**50")
+    return int(f)
 
 
 @dataclass(frozen=True)
@@ -75,8 +105,6 @@ class Interval:
         nhi, nhi_s = self.hi, self.hi_strict
         if nlo == -INF or lo > nlo:
             nlo, nlo_s = lo, False
-        elif lo == nlo:
-            nlo_s = nlo_s  # closed clip endpoint never tightens strictness
         if hi != INF and (nhi == INF or hi < nhi):
             nhi, nhi_s = hi, False
         out = Interval(nlo, nlo_s, nhi, nhi_s)
@@ -92,14 +120,6 @@ class Interval:
             if value > self.hi or (value == self.hi and self.hi_strict):
                 return False
         return True
-
-    def negate(self) -> "Interval":
-        """The interval {-v | v in self}."""
-        if self.is_empty():
-            return Interval.make_empty()
-        nlo = -self.hi if self.hi != INF else -INF
-        nhi = -self.lo if self.lo != -INF else INF
-        return Interval(nlo, self.hi_strict, nhi, self.lo_strict)
 
 
 class DBM:
@@ -191,10 +211,6 @@ class DBM:
         return self._hash
 
     # -- operations ----------------------------------------------------------
-
-    def close(self) -> "DBM":
-        """Re-canonicalize (idempotent on canonical input)."""
-        return DBM(self.dim, self.copy_matrix())
 
     def up(self) -> "DBM":
         """Future operator: drop upper bounds on individual clocks."""
@@ -318,35 +334,6 @@ class DBM:
         lo = -INF if lo_b == INF else -bound_value(lo_b)
         lo_s = bound_is_strict(lo_b) if lo_b != INF else True
         return Interval(lo, lo_s, hi, hi_s)
-
-    def extrapolate(self, ceilings: Sequence[int]) -> "DBM":
-        """Classic per-clock maximal-constant normalization.
-
-        ``ceilings[i]`` must dominate every constant compared against clock i
-        in the automaton (ceilings[0] is ignored and treated as 0).
-        """
-        if self.is_empty():
-            return self
-        ceil = list(ceilings)
-        ceil[0] = 0
-        m = self.copy_matrix()
-        changed = False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i == j:
-                    continue
-                b = m[i][j]
-                if b == INF:
-                    continue
-                if bound_value(b) > ceil[i]:
-                    m[i][j] = INF
-                    changed = True
-                elif bound_value(b) < -ceil[j]:
-                    m[i][j] = bound(-ceil[j], strict=True)
-                    changed = True
-        if not changed:
-            return self
-        return DBM(self.dim, m)
 
     # -- queries -------------------------------------------------------------
 

@@ -35,15 +35,16 @@ from .dbm import (
 DIVERGENCE_CLOCK = "_z"
 
 
+class LivenessError(RuntimeError):
+    """The analysis exceeded its iteration budget or did not stabilize."""
+
+
 @dataclass(frozen=True)
 class NonEmptyMap:
     """Per-location federation of zones over the automaton clocks."""
 
     clocks: tuple[str, ...]
     zones: dict[str, tuple[DBM, ...]]
-
-    def covers(self, location: str, zone: DBM) -> bool:
-        return included_in_union(zone, self.zones.get(location, ()))
 
     def contains_point(self, location: str, valuation: tuple[int, ...]) -> bool:
         """Membership of a concrete valuation (no leading reference 0)."""
@@ -95,7 +96,7 @@ def _backward_reach(
             queue.append((t.src, p))
             inserted += 1
             if inserted > max_insertions:
-                raise RuntimeError(
+                raise LivenessError(
                     "backward reachability exceeded the iteration budget; "
                     "the automaton's constants may be too large for exact "
                     "analysis")
@@ -115,38 +116,30 @@ def _federations_equal(a: dict[str, list[DBM]],
 
 def nonempty_states(
     automaton: TBA,
-    require_divergence: bool = True,
     max_insertions: int = 200_000,
     max_rounds: int = 1_000,
 ) -> NonEmptyMap:
     """Compute the states admitting an accepting run.
 
-    With ``require_divergence`` (the default, matching the infinite-word
-    semantics) the witness run must let time grow beyond every bound;
-    switching it off is a debugging aid only.
+    As the infinite-word semantics demands, the witness run must let time
+    grow beyond every bound.
     """
     n_c = len(automaton.clocks)
-    if require_divergence:
-        layout = ClockLayout(automaton.clocks + (DIVERGENCE_CLOCK,))
-        zi = layout.index(DIVERGENCE_CLOCK)
-        one = 1  # the divergence clock counts raw scaled units
-    else:
-        layout = ClockLayout(automaton.clocks)
+    layout = ClockLayout(automaton.clocks + (DIVERGENCE_CLOCK,))
+    zi = layout.index(DIVERGENCE_CLOCK)
+    one = 1  # the divergence clock counts raw scaled units
 
     # greatest fixpoint: accepting states allowing one more productive lap
     core: dict[str, list[DBM]] = {
         q: [DBM.universal(1 + n_c)] for q in automaton.accepting}
     for _ in range(max_rounds):
-        if require_divergence:
-            targets = {
-                q: [
-                    z.embed(1).and_constraints([(0, zi, bound(-one))])
-                    for z in zs
-                ]
-                for q, zs in core.items()
-            }
-        else:
-            targets = {q: list(zs) for q, zs in core.items()}
+        targets = {
+            q: [
+                z.embed(1).and_constraints([(0, zi, bound(-one))])
+                for z in zs
+            ]
+            for q, zs in core.items()
+        }
         targets = {q: [z for z in zs if not z.is_empty()]
                    for q, zs in targets.items()}
         back = _backward_reach(automaton, layout, targets,
@@ -156,14 +149,11 @@ def nonempty_states(
         for q in automaton.accepting:
             zs = []
             for z in back.get(q, []):
-                if require_divergence:
-                    pinned = z.and_constraints(
-                        [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)])
-                    if pinned.is_empty():
-                        continue
-                    zs.append(pinned.restrict(range(1, 1 + n_c)))
-                else:
-                    zs.append(z)
+                pinned = z.and_constraints(
+                    [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)])
+                if pinned.is_empty():
+                    continue
+                zs.append(pinned.restrict(range(1, 1 + n_c)))
             zs = reduce_union(zs)
             if zs:
                 refreshed[q] = zs
@@ -172,7 +162,7 @@ def nonempty_states(
             break
         core = refreshed
     else:
-        raise RuntimeError("recurrence fixpoint did not stabilize")
+        raise LivenessError("recurrence fixpoint did not stabilize")
 
     # collect everything that can reach the recurrent core
     plain = ClockLayout(automaton.clocks)

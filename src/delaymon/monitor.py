@@ -1,13 +1,26 @@
 """Online monitoring of a delayed event stream against a property/complement
-automaton pair.
+automaton pair, and the zone-based engine core that active testing shares.
 
-The channel delays every event by an unknown-but-bounded latency
-``δ ∈ [ℓ, u]`` plus a per-event jitter in ``[0, ε]``.  The monitor tracks,
-for both automata, the symbolic set of states reachable under *some*
-consistent ground truth, using two auxiliary clocks: ``time`` (emission time
-of the last event) and ``etime`` (emission time plus latency).  Verdicts are
-three-valued: a polarity becomes impossible exactly when its reach-set stops
-intersecting the corresponding nonempty-language states.
+The core tracks, for both automata, the symbolic set of states reachable
+under *some* consistent ground truth.  Zones carry the automaton clocks plus
+``time`` (ground-truth time of the last event at the system) and one
+event-time clock per delayed channel.  A channel is ``(clock, bounds,
+direction)``:
+
+- an **output** channel's clock runs ahead of ``time`` by the latency, so an
+  event stamped τ had its clock in ``[τ - ε, τ]``;
+- an **input** channel's clock lags ``time`` by the latency (it starts
+  negative), so an event stamped τ had its clock in ``[τ, τ + ε]``.
+
+The difference between a channel clock and ``time`` stays constant along a
+run and equals that channel's latency.  Channels are used in table order,
+round-robin.  Verdicts are three-valued: a polarity becomes impossible
+exactly when its reach-set stops intersecting the corresponding
+nonempty-language states.
+
+:class:`Monitor` is one output channel ``etime`` with latency ``δ ∈ [ℓ, u]``
+plus a per-event jitter in ``[0, ε]``; delay-free (classic) monitoring is
+the case ``DelayBounds(0, 0, 0)``.
 """
 
 from __future__ import annotations
@@ -23,7 +36,6 @@ from .automata import (
     prune_included,
 )
 from .dbm import (
-    DBM,
     INF,
     Interval,
     bound,
@@ -33,6 +45,8 @@ from .liveness import NonEmptyMap, intersects_nonempty, nonempty_states
 
 TIME = "time"
 ETIME = "etime"
+OUTPUT = "output"
+INPUT = "input"
 
 
 class Verdict(enum.Enum):
@@ -78,6 +92,12 @@ class DelayBounds:
             raise ValueError("latency_high must be at least latency_low")
 
 
+# (event clock, latency bounds, OUTPUT or INPUT)
+Channel = tuple[str, DelayBounds, str]
+# (x, y, lo, hi): the latency x - y, known to lie in [lo, hi]
+Measure = tuple[str, str, int, int]
+
+
 @dataclass(frozen=True)
 class LatencyReport:
     positive: tuple[Interval, ...]
@@ -87,55 +107,113 @@ class LatencyReport:
 
 @dataclass
 class _Side:
-    """One automaton's half of the monitor."""
+    """One automaton's half of an engine."""
 
     automaton: TBA
     layout: ClockLayout
     nonempty: NonEmptyMap
+    measures: list[tuple[int, int, int, int]]  # Measure with clock indices
     reach: list[SymbolicState]
 
 
-def _initial_zone(layout: ClockLayout, bounds: DelayBounds) -> DBM:
-    ti, ei = layout.index(TIME), layout.index(ETIME)
-    cons = [(i, 0, bound(0)) for i in layout.automaton_indices()]
-    cons += [(ti, 0, bound(0))]
-    cons += [(ti, ei, bound(-bounds.latency_low))]
-    if bounds.latency_high != INF:
-        cons.append((ei, ti, bound(bounds.latency_high)))
-    return layout.universal_zone().and_constraints(cons)
+def _require_same_alphabet(spec: TBA, complement: TBA) -> None:
+    if spec.alphabet != complement.alphabet:
+        raise MonitorError(
+            "property and complement automata use different alphabets")
 
 
-def _advance(side: _Side, t: int, jitter: int) -> list[SymbolicState]:
-    """Reach-set at query time t: zones whose observation budget has run
-    out advance until etime = t - ε; the rest stay put."""
-    ei = side.layout.index(ETIME)
-    cutoff = t - jitter
+def _measure(channel: Channel) -> Measure:
+    clock, b, direction = channel
+    x, y = (clock, TIME) if direction == OUTPUT else (TIME, clock)
+    return x, y, b.latency_low, b.latency_high
+
+
+def _window(channel: Channel, tau: int) -> tuple[int, int]:
+    """Range of the channel clock for an event stamped ``tau``."""
+    _, b, direction = channel
+    if direction == OUTPUT:
+        return tau - b.jitter, tau
+    return tau, tau + b.jitter
+
+
+def _step(side: _Side, symbol: str, clock: str, lo: int, hi: int
+          ) -> list[SymbolicState]:
+    ci = side.layout.index(clock)
+    cons = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
+    out: list[SymbolicState] = []
+    for s in side.reach:
+        for p in post(s, symbol, side.automaton, side.layout):
+            z = p.zone.and_constraints(cons)
+            if not z.is_empty():
+                out.append(SymbolicState(p.location, z))
+    return prune_included(out)
+
+
+def _advance(side: _Side, clock: str, cutoff: int) -> list[SymbolicState]:
+    """Reach-set once it is known that the next event's ``clock`` value is
+    at least ``cutoff``: zones below the cutoff elapse time up to it, the
+    rest stay put.  Only an output clock can meet a negative cutoff, and it
+    is never negative, so then nothing advances."""
+    ci = side.layout.index(clock)
     out: list[SymbolicState] = []
     for s in side.reach:
         if cutoff >= 0:
             adv = s.zone.up().and_constraints(
-                [(ei, 0, bound(cutoff)), (0, ei, bound(-cutoff))])
+                [(ci, 0, bound(cutoff)), (0, ci, bound(-cutoff))])
             if not adv.is_empty():
                 out.append(SymbolicState(s.location, adv))
-        stay = s.zone.and_constraint(0, ei, bound(-cutoff, strict=True))
+        stay = s.zone.and_constraint(0, ci, bound(-cutoff, strict=True))
         if not stay.is_empty():
             out.append(SymbolicState(s.location, stay))
     return prune_included(out)
 
 
-class Monitor:
-    """Monitor one stream; mutate via :meth:`observe` only."""
+def _latencies(side: _Side) -> list[tuple[Interval, ...]]:
+    """Per measure, the latency values consistent with this polarity."""
+    n_aux = len(side.layout.aux_clocks)
+    unions: list[list[Interval]] = [[] for _ in side.measures]
+    for s in side.reach:
+        for zm in side.nonempty.zones.get(s.location, ()):
+            z = s.zone.intersect(zm.embed(n_aux))
+            if z.is_empty():
+                continue
+            for (xi, yi, lo, hi), ivs in zip(side.measures, unions):
+                ivs.append(z.difference_bounds(xi, yi).clip(lo, hi))
+    return [tuple(merge_intervals(ivs)) for ivs in unions]
 
-    def __init__(self, spec: TBA, complement: TBA, bounds: DelayBounds):
-        if spec.alphabet != complement.alphabet:
-            raise MonitorError(
-                "property and complement automata use different alphabets")
-        self.bounds = bounds
-        self.pos = _make_side(spec, bounds)
-        self.neg = _make_side(complement, bounds)
+
+class _Engine:
+    """The zone construction shared by :class:`Monitor` and
+    :class:`delaymon.tester.Tester`, parametrised by a channel table."""
+
+    def _start(self, spec: TBA, complement: TBA, channels: tuple[Channel, ...],
+               extra_measures: tuple[Measure, ...] = ()) -> None:
+        self.channels = channels
+        measures = tuple(map(_measure, channels)) + extra_measures
+        self.pos = self._make_side(spec, measures)
+        self.neg = self._make_side(complement, measures)
         self.last_obs_time = 0
         self.observation_count = 0
         self._verdict = self._compute_verdict(0)
+
+    def _make_side(self, automaton: TBA, measures: tuple[Measure, ...]
+                   ) -> _Side:
+        layout = ClockLayout(
+            automaton.clocks, (TIME,) + tuple(c for c, _, _ in self.channels),
+            unsigned=frozenset(c for c, _, d in self.channels if d == INPUT))
+        resolved = [(layout.index(x), layout.index(y), lo, hi)
+                    for x, y, lo, hi in measures]
+        # Initially only the measures' declared ranges constrain the aux
+        # clocks (a round-trip range is implied by the channel ranges).
+        cons = [(i, 0, bound(0)) for i in layout.automaton_indices()]
+        cons.append((layout.index(TIME), 0, bound(0)))
+        for xi, yi, lo, hi in resolved:
+            cons.append((yi, xi, bound(-lo)))
+            if hi != INF:
+                cons.append((xi, yi, bound(hi)))
+        z0 = layout.universal_zone().and_constraints(cons)
+        return _Side(automaton, layout, nonempty_states(automaton), resolved,
+                     [SymbolicState(q, z0) for q in automaton.initial])
 
     # -- queries -------------------------------------------------------------
 
@@ -152,55 +230,37 @@ class Monitor:
             return self._verdict
         return self._compute_verdict(t)
 
-    def latency_report(self) -> LatencyReport:
-        return LatencyReport(
-            positive=tuple(self._latencies(self.pos)),
-            negative=tuple(self._latencies(self.neg)),
-            jitter=self.bounds.jitter,
-        )
+    # -- internals -----------------------------------------------------------
 
-    # -- updates -------------------------------------------------------------
+    def _next_channel(self) -> Channel:
+        return self.channels[self.observation_count % len(self.channels)]
 
-    def observe(self, symbol: str, tau: int) -> Verdict:
-        if self._verdict.conclusive:
-            return self._verdict
+    def _check_order(self, tau: int) -> None:
         if tau < self.last_obs_time:
             raise OrderingError(
                 f"observation at {tau} precedes {self.last_obs_time}")
-        if self.observation_count == 0 and tau < self.bounds.latency_low:
-            raise ObservationError(
-                f"first observation at {tau} is earlier than the minimum "
-                f"latency {self.bounds.latency_low}")
+
+    def _record(self, symbol: str, tau: int) -> Verdict:
+        """Feed one validated observation through the next channel."""
+        channel = self._next_channel()
+        lo, hi = _window(channel, tau)
         for side in (self.pos, self.neg):
-            side.reach = self._step(side, symbol, tau)
+            side.reach = _step(side, symbol, channel[0], lo, hi)
         self.last_obs_time = tau
         self.observation_count += 1
         self._verdict = self._compute_verdict(tau)
         return self._verdict
 
-    # -- internals -----------------------------------------------------------
-
-    def _step(self, side: _Side, symbol: str, tau: int
-              ) -> list[SymbolicState]:
-        ei = side.layout.index(ETIME)
-        cons = [(ei, 0, bound(tau))]
-        low = tau - self.bounds.jitter
-        if low > 0:
-            cons.append((0, ei, bound(-low)))
-        out: list[SymbolicState] = []
-        for s in side.reach:
-            for p in post(s, symbol, side.automaton, side.layout):
-                z = p.zone.and_constraints(cons)
-                if not z.is_empty():
-                    out.append(SymbolicState(p.location, z))
-        return prune_included(out)
-
     def _compute_verdict(self, t: int) -> Verdict:
+        # Nothing has arrived on the next channel by t, so its event clock
+        # is at least the low end of the window at t.
+        channel = self._next_channel()
+        clock, cutoff = channel[0], _window(channel, t)[0]
         pos_live = intersects_nonempty(
-            _advance(self.pos, t, self.bounds.jitter),
+            _advance(self.pos, clock, cutoff),
             self.pos.nonempty, self.pos.layout)
         neg_live = intersects_nonempty(
-            _advance(self.neg, t, self.bounds.jitter),
+            _advance(self.neg, clock, cutoff),
             self.neg.nonempty, self.neg.layout)
         if not pos_live and not neg_live:
             raise ComplementViolationError(
@@ -212,28 +272,27 @@ class Monitor:
             return Verdict.TRUE
         return Verdict.INCONCLUSIVE
 
-    def _latencies(self, side: _Side) -> list[Interval]:
-        """Latency values δ = etime - time consistent with this polarity."""
-        ti, ei = side.layout.index(TIME), side.layout.index(ETIME)
-        n_aux = len(side.layout.aux_clocks)
-        ivs: list[Interval] = []
-        for s in side.reach:
-            for zm in side.nonempty.zones.get(s.location, ()):
-                z = s.zone.intersect(zm.embed(n_aux))
-                if not z.is_empty():
-                    ivs.append(z.difference_bounds(ei, ti).clip(
-                        self.bounds.latency_low, self.bounds.latency_high))
-        return merge_intervals(ivs)
 
+class Monitor(_Engine):
+    """Monitor one stream; mutate via :meth:`observe` only."""
 
-def _make_side(automaton: TBA, bounds: DelayBounds) -> _Side:
-    layout = ClockLayout(automaton.clocks, (TIME, ETIME))
-    side = _Side(
-        automaton=automaton,
-        layout=layout,
-        nonempty=nonempty_states(automaton),
-        reach=[],
-    )
-    z0 = _initial_zone(layout, bounds)
-    side.reach = [SymbolicState(q, z0) for q in automaton.initial]
-    return side
+    def __init__(self, spec: TBA, complement: TBA, bounds: DelayBounds):
+        _require_same_alphabet(spec, complement)
+        self.bounds = bounds
+        self._start(spec, complement, ((ETIME, bounds, OUTPUT),))
+
+    def latency_report(self) -> LatencyReport:
+        (positive,) = _latencies(self.pos)
+        (negative,) = _latencies(self.neg)
+        return LatencyReport(positive=positive, negative=negative,
+                             jitter=self.bounds.jitter)
+
+    def observe(self, symbol: str, tau: int) -> Verdict:
+        if self._verdict.conclusive:
+            return self._verdict
+        self._check_order(tau)
+        if self.observation_count == 0 and tau < self.bounds.latency_low:
+            raise ObservationError(
+                f"first observation at {tau} is earlier than the minimum "
+                f"latency {self.bounds.latency_low}")
+        return self._record(symbol, tau)

@@ -9,37 +9,30 @@ response arrives.  Specifications must carry an input/output partition and
 are restricted to strictly alternating input/output words via
 :func:`delaymon.automata.io_alternation_product`.
 
-Zones carry three auxiliary clocks: ``time`` (ground-truth time of the last
-event at the system), ``etime_I`` (ground-truth time minus the input
-latency; starts negative) and ``etime_O`` (ground-truth time plus the
-output latency).  The differences ``time - etime_I`` and ``etime_O - time``
-stay constant along a run and equal the two channel latencies.
+The engine is the core of :mod:`delaymon.monitor` with two channels: the
+input channel ``etime_i`` (ground-truth time minus the input latency; starts
+negative) and the output channel ``etime_o`` (ground-truth time plus the
+output latency), used alternately.  The round-trip latency is
+``etime_o - etime_i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import (
-    TBA,
-    ClockLayout,
-    SymbolicState,
-    io_alternation_product,
-    post,
-    prune_included,
-)
-from .dbm import DBM, INF, Interval, bound, merge_intervals
-from .liveness import NonEmptyMap, intersects_nonempty, nonempty_states
+from .automata import TBA, io_alternation_product
+from .dbm import INF, Interval
 from .monitor import (
-    ComplementViolationError,
+    INPUT,
+    OUTPUT,
     DelayBounds,
     MonitorError,
-    ObservationError,
-    OrderingError,
     Verdict,
+    _Engine,
+    _latencies,
+    _require_same_alphabet,
 )
 
-TIME = "time"
 ETIME_I = "etime_i"
 ETIME_O = "etime_o"
 
@@ -66,12 +59,8 @@ class IODelayBounds:
 
     @property
     def combined_high(self) -> int:
-        return add_bounds_value(self.input.latency_high,
-                                self.output.latency_high)
-
-
-def add_bounds_value(a: int, b: int) -> int:
-    return INF if INF in (a, b) else a + b
+        a, b = self.input.latency_high, self.output.latency_high
+        return INF if INF in (a, b) else a + b
 
 
 @dataclass(frozen=True)
@@ -89,52 +78,11 @@ class IOLatencyReport:
     output_jitter: int
 
 
-@dataclass
-class _Side:
-    automaton: TBA
-    layout: ClockLayout
-    nonempty: NonEmptyMap
-    reach: list[SymbolicState]
-
-
-def _initial_zone(layout: ClockLayout, bounds: IODelayBounds) -> DBM:
-    ti = layout.index(TIME)
-    ei, eo = layout.index(ETIME_I), layout.index(ETIME_O)
-    cons = [(i, 0, bound(0)) for i in layout.automaton_indices()]
-    cons += [(ti, 0, bound(0))]
-    cons.append((ei, ti, bound(-bounds.input.latency_low)))
-    if bounds.input.latency_high != INF:
-        cons.append((ti, ei, bound(bounds.input.latency_high)))
-    cons.append((ti, eo, bound(-bounds.output.latency_low)))
-    if bounds.output.latency_high != INF:
-        cons.append((eo, ti, bound(bounds.output.latency_high)))
-    return layout.universal_zone().and_constraints(cons)
-
-
-def _advance(side: _Side, clock: str, cutoff: int) -> list[SymbolicState]:
-    """Reach-set once it is known that the next event's ``clock`` value is
-    at least ``cutoff``: zones below the cutoff elapse time up to it, the
-    rest stay put."""
-    ci = side.layout.index(clock)
-    out: list[SymbolicState] = []
-    for s in side.reach:
-        adv = s.zone.up().and_constraints(
-            [(ci, 0, bound(cutoff)), (0, ci, bound(-cutoff))])
-        if not adv.is_empty():
-            out.append(SymbolicState(s.location, adv))
-        stay = s.zone.and_constraint(0, ci, bound(-cutoff, strict=True))
-        if not stay.is_empty():
-            out.append(SymbolicState(s.location, stay))
-    return prune_included(out)
-
-
-class Tester:
+class Tester(_Engine):
     """Drive one test run; mutate via :meth:`observe_io` only."""
 
     def __init__(self, spec: TBA, complement: TBA, bounds: IODelayBounds):
-        if spec.alphabet != complement.alphabet:
-            raise MonitorError(
-                "property and complement automata use different alphabets")
+        _require_same_alphabet(spec, complement)
         if not spec.has_io_partition or not complement.has_io_partition:
             raise MonitorError(
                 "testing requires an input/output partition on both automata")
@@ -146,42 +94,24 @@ class Tester:
         self.bounds = bounds
         self.inputs = spec.inputs
         self.outputs = spec.outputs
-        self.pos = _make_side(spec, bounds)
-        self.neg = _make_side(complement, bounds)
-        self.last_obs_time = 0
-        self.observation_count = 0
-        self._verdict = self._compute_verdict(0)
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def verdict(self) -> Verdict:
-        return self._verdict
+        self._start(
+            io_alternation_product(spec), io_alternation_product(complement),
+            ((ETIME_I, bounds.input, INPUT), (ETIME_O, bounds.output, OUTPUT)),
+            ((ETIME_O, ETIME_I, bounds.combined_low, bounds.combined_high),))
 
     @property
     def awaiting_input(self) -> bool:
         return self.observation_count % 2 == 0
 
-    def verdict_at(self, t: int) -> Verdict:
-        if t < self.last_obs_time:
-            raise OrderingError(
-                f"query time {t} precedes last observation "
-                f"{self.last_obs_time}")
-        if self._verdict.conclusive:
-            return self._verdict
-        return self._compute_verdict(t)
-
     def latency_report(self) -> IOLatencyReport:
-        pin, pout, pcomb = self._latencies(self.pos)
-        nin, nout, ncomb = self._latencies(self.neg)
+        pin, pout, pcomb = _latencies(self.pos)
+        nin, nout, ncomb = _latencies(self.neg)
         return IOLatencyReport(
             positive_input=pin, positive_output=pout, positive_combined=pcomb,
             negative_input=nin, negative_output=nout, negative_combined=ncomb,
             input_jitter=self.bounds.input.jitter,
             output_jitter=self.bounds.output.jitter,
         )
-
-    # -- updates -------------------------------------------------------------
 
     def observe_io(self, symbol: str, tau: int) -> Verdict:
         if self._verdict.conclusive:
@@ -197,98 +127,11 @@ class Tester:
             raise AlternationError(
                 f"observation {self.observation_count + 1} ({symbol!r}) "
                 f"must be {expected}")
-        if tau < self.last_obs_time:
-            raise OrderingError(
-                f"observation at {tau} precedes {self.last_obs_time}")
+        self._check_order(tau)
         if not is_input:
             gap = self.bounds.combined_low
             if tau - self.last_obs_time < gap:
                 raise GapError(
                     f"output observed {tau - self.last_obs_time} after the "
                     f"input; the channels need at least {gap}")
-        for side in (self.pos, self.neg):
-            side.reach = self._step(side, symbol, tau, is_input)
-        self.last_obs_time = tau
-        self.observation_count += 1
-        self._verdict = self._compute_verdict(tau)
-        return self._verdict
-
-    # -- internals -----------------------------------------------------------
-
-    def _step(self, side: _Side, symbol: str, tau: int, is_input: bool
-              ) -> list[SymbolicState]:
-        if is_input:
-            ci = side.layout.index(ETIME_I)
-            lo, hi = tau, tau + self.bounds.input.jitter
-        else:
-            ci = side.layout.index(ETIME_O)
-            lo, hi = tau - self.bounds.output.jitter, tau
-        cons = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
-        out: list[SymbolicState] = []
-        for s in side.reach:
-            for p in post(s, symbol, side.automaton, side.layout):
-                z = p.zone.and_constraints(cons)
-                if not z.is_empty():
-                    out.append(SymbolicState(p.location, z))
-        return prune_included(out)
-
-    def _finalized(self, side: _Side, t: int) -> list[SymbolicState]:
-        if self.awaiting_input:
-            # The tester has sent nothing since the last observation, so
-            # the next input leaves no earlier than t.
-            return _advance(side, ETIME_I, t)
-        # The system's next response has not arrived by t.
-        return _advance(side, ETIME_O, t - self.bounds.output.jitter)
-
-    def _compute_verdict(self, t: int) -> Verdict:
-        pos_live = intersects_nonempty(
-            self._finalized(self.pos, t), self.pos.nonempty, self.pos.layout)
-        neg_live = intersects_nonempty(
-            self._finalized(self.neg, t), self.neg.nonempty, self.neg.layout)
-        if not pos_live and not neg_live:
-            raise ComplementViolationError(
-                "no ground truth fits either automaton; the complement "
-                "automaton does not complement the property")
-        if not pos_live:
-            return Verdict.FALSE
-        if not neg_live:
-            return Verdict.TRUE
-        return Verdict.INCONCLUSIVE
-
-    def _latencies(self, side: _Side) -> tuple[
-            tuple[Interval, ...], tuple[Interval, ...], tuple[Interval, ...]]:
-        ti = side.layout.index(TIME)
-        ei, eo = side.layout.index(ETIME_I), side.layout.index(ETIME_O)
-        n_aux = len(side.layout.aux_clocks)
-        b = self.bounds
-        ins: list[Interval] = []
-        outs: list[Interval] = []
-        combs: list[Interval] = []
-        for s in side.reach:
-            for zm in side.nonempty.zones.get(s.location, ()):
-                z = s.zone.intersect(zm.embed(n_aux))
-                if z.is_empty():
-                    continue
-                ins.append(z.difference_bounds(ti, ei).clip(
-                    b.input.latency_low, b.input.latency_high))
-                outs.append(z.difference_bounds(eo, ti).clip(
-                    b.output.latency_low, b.output.latency_high))
-                combs.append(z.difference_bounds(eo, ei).clip(
-                    b.combined_low, b.combined_high))
-        return (tuple(merge_intervals(ins)), tuple(merge_intervals(outs)),
-                tuple(merge_intervals(combs)))
-
-
-def _make_side(automaton: TBA, bounds: IODelayBounds) -> _Side:
-    product = io_alternation_product(automaton)
-    layout = ClockLayout(product.clocks, (TIME, ETIME_I, ETIME_O),
-                         unsigned=frozenset({ETIME_I}))
-    side = _Side(
-        automaton=product,
-        layout=layout,
-        nonempty=nonempty_states(product),
-        reach=[],
-    )
-    z0 = _initial_zone(layout, bounds)
-    side.reach = [SymbolicState(q, z0) for q in product.initial]
-    return side
+        return self._record(symbol, tau)

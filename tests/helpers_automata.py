@@ -6,7 +6,16 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from delaymon.automata import TBA, AtomicConstraint, Transition
+from delaymon.automata import (
+    TBA,
+    AtomicConstraint,
+    ClockLayout,
+    SymbolicState,
+    Transition,
+    post,
+    prune_included,
+)
+from delaymon.dbm import bound
 
 
 def eventually_then_safe_tba(accept_good: bool, scale: int = 10) -> TBA:
@@ -157,6 +166,21 @@ def explicit_run(automaton: TBA, events: list[tuple[str, int]]
         states = nxt
         prev = tau
     return states
+
+
+def succ(states: list[SymbolicState], a: str, tau: int, automaton: TBA,
+         layout: ClockLayout) -> list[SymbolicState]:
+    """Delay-free symbolic successor set: ``post``, then pin the auxiliary
+    ``time`` clock to ``tau``."""
+    ti = layout.index("time")
+    pinned = [(ti, 0, bound(tau)), (0, ti, bound(-tau))]
+    out = []
+    for s in states:
+        for p in post(s, a, automaton, layout):
+            z = p.zone.and_constraints(pinned)
+            if not z.is_empty():
+                out.append(SymbolicState(p.location, z))
+    return prune_included(out)
 
 
 def random_timestamps(rng: random.Random, n: int, max_step: int = 4

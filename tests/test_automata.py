@@ -18,7 +18,6 @@ from delaymon.automata import (
     parse_tba,
     post,
     serialize_tba,
-    succ,
 )
 from delaymon.dbm import DBM, bound
 
@@ -28,6 +27,7 @@ from helpers_automata import (
     explicit_run,
     random_timestamps,
     random_tba,
+    succ,
 )
 
 EXAMPLE_TEXT = """\

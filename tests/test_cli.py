@@ -7,9 +7,16 @@ delay-injection replay mode.
 
 from __future__ import annotations
 
+import functools
+import io
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaymon.cli import main
 
@@ -336,3 +343,154 @@ class TestStreamControl:
             "--latency", "0", "10", "--jitter", "0.2", "--trace", trace])
         assert "Input: @17.3 a" in out
         assert "Jitter bound: 0.2" in out
+
+
+class TestFailuresExitThree:
+    """Every bad input or environment ends in ``error: ...`` and exit 3,
+    never in a traceback or an exit code that reads as a verdict."""
+
+    def test_unwritable_csv(self, capsys, tmp_path):
+        trace = write_trace(tmp_path, "@173 a\n")
+        code, _, err = run(capsys, DEADLINE_ARGS + [
+            "--latency", "0", "100", "--trace", trace,
+            "--csv", str(tmp_path / "missing" / "bounds.csv")])
+        assert code == 3
+        assert err.startswith("error: cannot write ")
+
+    def test_injected_stimulus_before_time_zero(self, capsys, tmp_path):
+        trace = write_trace(tmp_path, "@5 ReqNewGear\n@700 NewGear\n")
+        code, out, err = run(capsys, GEAR_ARGS + [
+            "--trace", trace, "--inject", "din:40,dout:70,seed:1"])
+        assert code == 3
+        assert "before time 0" in err
+        assert "Input: " not in out
+
+    def test_trace_file_is_closed(self, capsys, tmp_path, monkeypatch):
+        import delaymon.cli
+
+        opened = []
+
+        def spy(*args, **kwargs):
+            f = open(*args, **kwargs)
+            opened.append(f)
+            return f
+
+        monkeypatch.setattr(delaymon.cli, "open", spy, raising=False)
+        trace = write_trace(tmp_path, "@173 a\n@271 b\n@400 a\n")
+        code, _, _ = run(capsys, DEADLINE_ARGS + [
+            "--latency", "0", "inf", "--jitter", "2", "--trace", trace])
+        assert code == 1  # stopped early, before the end of the file
+        assert trace in [f.name for f in opened]
+        assert all(f.closed for f in opened)
+
+    @pytest.mark.parametrize("budget, message", [
+        ({"max_insertions": 0}, "budget"),
+        ({"max_rounds": 0}, "did not stabilize"),
+    ])
+    def test_liveness_failure(self, capsys, tmp_path, monkeypatch, budget,
+                              message):
+        import delaymon.monitor
+
+        monkeypatch.setattr(
+            delaymon.monitor, "nonempty_states",
+            functools.partial(delaymon.monitor.nonempty_states, **budget))
+        trace = write_trace(tmp_path, "@173 a\n")
+        code, _, err = run(capsys, DEADLINE_ARGS + ["--trace", trace])
+        assert code == 3
+        assert err.startswith("error: ") and message in err
+
+    def test_timestamp_at_inf_rejected(self, capsys, tmp_path):
+        # 2**62 used to alias INF: echoed as "@inf" with verdict FALSE
+        trace = write_trace(tmp_path, "@4611686018427387904 a\n")
+        code, out, err = run(capsys, DEADLINE_ARGS + ["--trace", trace])
+        assert code == 3
+        assert "too large" in err
+        assert "inf" not in out
+
+    def test_guard_constant_at_inf_rejected(self, capsys, tmp_path):
+        spec = (FIXTURES / "deadline_spec.txt").read_text().replace(
+            "x>200", "x>4611686018427387904")
+        (tmp_path / "spec.txt").write_text(spec)
+        trace = write_trace(tmp_path, "@173 a\n")
+        code, _, err = run(capsys, [
+            "--spec", str(tmp_path / "spec.txt"),
+            "--complement", str(FIXTURES / "deadline_complement.txt"),
+            "--scale", "1", "--trace", trace])
+        assert code == 3
+        assert "too large" in err
+
+    @pytest.mark.parametrize("stamp", ["1e999999999", "1/2", "inf"])
+    def test_non_decimal_timestamp_rejected(self, capsys, tmp_path, stamp):
+        trace = write_trace(tmp_path, f"@{stamp} a\n")
+        code, _, err = run(capsys, DEADLINE_ARGS + ["--trace", trace])
+        assert code == 3
+        assert "not a number" in err
+
+
+# -- fuzzing -----------------------------------------------------------------
+
+FUZZ_CASES = {
+    "deadline": (
+        "deadline_spec.txt", "deadline_complement.txt",
+        "@173 a\n@275 b\n@400 a\n",
+        ["--scale", "1", "--latency", "0", "100", "--jitter", "2"]),
+    "gear": (
+        "gear_spec.txt", "gear_complement.txt",
+        "@100 ReqNewGear\n@810 NewGear\n@870 ReqNewGear\n@1500 NewGear\n",
+        GEAR_ARGS[4:]),
+}
+FUZZ_NUMBERS = ["0", "-1", "0.5", "1e3", "1/2", "inf", "1125899906842623",
+                "1125899906842624", "4611686018427387904", "9" * 40]
+
+
+@st.composite
+def near_valid_inputs(draw):
+    """A fixture session with one to three mutations: a dropped token, a
+    replaced number, or two swapped lines, in any of the three files."""
+    name = draw(st.sampled_from(sorted(FUZZ_CASES)))
+    spec, comp, trace, flags = FUZZ_CASES[name]
+    files = {"spec": (FIXTURES / spec).read_text(),
+             "complement": (FIXTURES / comp).read_text(),
+             "trace": trace}
+    for _ in range(draw(st.integers(1, 3))):
+        which = draw(st.sampled_from(sorted(files)))
+        lines = files[which].splitlines()
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "number", "swap"]))
+        if op == "drop":
+            words = lines[i].split()
+            if words:
+                del words[draw(st.integers(0, len(words) - 1))]
+            lines[i] = " ".join(words)
+        elif op == "number":
+            number = draw(st.sampled_from(FUZZ_NUMBERS)
+                          | st.integers(0, 2000).map(str))
+            lines[i] = re.sub(r"\d+", number, lines[i], count=1)
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        files[which] = "\n".join(lines) + "\n"
+    return files, flags
+
+
+class TestFuzz:
+    @given(near_valid_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_near_valid_inputs_end_cleanly(self, case):
+        files, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for key, text in files.items():
+                paths[key] = Path(tmp) / f"{key}.txt"
+                paths[key].write_text(text)
+            argv = ["--spec", str(paths["spec"]),
+                    "--complement", str(paths["complement"]),
+                    "--trace", str(paths["trace"])] + flags
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 3:
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert err.getvalue() == ""
