@@ -41,19 +41,6 @@ class AtomicConstraint:
         if self.constant < 0:
             raise TBAError("guard constants must be non-negative")
 
-    def holds(self, value: int) -> bool:
-        r = self.relation
-        c = self.constant
-        if r == "<":
-            return value < c
-        if r == "<=":
-            return value <= c
-        if r == "=":
-            return value == c
-        if r == ">=":
-            return value >= c
-        return value > c
-
 
 @dataclass(frozen=True, slots=True)
 class Transition:
@@ -161,6 +148,12 @@ class ClockLayout:
     automaton_clocks: tuple[str, ...]
     aux_clocks: tuple[str, ...] = ()
     unsigned: frozenset[str] = frozenset()
+    _index: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        names = self.automaton_clocks + self.aux_clocks
+        object.__setattr__(
+            self, "_index", {c: i for i, c in enumerate(names, start=1)})
 
     @property
     def dim(self) -> int:
@@ -168,12 +161,8 @@ class ClockLayout:
 
     def index(self, clock: str) -> int:
         try:
-            return 1 + self.automaton_clocks.index(clock)
-        except ValueError:
-            pass
-        try:
-            return 1 + len(self.automaton_clocks) + self.aux_clocks.index(clock)
-        except ValueError:
+            return self._index[clock]
+        except KeyError:
             raise KeyError(f"unknown clock {clock!r}") from None
 
     def automaton_indices(self) -> list[int]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import random
 import statistics
 import sys
@@ -375,13 +376,32 @@ def run_stream(args, out: TextIO) -> int:
             Verdict.INCONCLUSIVE: 2}[verdict]
 
 
+def _discard_stdout() -> None:
+    """Point a closed standard output at the null device, so that the
+    interpreter's flush at exit does not fail on it again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return run_stream(args, sys.stdout)
+        code = run_stream(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except (CliError, TBAError, MonitorError, ScaleError, LivenessError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        _discard_stdout()
+        print("error: standard output closed before the run ended",
+              file=sys.stderr)
         return 3
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 INF = 2 ** 62  # absorbing +infinity bound
 
@@ -122,12 +122,45 @@ class Interval:
         return True
 
 
+def _tighten(m: list[list[int]], i: int, j: int, b: int) -> bool:
+    """Intersect the canonical, nonempty matrix ``m`` in place with
+    ``x_i - x_j`` bounded by ``b < m[i][j]`` and keep it canonical, in
+    O(n^2): every entry takes the shorter of its old path and the path
+    through the new edge.  False, with ``m`` untouched, iff the result is
+    empty."""
+    mj = m[j]
+    mji = mj[i]
+    if mji != INF and (
+            (((b >> 1) + (mji >> 1)) << 1) | (b & mji & 1)) < LE_ZERO:
+        return False
+    # On a canonical matrix the new edge can only shorten m[p][q] where it
+    # shortens both m[i][q] (the columns below) and m[p][j] (the row test).
+    mi = m[i]
+    cols = []
+    for q, v in enumerate(mj):
+        if v != INF:
+            c = (((b >> 1) + (v >> 1)) << 1) | (b & v & 1)
+            if c < mi[q]:
+                cols.append((q, c))
+    for mp in m:
+        a = mp[i]
+        if a == INF or (
+                (((a >> 1) + (b >> 1)) << 1) | (a & b & 1)) >= mp[j]:
+            continue
+        for q, c in cols:
+            s = (((a >> 1) + (c >> 1)) << 1) | (a & c & 1)
+            if s < mp[q]:
+                mp[q] = s
+    return True
+
+
 class DBM:
     """Canonical difference-bound matrix; immutable from the caller's side.
 
-    ``m[i][j]`` bounds ``x_i - x_j``.  Construct via :meth:`universal` /
-    :meth:`zero` and refine with the pure operations below; every operation
-    returns a fresh, canonical DBM.
+    ``m[i][j]`` bounds ``x_i - x_j``.  Construct via :meth:`universal` and
+    refine with the pure operations below; every operation returns a fresh,
+    canonical DBM and keeps it canonical without a full closure.
+    ``DBM(dim, m)`` closes an arbitrary matrix (Floyd-Warshall, O(n^3)).
     """
 
     __slots__ = ("dim", "m", "_empty", "_hash")
@@ -152,20 +185,25 @@ class DBM:
         for i in range(1, dim):
             if i in idx:
                 m[0][i] = LE_ZERO
-        d = cls(dim, m, _closed=True)
-        d._empty = False
-        return d
+        return cls._canonical(dim, m)
 
     @classmethod
-    def zero(cls, dim: int) -> "DBM":
-        """The single valuation with every clock equal to 0."""
-        m = [[LE_ZERO] * dim for _ in range(dim)]
+    def _canonical(cls, dim: int, m: list[list[int]],
+                   empty: bool = False) -> "DBM":
+        """Wrap a matrix that is already canonical (or known empty)."""
         d = cls(dim, m, _closed=True)
-        d._empty = False
+        d._empty = empty
         return d
 
     def copy_matrix(self) -> list[list[int]]:
         return [row[:] for row in self.m]
+
+    def constraints(self) -> Iterator[tuple[int, int, int]]:
+        """The finite off-diagonal entries, as ``(i, j, bound)``."""
+        for i, row in enumerate(self.m):
+            for j, b in enumerate(row):
+                if b != INF and i != j:
+                    yield i, j, b
 
     # -- canonical form ------------------------------------------------------
 
@@ -221,26 +259,35 @@ class DBM:
             m[i][0] = INF
         # differences and lower bounds are untouched, result stays canonical:
         # m[i][0]=INF only relaxes, and m[i][j] <= m[i][0]+m[0][j] trivially.
-        d = DBM(self.dim, m, _closed=True)
-        d._empty = False
-        return d
+        return DBM._canonical(self.dim, m)
 
     def down(self) -> "DBM":
         """Past operator: valuations from which a delay leads into the zone.
 
-        Assumes all clocks are non-negative (lower bounds relax toward 0 and
-        are re-tightened by the closure using difference constraints).
+        Assumes all clocks are non-negative: each lower bound relaxes to
+        ``>= 0`` and is then re-tightened by the difference constraints,
+        ``m[0][i] = min_k (max(m[0][k], <=0) + m[k][i])`` over ``k >= 1``.
+        The other rows of a canonical matrix stay as they are.
         """
         if self.is_empty():
             return self
         m = self.copy_matrix()
+        low = [max(b, LE_ZERO) for b in m[0]]
+        row0 = m[0]
         for i in range(1, self.dim):
-            if m[0][i] < LE_ZERO:
-                m[0][i] = LE_ZERO
-        return DBM(self.dim, m)
+            best = low[i]
+            for k in range(1, self.dim):
+                a, c = low[k], m[k][i]
+                if a != INF and c != INF:
+                    s = (((a >> 1) + (c >> 1)) << 1) | (a & c & 1)
+                    if s < best:
+                        best = s
+            row0[i] = best
+        return DBM._canonical(self.dim, m)
 
     def reset(self, clocks: Iterable[int]) -> "DBM":
-        """Set each clock in ``clocks`` to 0, project its old value away."""
+        """Set each clock in ``clocks`` to 0, project its old value away;
+        a canonical zone stays canonical."""
         cs = sorted(set(clocks))
         if not cs:
             return self
@@ -256,13 +303,13 @@ class DBM:
             m[x][x] = LE_ZERO
             m[x][0] = LE_ZERO
             m[0][x] = LE_ZERO
-        return DBM(self.dim, m)
+        return DBM._canonical(self.dim, m)
 
-    def free(self, clocks: int | Iterable[int], nonneg: bool = True) -> "DBM":
-        """Remove every constraint on the given clock(s).
+    def free(self, clocks: int | Iterable[int]) -> "DBM":
+        """Remove every constraint on the given clock(s) except ``>= 0``.
 
-        With ``nonneg`` the freed clocks keep their >= 0 bound.  Other
-        clocks retain the closure-tightened constraints among themselves.
+        Other clocks retain the closure-tightened constraints among
+        themselves; a canonical zone stays canonical.
         """
         cs = sorted({clocks} if isinstance(clocks, int) else set(clocks))
         if 0 in cs:
@@ -274,42 +321,42 @@ class DBM:
             for j in range(self.dim):
                 if j != x:
                     m[x][j] = INF
-                    m[j][x] = m[j][0] if j != 0 else (LE_ZERO if nonneg else INF)
-        return DBM(self.dim, m)
+                    m[j][x] = m[j][0] if j != 0 else LE_ZERO
+        return DBM._canonical(self.dim, m)
 
     def and_constraint(self, i: int, j: int, b: int) -> "DBM":
         """Intersect with ``x_i - x_j (<|<=) c`` for encoded bound ``b``."""
-        if self.is_empty():
-            return self
-        if b >= self.m[i][j]:
-            return self
-        m = self.copy_matrix()
-        m[i][j] = b
-        return DBM(self.dim, m)
+        return self.and_constraints(((i, j, b),))
 
     def and_constraints(self, cons: Iterable[tuple[int, int, int]]) -> "DBM":
         if self.is_empty():
             return self
-        m = self.copy_matrix()
-        changed = False
+        m = self.m
         for i, j, b in cons:
             if b < m[i][j]:
-                m[i][j] = b
-                changed = True
-        if not changed:
+                if m is self.m:
+                    m = self.copy_matrix()
+                if not _tighten(m, i, j, b):
+                    return DBM._canonical(self.dim, m, empty=True)
+        if m is self.m:
             return self
-        return DBM(self.dim, m)
+        return DBM._canonical(self.dim, m)
 
-    def intersect(self, other: "DBM") -> "DBM":
+    def intersects(self, other: "DBM") -> bool:
+        """True iff the two zones share a valuation."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         if self.is_empty() or other.is_empty():
-            return self if self.is_empty() else other
-        m = [
-            [min(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.m, other.m)
-        ]
-        return DBM(self.dim, m)
+            return False
+        a, b = self.m, other.m
+        # Quick reject: a negative two-edge cycle.  Not exact on its own:
+        # emptiness may need a longer cycle, so then tighten by ``other``.
+        for ai, bi in zip(a, zip(*b)):
+            for x, y in zip(ai, bi):
+                if x != INF and y != INF and (
+                        (((x >> 1) + (y >> 1)) << 1) | (x & y & 1)) < LE_ZERO:
+                    return False
+        return not self.and_constraints(other.constraints()).is_empty()
 
     def includes(self, other: "DBM") -> bool:
         """True iff every valuation of ``other`` satisfies ``self``."""
@@ -367,20 +414,18 @@ class DBM:
 
     def embed(self, extra: int) -> "DBM":
         """Lift to ``extra`` more trailing, fully unconstrained clocks (no
-        sign assumption; the intersecting zone supplies it)."""
+        sign assumption; the intersecting zone supplies it).  The block
+        matrix of a canonical zone and free clocks is canonical."""
         if extra == 0:
             return self
-        base = DBM.universal(self.dim + extra,
-                             nonneg=range(1, self.dim))
-        if self.is_empty():
-            return base.and_constraint(1, 0, bound(0, strict=True))
-        cons = [
-            (i, j, self.m[i][j])
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j and self.m[i][j] != INF
-        ]
-        return base.and_constraints(cons)
+        n = self.dim + extra
+        pad = [INF] * extra
+        m = [row + pad for row in self.m]
+        for k in range(self.dim, n):
+            row = [INF] * n
+            row[k] = LE_ZERO
+            m.append(row)
+        return DBM._canonical(n, m, empty=self.is_empty())
 
     def subtract(self, other: "DBM") -> list["DBM"]:
         """Zone difference self \\ other as a list of disjoint zones."""
@@ -390,22 +435,18 @@ class DBM:
             return [self]
         out: list[DBM] = []
         rest = self
-        for i in range(other.dim):
-            for j in range(other.dim):
-                if i == j:
-                    continue
-                b = other.m[i][j]
-                if b == INF:
-                    continue
-                # negate x_i - x_j (<|<=) c  ->  x_j - x_i (<|<=) -c with
-                # flipped strictness
-                neg = bound(-bound_value(b), strict=not bound_is_strict(b))
-                piece = rest.and_constraint(j, i, neg)
-                if not piece.is_empty():
-                    out.append(piece)
-                rest = rest.and_constraint(i, j, b)
-                if rest.is_empty():
-                    return out
+        for i, j, b in other.constraints():
+            if b >= rest.m[i][j]:
+                continue  # rest already meets it: its negation is empty
+            # negate x_i - x_j (<|<=) c  ->  x_j - x_i (<|<=) -c with
+            # flipped strictness
+            neg = bound(-bound_value(b), strict=not bound_is_strict(b))
+            piece = rest.and_constraint(j, i, neg)
+            if not piece.is_empty():
+                out.append(piece)
+            rest = rest.and_constraint(i, j, b)
+            if rest.is_empty():
+                return out
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

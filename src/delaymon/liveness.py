@@ -190,9 +190,8 @@ def intersects_nonempty(
         if not zs:
             continue
         proj = s.zone.restrict(idx)
-        for z in zs:
-            if not proj.intersect(z).is_empty():
-                return True
+        if any(proj.intersects(z) for z in zs):
+            return True
     return False
 
 

@@ -113,6 +113,7 @@ class _Side:
     layout: ClockLayout
     nonempty: NonEmptyMap
     measures: list[tuple[int, int, int, int]]  # Measure with clock indices
+    channel_clocks: tuple[int, ...]  # each channel's clock index
     reach: list[SymbolicState]
 
 
@@ -136,9 +137,8 @@ def _window(channel: Channel, tau: int) -> tuple[int, int]:
     return tau, tau + b.jitter
 
 
-def _step(side: _Side, symbol: str, clock: str, lo: int, hi: int
+def _step(side: _Side, symbol: str, ci: int, lo: int, hi: int
           ) -> list[SymbolicState]:
-    ci = side.layout.index(clock)
     cons = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
     out: list[SymbolicState] = []
     for s in side.reach:
@@ -149,12 +149,11 @@ def _step(side: _Side, symbol: str, clock: str, lo: int, hi: int
     return prune_included(out)
 
 
-def _advance(side: _Side, clock: str, cutoff: int) -> list[SymbolicState]:
-    """Reach-set once it is known that the next event's ``clock`` value is
-    at least ``cutoff``: zones below the cutoff elapse time up to it, the
-    rest stay put.  Only an output clock can meet a negative cutoff, and it
-    is never negative, so then nothing advances."""
-    ci = side.layout.index(clock)
+def _advance(side: _Side, ci: int, cutoff: int) -> list[SymbolicState]:
+    """Reach-set once it is known that the next event's clock (index
+    ``ci``) is at least ``cutoff``: zones below the cutoff elapse time up to
+    it, the rest stay put.  Only an output clock can meet a negative cutoff,
+    and it is never negative, so then nothing advances."""
     out: list[SymbolicState] = []
     for s in side.reach:
         if cutoff >= 0:
@@ -170,11 +169,11 @@ def _advance(side: _Side, clock: str, cutoff: int) -> list[SymbolicState]:
 
 def _latencies(side: _Side) -> list[tuple[Interval, ...]]:
     """Per measure, the latency values consistent with this polarity."""
-    n_aux = len(side.layout.aux_clocks)
     unions: list[list[Interval]] = [[] for _ in side.measures]
     for s in side.reach:
         for zm in side.nonempty.zones.get(s.location, ()):
-            z = s.zone.intersect(zm.embed(n_aux))
+            # The automaton clocks have the same indices in both layouts.
+            z = s.zone.and_constraints(zm.constraints())
             if z.is_empty():
                 continue
             for (xi, yi, lo, hi), ivs in zip(side.measures, unions):
@@ -213,6 +212,7 @@ class _Engine:
                 cons.append((xi, yi, bound(hi)))
         z0 = layout.universal_zone().and_constraints(cons)
         return _Side(automaton, layout, nonempty_states(automaton), resolved,
+                     tuple(layout.index(c) for c, _, _ in self.channels),
                      [SymbolicState(q, z0) for q in automaton.initial])
 
     # -- queries -------------------------------------------------------------
@@ -232,8 +232,9 @@ class _Engine:
 
     # -- internals -----------------------------------------------------------
 
-    def _next_channel(self) -> Channel:
-        return self.channels[self.observation_count % len(self.channels)]
+    def _next_slot(self) -> int:
+        """Position of the next event's channel in the table."""
+        return self.observation_count % len(self.channels)
 
     def _check_order(self, tau: int) -> None:
         if tau < self.last_obs_time:
@@ -242,10 +243,10 @@ class _Engine:
 
     def _record(self, symbol: str, tau: int) -> Verdict:
         """Feed one validated observation through the next channel."""
-        channel = self._next_channel()
-        lo, hi = _window(channel, tau)
+        k = self._next_slot()
+        lo, hi = _window(self.channels[k], tau)
         for side in (self.pos, self.neg):
-            side.reach = _step(side, symbol, channel[0], lo, hi)
+            side.reach = _step(side, symbol, side.channel_clocks[k], lo, hi)
         self.last_obs_time = tau
         self.observation_count += 1
         self._verdict = self._compute_verdict(tau)
@@ -254,13 +255,13 @@ class _Engine:
     def _compute_verdict(self, t: int) -> Verdict:
         # Nothing has arrived on the next channel by t, so its event clock
         # is at least the low end of the window at t.
-        channel = self._next_channel()
-        clock, cutoff = channel[0], _window(channel, t)[0]
+        k = self._next_slot()
+        cutoff = _window(self.channels[k], t)[0]
         pos_live = intersects_nonempty(
-            _advance(self.pos, clock, cutoff),
+            _advance(self.pos, self.pos.channel_clocks[k], cutoff),
             self.pos.nonempty, self.pos.layout)
         neg_live = intersects_nonempty(
-            _advance(self.neg, clock, cutoff),
+            _advance(self.neg, self.neg.channel_clocks[k], cutoff),
             self.neg.nonempty, self.neg.layout)
         if not pos_live and not neg_live:
             raise ComplementViolationError(

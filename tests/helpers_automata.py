@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -15,7 +16,20 @@ from delaymon.automata import (
     post,
     prune_included,
 )
-from delaymon.dbm import bound
+from delaymon.dbm import DBM, LE_ZERO, bound
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+
+
+def holds(g: AtomicConstraint, value: int) -> bool:
+    """Whether a concrete clock value satisfies one guard conjunct."""
+    return _RELATIONS[g.relation](value, g.constant)
+
+
+def zero_zone(dim: int) -> DBM:
+    """The single valuation with every clock equal to 0."""
+    return DBM(dim, [[LE_ZERO] * dim for _ in range(dim)])
 
 
 def eventually_then_safe_tba(accept_good: bool, scale: int = 10) -> TBA:
@@ -158,7 +172,7 @@ def explicit_run(automaton: TBA, events: list[tuple[str, int]]
             vals = tuple(v + elapsed for v in s.clocks)
             for t in automaton.edges(s.location, sym):
                 named = dict(zip(automaton.clocks, vals))
-                if all(g.holds(named[g.clock]) for g in t.guard):
+                if all(holds(g, named[g.clock]) for g in t.guard):
                     after = tuple(
                         0 if c in t.resets else named[c]
                         for c in automaton.clocks)

@@ -16,7 +16,7 @@ import pytest
 
 from delaymon.automata import io_alternation_product
 from delaymon.cli import main
-from delaymon.dbm import DBM, INF, bound, included_in_union
+from delaymon.dbm import DBM, INF, LE_ZERO, bound, included_in_union
 from delaymon.liveness import nonempty_states
 from delaymon.monitor import DelayBounds, Monitor, Verdict
 from delaymon.tester import IODelayBounds, Tester
@@ -437,3 +437,41 @@ class TestBenchmark:
         tester_max = self.run_engine(tester.observe_io, tester, events)
 
         assert classic_max <= delayed_max <= tester_max
+
+
+class TestNoClosurePerEvent:
+    """Every zone operation keeps its DBM canonical incrementally, so a
+    gear session (observe plus latency report per event) runs no full
+    Floyd-Warshall closure in classic, monitor or test mode."""
+
+    PAIRS = 100
+
+    def test_gear_session_closes_no_matrix(self, monkeypatch):
+        spec = request_response_tba(True, 150, 1205, "ReqNewGear", "NewGear")
+        comp = request_response_tba(False, 150, 1205, "ReqNewGear", "NewGear")
+        events = gear_trace(self.PAIRS)
+        ground = [(sym, tau + 30 if sym == "ReqNewGear" else tau - 80)
+                  for sym, tau in events]
+        classic = Monitor(spec, comp, DelayBounds(0, 0, 0))
+        delayed = Monitor(spec, comp, DelayBounds(0, 100, 10))
+        tester = Tester(spec, comp, IODelayBounds(
+            DelayBounds(10, 50, 10), DelayBounds(60, 100, 10)))
+        runs = [(classic, classic.observe, ground),
+                (delayed, delayed.observe, events),
+                (tester, tester.observe_io, events)]
+
+        closures = []
+        close = DBM._close_in_place
+
+        def counted(dbm):
+            closures.append(dbm.dim)
+            close(dbm)
+        monkeypatch.setattr(DBM, "_close_in_place", counted)
+
+        for engine, observe, evs in runs:
+            for sym, tau in evs:
+                assert observe(sym, tau) is Verdict.INCONCLUSIVE
+                engine.latency_report()
+        assert closures == []
+        DBM(2, [[LE_ZERO] * 2 for _ in range(2)])  # the counter is live
+        assert closures == [2]

@@ -19,7 +19,7 @@ from delaymon.automata import (
     post,
     serialize_tba,
 )
-from delaymon.dbm import DBM, bound
+from delaymon.dbm import bound
 
 from helpers_automata import (
     ConcreteState,
@@ -28,6 +28,7 @@ from helpers_automata import (
     random_timestamps,
     random_tba,
     succ,
+    zero_zone,
 )
 
 EXAMPLE_TEXT = """\
@@ -128,7 +129,7 @@ class TestPost:
     def test_branching_on_threshold(self):
         a = eventually_then_safe_tba(accept_good=True)
         layout = ClockLayout(("x",), ("time", "etime"))
-        z0 = DBM.zero(layout.dim)
+        z0 = zero_zone(layout.dim)
         out = post(SymbolicState("q0", z0), "a", a, layout)
         assert {s.location for s in out} == {"q1", "bad"}
 
@@ -142,7 +143,7 @@ class TestPost:
     def test_unknown_symbol_rejected(self):
         a = eventually_then_safe_tba(accept_good=True)
         with pytest.raises(TBAError, match="alphabet"):
-            post(SymbolicState("q0", DBM.zero(4)), "zz", a, monitor_layout())
+            post(SymbolicState("q0", zero_zone(4)), "zz", a, monitor_layout())
 
     def test_empty_guard_drops_candidate(self):
         a = eventually_then_safe_tba(accept_good=True)
@@ -158,7 +159,7 @@ class TestSucc:
     def test_delay_free_single_event(self):
         a = eventually_then_safe_tba(accept_good=True)
         layout = monitor_layout()
-        s0 = [SymbolicState(q, DBM.zero(layout.dim)) for q in a.initial]
+        s0 = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
         out = succ(s0, "a", 173, a, layout)
         assert {s.location for s in out} == {"bad"}
         (s,) = out
@@ -170,14 +171,14 @@ class TestSucc:
     def test_time_regression_gives_empty(self):
         a = eventually_then_safe_tba(accept_good=True)
         layout = monitor_layout()
-        s0 = [SymbolicState(q, DBM.zero(layout.dim)) for q in a.initial]
+        s0 = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
         s1 = succ(s0, "a", 50, a, layout)
         assert succ(s1, "a", 30, a, layout) == []
 
     def test_zones_pin_time_exactly(self):
         a = eventually_then_safe_tba(accept_good=True)
         layout = monitor_layout()
-        s0 = [SymbolicState(q, DBM.zero(layout.dim)) for q in a.initial]
+        s0 = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
         for tau in (30, 80, 150):
             s0 = succ(s0, "a", tau, a, layout)
             ti = layout.index("time")
@@ -194,7 +195,7 @@ class TestSucc:
         layout = ClockLayout(a.clocks, ("time",))
         times = random_timestamps(rng, 5)
         word = [(rng.choice(["a", "b"]), t) for t in times]
-        sym = [SymbolicState(q, DBM.zero(layout.dim)) for q in a.initial]
+        sym = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
         for lbl, tau in word:
             sym = succ(sym, lbl, tau, a, layout)
         expected = explicit_run(a, word)
@@ -235,7 +236,7 @@ class TestIOAlternationProduct:
             "edge q -> q on i\nedge q -> q on o\n")
         prod = io_alternation_product(base)
         layout = ClockLayout((), ("time",))
-        s = [SymbolicState(q, DBM.zero(layout.dim)) for q in prod.initial]
+        s = [SymbolicState(q, zero_zone(layout.dim)) for q in prod.initial]
         s = succ(s, "i", 10, prod, layout)
         assert s
         assert succ(s, "i", 20, prod, layout) == []
@@ -249,7 +250,7 @@ class TestIOAlternationProduct:
             "edge q -> p on o when x<=5\n")
         prod = io_alternation_product(base)
         layout = ClockLayout(("x",), ("time",))
-        s = [SymbolicState(q, DBM.zero(layout.dim)) for q in prod.initial]
+        s = [SymbolicState(q, zero_zone(layout.dim)) for q in prod.initial]
         for lbl, tau in [("i", 3), ("o", 5), ("i", 8)]:
             s = succ(s, lbl, tau, prod, layout)
             assert s, f"stuck at {(lbl, tau)}"

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from delaymon.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DEADLINE_ARGS = [
     "--spec", str(FIXTURES / "deadline_spec.txt"),
@@ -356,6 +360,25 @@ class TestFailuresExitThree:
             "--csv", str(tmp_path / "missing" / "bounds.csv")])
         assert code == 3
         assert err.startswith("error: cannot write ")
+
+    def test_closed_stdout(self, tmp_path):
+        # Like `delaymon ... | head -2`, but the reader is gone before the
+        # first write, so the outcome does not depend on timing.
+        trace = write_trace(tmp_path, "@173 a\n@271 b\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "delaymon.cli", *DEADLINE_ARGS,
+                 "--latency", "0", "100", "--trace", trace],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: standard output closed before the run ended\n")
 
     def test_injected_stimulus_before_time_zero(self, capsys, tmp_path):
         trace = write_trace(tmp_path, "@5 ReqNewGear\n@700 NewGear\n")

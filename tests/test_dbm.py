@@ -8,6 +8,7 @@ canonicalization and after every operation.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable
 
 import pytest
@@ -141,7 +142,9 @@ class TestOperations:
     @settings(max_examples=80, deadline=None)
     def test_intersect_is_set_intersection(self, c1, c2):
         a, b = zone_from(c1), zone_from(c2)
-        assert points_of(a.intersect(b)) == points_of(a) & points_of(b)
+        both = zone_from(c1 + c2)
+        assert points_of(both) == points_of(a) & points_of(b)
+        assert a.intersects(b) == (not both.is_empty())
 
     @given(constraints, constraints)
     @settings(max_examples=80, deadline=None)
@@ -183,7 +186,7 @@ class TestOperations:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            DBM.universal(3).intersect(DBM.universal(4))
+            DBM.universal(3).intersects(DBM.universal(4))
 
 
 class TestDifferenceBounds:
@@ -249,3 +252,134 @@ class TestUnionHelpers:
         highhalf = zone_from([(0, 1, bound(-3))])
         assert not included_in_union(whole, [lowhalf])
         assert included_in_union(whole, [lowhalf, highhalf])
+
+
+# -- the incremental kernel against the full closure ---------------------------
+#
+# ``DBM(dim, m)`` closes an arbitrary matrix with Floyd-Warshall; each
+# operation below must give the very same canonical matrix (or emptiness)
+# as applying its textbook definition to a copy and closing that.
+
+DIMS = range(2, 9)
+ZONES_PER_DIM = 60
+
+
+def random_constraints(rng: random.Random, dim: int, k: int
+                       ) -> list[tuple[int, int, int]]:
+    return [(*rng.sample(range(dim), 2),
+             bound(rng.randint(-6, 10), strict=rng.random() < 0.3))
+            for _ in range(k)]
+
+
+def closed(dim: int, m: list[list[int]],
+           cons: Iterable[tuple[int, int, int]] = ()) -> DBM:
+    """Reference: tighten a copy of ``m`` entrywise, then close it fully."""
+    m = [row[:] for row in m]
+    for i, j, b in cons:
+        m[i][j] = min(m[i][j], b)
+    return DBM(dim, m)
+
+
+def random_zones(dim: int, unsigned: bool = True
+                 ) -> Iterable[tuple[random.Random, DBM]]:
+    """Seeded nonempty canonical zones; with ``unsigned`` a few clocks may
+    go negative."""
+    rng = random.Random(dim)
+    made = 0
+    while made < ZONES_PER_DIM:
+        nonneg = [c for c in range(1, dim)
+                  if not unsigned or rng.random() < 0.8]
+        base = DBM.universal(dim, nonneg=nonneg)
+        z = closed(dim, base.m, random_constraints(rng, dim, rng.randint(0, dim)))
+        if not z.is_empty():
+            made += 1
+            yield rng, z
+
+
+def entries(z: DBM) -> list[tuple[int, int, int]]:
+    return [(i, j, b) for i, row in enumerate(z.m) for j, b in enumerate(row)]
+
+
+def assert_same(fast: DBM, ref: DBM) -> None:
+    assert fast.is_empty() == ref.is_empty()
+    if not ref.is_empty():
+        assert fast.m == ref.m
+
+
+@pytest.mark.parametrize("dim", DIMS)
+class TestKernelMatchesClosure:
+    def test_and_constraint(self, dim):
+        for rng, z in random_zones(dim):
+            (c,) = random_constraints(rng, dim, 1)
+            assert_same(z.and_constraint(*c), closed(dim, z.m, [c]))
+
+    def test_and_constraints(self, dim):
+        for rng, z in random_zones(dim):
+            cons = random_constraints(rng, dim, rng.randint(1, 2 * dim))
+            assert_same(z.and_constraints(cons), closed(dim, z.m, cons))
+
+    def test_reset(self, dim):
+        for rng, z in random_zones(dim):
+            cs = rng.sample(range(1, dim), rng.randint(1, dim - 1))
+            m = z.copy_matrix()
+            for x in cs:
+                m[x] = m[0][:]
+                for row in m:
+                    row[x] = row[0]
+                m[0][x] = m[x][0] = LE_ZERO
+            assert_same(z.reset(cs), closed(dim, m))
+
+    def test_free(self, dim):
+        for rng, z in random_zones(dim):
+            cs = rng.sample(range(1, dim), rng.randint(1, dim - 1))
+            m = z.copy_matrix()
+            for x in cs:
+                m[x] = [INF] * dim
+                for row in m:
+                    row[x] = row[0]
+                m[0][x] = m[x][x] = LE_ZERO
+            assert_same(z.free(cs), closed(dim, m))
+
+    def test_down(self, dim):
+        for _, z in random_zones(dim):
+            m = z.copy_matrix()
+            m[0] = [max(b, LE_ZERO) for b in m[0]]
+            assert_same(z.down(), closed(dim, m))
+
+    def test_up(self, dim):
+        for _, z in random_zones(dim):
+            m = z.copy_matrix()
+            for row in m[1:]:
+                row[0] = INF
+            assert_same(z.up(), closed(dim, m))
+
+    def test_embed(self, dim):
+        # the embedded zones are over automaton clocks, all non-negative
+        for rng, z in random_zones(dim, unsigned=False):
+            extra = rng.randint(1, 2)
+            base = DBM.universal(dim + extra, nonneg=range(1, dim))
+            assert_same(z.embed(extra),
+                        closed(dim + extra, base.m, entries(z)))
+
+    def test_intersects(self, dim):
+        zones = [z for _, z in random_zones(dim)]
+        for a, b in zip(zones, zones[1:]):
+            ref = closed(dim, a.m, entries(b))
+            assert a.intersects(b) == (not ref.is_empty())
+
+
+def test_intersects_needs_more_than_the_pair_test():
+    """Both zones are nonempty, no pair ``a[i][j] + b[j][i]`` is negative,
+    yet x5 <= x3 - 2 (a), x3 <= x2 + 5 (b), x2 <= x1 - 4 (a) and x1 <= x5
+    (b) chain into x5 <= x5 - 1."""
+    a = DBM.universal(7).and_constraints(
+        [(5, 3, bound(-2)), (2, 1, bound(-4))])
+    b = DBM.universal(7).and_constraints(
+        [(1, 5, bound(0)), (3, 2, bound(5))])
+    assert not a.is_empty() and not b.is_empty()
+    assert all(
+        bound_value(a.m[i][j]) + bound_value(b.m[j][i]) >= 0
+        for i in range(7) for j in range(7)
+        if INF not in (a.m[i][j], b.m[j][i]))
+    assert not a.intersects(b) and not b.intersects(a)
+    assert closed(7, a.m, entries(b)).is_empty()
