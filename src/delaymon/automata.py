@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dbm import DBM, ScaleError, bound, parse_scaled
+from .dbm import DBM, ScaleError, bound, parse_scaled, reduce_union
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -218,16 +218,8 @@ def prune_included(states: Iterable[SymbolicState]) -> list[SymbolicState]:
     by_loc: dict[str, list[DBM]] = {}
     for s in states:
         by_loc.setdefault(s.location, []).append(s.zone)
-    out: list[SymbolicState] = []
-    for loc, zones in by_loc.items():
-        kept: list[DBM] = []
-        for z in zones:
-            if any(o.includes(z) for o in kept):
-                continue
-            kept = [o for o in kept if not z.includes(o)]
-            kept.append(z)
-        out.extend(SymbolicState(loc, z) for z in kept)
-    return out
+    return [SymbolicState(loc, z) for loc, zones in by_loc.items()
+            for z in reduce_union(zones)]
 
 
 # -- IO alternation product --------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .automata import (
     TBA,
@@ -177,11 +178,14 @@ def nonempty_states(
 
 
 def intersects_nonempty(
-    states: list[SymbolicState] | tuple[SymbolicState, ...],
+    states: Iterable[SymbolicState],
     nonempty: NonEmptyMap,
     layout: ClockLayout,
 ) -> bool:
-    """True iff some reach-set state overlaps the nonempty-language states."""
+    """True iff some reach-set state overlaps the nonempty-language states.
+
+    Stops at the first hit: ``states`` is consumed no further than the first
+    state that overlaps, so a lazy input does no work past it."""
     if layout.automaton_clocks != nonempty.clocks:
         raise ValueError("clock layout does not match the nonempty map")
     idx = layout.automaton_indices()

@@ -16,7 +16,9 @@ The difference between a channel clock and ``time`` stays constant along a
 run and equals that channel's latency.  Channels are used in table order,
 round-robin.  Verdicts are three-valued: a polarity becomes impossible
 exactly when its reach-set stops intersecting the corresponding
-nonempty-language states.
+nonempty-language states.  The verdict probes this lazily: each reach state
+is advanced to the query time one at a time, and the probe stops at the
+first advanced state that meets a nonempty zone.
 
 :class:`Monitor` is one output channel ``etime`` with latency ``δ ∈ [ℓ, u]``
 plus a per-event jitter in ``[0, ε]``; delay-free (classic) monitoring is
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .automata import (
     TBA,
@@ -112,6 +115,9 @@ class _Side:
     automaton: TBA
     layout: ClockLayout
     nonempty: NonEmptyMap
+    # per location, each nonempty zone's finite entries; the automaton
+    # clocks have the same indices in the nonempty map and in the layout
+    nonempty_cons: dict[str, tuple[tuple[tuple[int, int, int], ...], ...]]
     measures: list[tuple[int, int, int, int]]  # Measure with clock indices
     channel_clocks: tuple[int, ...]  # each channel's clock index
     reach: list[SymbolicState]
@@ -149,31 +155,36 @@ def _step(side: _Side, symbol: str, ci: int, lo: int, hi: int
     return prune_included(out)
 
 
-def _advance(side: _Side, ci: int, cutoff: int) -> list[SymbolicState]:
+def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
     """Reach-set once it is known that the next event's clock (index
     ``ci``) is at least ``cutoff``: zones below the cutoff elapse time up to
     it, the rest stay put.  Only an output clock can meet a negative cutoff,
-    and it is never negative, so then nothing advances."""
-    out: list[SymbolicState] = []
+    and it is never negative, so then nothing advances.
+
+    The states are yielded lazily and unpruned, for a liveness test only:
+    a state at a location without nonempty zones is skipped before any zone
+    work, and a zone included in a sibling cannot change whether some state
+    meets the nonempty zones."""
+    live = side.nonempty.zones
     for s in side.reach:
+        if not live.get(s.location):
+            continue
         if cutoff >= 0:
             adv = s.zone.up().and_constraints(
                 [(ci, 0, bound(cutoff)), (0, ci, bound(-cutoff))])
             if not adv.is_empty():
-                out.append(SymbolicState(s.location, adv))
+                yield SymbolicState(s.location, adv)
         stay = s.zone.and_constraint(0, ci, bound(-cutoff, strict=True))
         if not stay.is_empty():
-            out.append(SymbolicState(s.location, stay))
-    return prune_included(out)
+            yield SymbolicState(s.location, stay)
 
 
 def _latencies(side: _Side) -> list[tuple[Interval, ...]]:
     """Per measure, the latency values consistent with this polarity."""
     unions: list[list[Interval]] = [[] for _ in side.measures]
     for s in side.reach:
-        for zm in side.nonempty.zones.get(s.location, ()):
-            # The automaton clocks have the same indices in both layouts.
-            z = s.zone.and_constraints(zm.constraints())
+        for cons in side.nonempty_cons.get(s.location, ()):
+            z = s.zone.and_constraints(cons)
             if z.is_empty():
                 continue
             for (xi, yi, lo, hi), ivs in zip(side.measures, unions):
@@ -211,7 +222,10 @@ class _Engine:
             if hi != INF:
                 cons.append((xi, yi, bound(hi)))
         z0 = layout.universal_zone().and_constraints(cons)
-        return _Side(automaton, layout, nonempty_states(automaton), resolved,
+        nonempty = nonempty_states(automaton)
+        nonempty_cons = {q: tuple(tuple(z.constraints()) for z in zs)
+                         for q, zs in nonempty.zones.items()}
+        return _Side(automaton, layout, nonempty, nonempty_cons, resolved,
                      tuple(layout.index(c) for c, _, _ in self.channels),
                      [SymbolicState(q, z0) for q in automaton.initial])
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from delaymon.automata import io_alternation_product
+from delaymon.automata import io_alternation_product, parse_tba
 from delaymon.cli import main
 from delaymon.dbm import DBM, INF, LE_ZERO, bound, included_in_union
 from delaymon.liveness import nonempty_states
@@ -475,3 +475,75 @@ class TestNoClosurePerEvent:
         assert closures == []
         DBM(2, [[LE_ZERO] * 2 for _ in range(2)])  # the counter is live
         assert closures == [2]
+
+
+WIDE_BAND = """
+alphabet a b
+clocks x y
+location q0 initial {q0}
+location q1
+location q2
+location q3
+location bad {bad}
+edge bad -> bad on a reset x
+edge bad -> bad on b
+edge q0 -> q1 on a when y>=1 reset x
+edge q0 -> bad on a when y<1
+edge q0 -> bad on b
+edge q1 -> q2 on b when x>=1 && x<=3 reset y
+edge q1 -> bad on b when x<1
+edge q1 -> bad on b when x>3
+edge q1 -> bad on a
+edge q2 -> q3 on a when y>=0.5 && y<=2.5 && x<=6
+edge q2 -> bad on a when y<0.5
+edge q2 -> bad on a when y>2.5
+edge q2 -> bad on a when x>6
+edge q2 -> bad on b
+edge q3 -> q0 on b when x>=3 && x<=8 reset x
+edge q3 -> bad on b when x<3
+edge q3 -> bad on b when x>8
+edge q3 -> bad on a
+"""
+
+
+class TestNoPruneInVerdict:
+    """The verdict only asks whether some advanced reach state meets the
+    nonempty zones, so it probes the advanced states lazily and never
+    prunes them: a delayed session whose reach sets hold sibling zones at
+    one location runs no inclusion test inside the verdict."""
+
+    def test_wide_band_session_tests_no_inclusion(self, monkeypatch):
+        spec = parse_tba(WIDE_BAND.format(q0="", bad="accepting"), 10)
+        comp = parse_tba(WIDE_BAND.format(q0="accepting", bad=""), 10)
+        lap = [("a", 15), ("b", 20), ("a", 15), ("b", 25)]
+        events, t = [], 0
+        for k in range(40):
+            sym, gap = lap[k % 4]
+            t += gap
+            events.append((sym, t + 10 + (k * 7) % 11))  # latency plus jitter
+
+        in_verdict = []
+        calls = {True: 0, False: 0}
+        includes, verdict = DBM.includes, Monitor._compute_verdict
+
+        def counted_includes(dbm, other):
+            calls[bool(in_verdict)] += 1
+            return includes(dbm, other)
+
+        def tracked_verdict(engine, t):
+            in_verdict.append(t)
+            try:
+                return verdict(engine, t)
+            finally:
+                in_verdict.pop()
+        monkeypatch.setattr(DBM, "includes", counted_includes)
+        monkeypatch.setattr(Monitor, "_compute_verdict", tracked_verdict)
+
+        m = Monitor(spec, comp, DelayBounds(0, 20, 10))
+        for sym, tau in events:
+            assert m.observe(sym, tau) is Verdict.INCONCLUSIVE
+        assert max(sum(s.location == q for s in m.pos.reach)
+                   for q in spec.locations) >= 2
+        assert m.verdict_at(events[-1][1] + 30) is Verdict.INCONCLUSIVE
+        assert calls[True] == 0
+        assert calls[False] > 0  # the counter is live: _step still prunes

@@ -145,6 +145,20 @@ class TestIntersection:
             [(1, 0, bound(90)), (0, 1, bound(-90))])
         assert intersects_nonempty([SymbolicState("q0", z2)], m, layout)
 
+    def test_stops_at_first_live_state(self):
+        m = nonempty_states(eventually_then_safe_tba(accept_good=True))
+        layout = ClockLayout(("x",), ("time", "etime"))
+        dead = layout.universal_zone().and_constraints(
+            [(1, 0, bound(150)), (0, 1, bound(-150))])
+        live = layout.universal_zone().and_constraints(
+            [(1, 0, bound(90)), (0, 1, bound(-90))])
+
+        def states():
+            yield SymbolicState("q0", dead)
+            yield SymbolicState("q0", live)
+            raise AssertionError("consumed past the first live state")
+        assert intersects_nonempty(states(), m, layout)
+
     def test_layout_mismatch_rejected(self):
         m = nonempty_states(eventually_then_safe_tba(accept_good=True))
         with pytest.raises(ValueError):
