@@ -8,7 +8,6 @@ integers; the parser owns the decimal-to-integer scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dbm import DBM, ScaleError, bound, parse_scaled, reduce_union
@@ -118,13 +117,6 @@ class TBA:
 
     def edges(self, src: str, label: str) -> Sequence[Transition]:
         return self._edges.get((src, label), ())
-
-    def max_constant(self, clock: str) -> int:
-        return max(
-            (g.constant for t in self.transitions for g in t.guard
-             if g.clock == clock),
-            default=0,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,36 +374,3 @@ def _parse_edge(raw: str, line: str, scale: int, lineno: int) -> Transition:
     if not src or not dst or not label:
         raise TBAParseError("malformed edge", lineno)
     return Transition(src, dst, label, resets, guard)
-
-
-def serialize_tba(automaton: TBA, scale: int = 10) -> str:
-    """Inverse of :func:`parse_tba` (up to declaration order)."""
-
-    def unscale(c: int) -> str:
-        f = Fraction(c, scale)
-        return str(f.numerator) if f.denominator == 1 else str(float(f))
-
-    lines = ["alphabet " + " ".join(sorted(automaton.alphabet))]
-    if automaton.inputs:
-        lines.append("inputs " + " ".join(sorted(automaton.inputs)))
-    if automaton.outputs:
-        lines.append("outputs " + " ".join(sorted(automaton.outputs)))
-    if automaton.clocks:
-        lines.append("clocks " + " ".join(automaton.clocks))
-    for q in sorted(automaton.locations):
-        flags = ""
-        if q in automaton.initial:
-            flags += " initial"
-        if q in automaton.accepting:
-            flags += " accepting"
-        lines.append(f"location {q}{flags}")
-    for t in sorted(automaton.transitions,
-                    key=lambda t: (t.src, t.label, t.dst)):
-        parts = [f"edge {t.src} -> {t.dst} on {t.label}"]
-        if t.guard:
-            parts.append("when " + " && ".join(
-                f"{g.clock}{g.relation}{unscale(g.constant)}" for g in t.guard))
-        if t.resets:
-            parts.append("reset " + " ".join(sorted(t.resets)))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

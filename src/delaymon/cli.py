@@ -6,9 +6,11 @@ delay-free monitoring, ``monitor`` for one delayed output channel, ``test``
 for delayed input and output channels), and prints a verdict block with the
 consistent-latency intervals after every observation.
 
-Times on the wire are decimals with at most ``log10(scale)`` fractional
-digits; internally everything is an integer multiple of ``1/scale``.  Exit
-codes: 0 the property holds, 1 it is violated, 2 inconclusive at end of
+``--scale`` must be a power of ten.  Times on the wire are decimals with at
+most ``log10(scale)`` fractional digits; internally everything is an integer
+multiple of ``1/scale``, parsed and printed back exactly by
+:func:`delaymon.dbm.parse_scaled` and :func:`delaymon.dbm.format_scaled`.
+Exit codes: 0 the property holds, 1 it is violated, 2 inconclusive at end of
 stream, 3 any error.
 
 Extras: ``--csv`` writes one row of latency-bound columns per observation
@@ -28,11 +30,10 @@ import statistics
 import sys
 import time as time_mod
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, TextIO
 
 from .automata import TBA, TBAError, parse_tba
-from .dbm import INF, Interval, ScaleError, parse_scaled
+from .dbm import INF, Interval, ScaleError, format_scaled, parse_scaled
 from .liveness import LivenessError
 from .monitor import DelayBounds, Monitor, MonitorError, Verdict
 from .tester import IODelayBounds, Tester
@@ -53,23 +54,14 @@ class TraceEvent:
     symbol: str
 
 
-# -- scaled-decimal formatting ----------------------------------------------
-
-
-def fmt_scaled(value: int, scale: int) -> str:
-    if value == INF:
-        return "inf"
-    f = Fraction(value, scale)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return str(f.numerator / f.denominator)
+# -- interval formatting -----------------------------------------------------
 
 
 def fmt_interval(iv: Interval, scale: int) -> str:
     lo = "(" if iv.lo_strict else "["
     hi = ")" if iv.hi_strict or iv.hi == INF else "]"
-    return (f"{lo}{fmt_scaled(iv.lo, scale)},"
-            f"{fmt_scaled(iv.hi, scale)}{hi}")
+    return (f"{lo}{format_scaled(iv.lo, scale)},"
+            f"{format_scaled(iv.hi, scale)}{hi}")
 
 
 def fmt_union(ivs: Iterable[Interval], scale: int) -> str:
@@ -80,10 +72,10 @@ def _csv_cell(ivs, scale: int, which: str) -> str:
     parts = []
     for iv in ivs:
         if which == "low":
-            parts.append(fmt_scaled(iv.lo, scale)
+            parts.append(format_scaled(iv.lo, scale)
                          + ("s" if iv.lo_strict else ""))
         else:
-            parts.append(fmt_scaled(iv.hi, scale)
+            parts.append(format_scaled(iv.hi, scale)
                          + ("s" if iv.hi_strict or iv.hi == INF else ""))
     return ";".join(parts)
 
@@ -140,7 +132,7 @@ def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
 
 def monitor_block(m: Monitor, verdict: Verdict, scale: int) -> list[str]:
     rep = m.latency_report()
-    jit = fmt_scaled(m.bounds.jitter, scale)
+    jit = format_scaled(m.bounds.jitter, scale)
     return [
         f"Verdict: {verdict.value}",
         "Positive:",
@@ -168,9 +160,9 @@ def tester_block(t: Tester, verdict: Verdict, scale: int) -> list[str]:
             f"Consistent combined latencies: {fmt_union(sum_u, scale)}",
         ]
     lines.append(f"Input jitter bound: "
-                 f"{fmt_scaled(t.bounds.input.jitter, scale)}")
+                 f"{format_scaled(t.bounds.input.jitter, scale)}")
     lines.append(f"Output jitter bound: "
-                 f"{fmt_scaled(t.bounds.output.jitter, scale)}")
+                 f"{format_scaled(t.bounds.output.jitter, scale)}")
     return lines
 
 
@@ -206,7 +198,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["classic", "monitor", "test"],
                    default="monitor")
     p.add_argument("--scale", type=int, default=10,
-                   help="integer time units per 1.0 of wire time")
+                   help="integer time units per 1.0 of wire time; a power "
+                   "of ten")
     p.add_argument("--latency", nargs=2, metavar=("L", "U"))
     p.add_argument("--jitter", metavar="E")
     p.add_argument("--in-latency", nargs=2, metavar=("L", "U"))
@@ -290,8 +283,8 @@ def _load_tba(path: str, scale: int) -> TBA:
 
 def run_stream(args, out: TextIO) -> int:
     scale = args.scale
-    if scale <= 0:
-        raise CliError("--scale must be positive")
+    if 10 ** (len(str(scale)) - 1) != scale:
+        raise CliError("--scale must be a power of ten: 1, 10, 100, ...")
     _check_mode_flags(args)
     spec = _load_tba(args.spec, scale)
     comp = _load_tba(args.complement, scale)
@@ -338,7 +331,7 @@ def run_stream(args, out: TextIO) -> int:
         count = 0
         for ev in events:
             out.write(
-                f"Input: @{fmt_scaled(ev.timestamp, scale)} {ev.symbol}\n")
+                f"Input: @{format_scaled(ev.timestamp, scale)} {ev.symbol}\n")
             out.write("\n")
             start = time_mod.perf_counter_ns()
             verdict = observe(ev.symbol, ev.timestamp)

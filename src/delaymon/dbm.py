@@ -70,6 +70,23 @@ def parse_scaled(text: str, scale: int, what: str) -> int:
     return int(f)
 
 
+def format_scaled(value: int, scale: int) -> str:
+    """Render ``value / scale`` as a plain decimal with no trailing zeros,
+    or ``inf`` for :data:`INF`; the inverse of :func:`parse_scaled`.
+    ``scale`` must be a power of ten."""
+    digits = len(str(scale)) - 1
+    if 10 ** digits != scale:
+        raise ValueError(f"scale {scale} is not a power of ten")
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    if value == INF:
+        return sign + "inf"
+    whole, frac = divmod(value, scale)
+    if not frac:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Interval of scaled-integer values with per-endpoint strictness.
@@ -342,22 +359,6 @@ class DBM:
             return self
         return DBM._canonical(self.dim, m)
 
-    def intersects(self, other: "DBM") -> bool:
-        """True iff the two zones share a valuation."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        if self.is_empty() or other.is_empty():
-            return False
-        a, b = self.m, other.m
-        # Quick reject: a negative two-edge cycle.  Not exact on its own:
-        # emptiness may need a longer cycle, so then tighten by ``other``.
-        for ai, bi in zip(a, zip(*b)):
-            for x, y in zip(ai, bi):
-                if x != INF and y != INF and (
-                        (((x >> 1) + (y >> 1)) << 1) | (x & y & 1)) < LE_ZERO:
-                    return False
-        return not self.and_constraints(other.constraints()).is_empty()
-
     def includes(self, other: "DBM") -> bool:
         """True iff every valuation of ``other`` satisfies ``self``."""
         if other.is_empty():
@@ -384,23 +385,6 @@ class DBM:
 
     # -- queries -------------------------------------------------------------
 
-    def contains(self, valuation: Sequence[int]) -> bool:
-        """Membership of a scaled-integer valuation (index 0 must be 0)."""
-        if self.is_empty():
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                b = self.m[i][j]
-                if b == INF:
-                    continue
-                d = valuation[i] - valuation[j]
-                if bound_is_strict(b):
-                    if not d < bound_value(b):
-                        return False
-                elif not d <= bound_value(b):
-                    return False
-        return True
-
     def restrict(self, keep: Sequence[int]) -> "DBM":
         """Project onto the clocks in ``keep`` (0 is always kept first).
 
@@ -408,9 +392,7 @@ class DBM:
         """
         idx = [0] + [i for i in keep if i != 0]
         m = [[self.m[i][j] for j in idx] for i in idx]
-        d = DBM(len(idx), m, _closed=True)
-        d._empty = self.is_empty()
-        return d
+        return DBM._canonical(len(idx), m, empty=self.is_empty())
 
     def embed(self, extra: int) -> "DBM":
         """Lift to ``extra`` more trailing, fully unconstrained clocks (no

@@ -12,7 +12,7 @@ are exact — no extrapolation — which is what the monitor's verdicts rely on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import (
@@ -28,7 +28,7 @@ from .dbm import (
     bound,
     bound_is_strict,
     bound_value,
-    INF,
+    format_scaled,
     included_in_union,
     reduce_union,
 )
@@ -42,15 +42,25 @@ class LivenessError(RuntimeError):
 
 @dataclass(frozen=True)
 class NonEmptyMap:
-    """Per-location federation of zones over the automaton clocks."""
+    """Per-location federation of zones over the automaton clocks.
+
+    ``constraints`` holds each zone's finite off-diagonal entries as
+    ``(i, j, bound)`` tuples.  Every engine layout numbers the automaton
+    clocks ``1..n`` in the same order as these zones do, so the tuples
+    apply unchanged to a reach zone: tightening it by them meets it with
+    the nonempty zone, and on a canonical reach zone this is the same as
+    meeting its projection onto the automaton clocks (a canonical DBM's
+    projection is its sub-matrix)."""
 
     clocks: tuple[str, ...]
     zones: dict[str, tuple[DBM, ...]]
+    constraints: dict[str, tuple[tuple[tuple[int, int, int], ...], ...]] = (
+        field(init=False, repr=False, compare=False))
 
-    def contains_point(self, location: str, valuation: tuple[int, ...]) -> bool:
-        """Membership of a concrete valuation (no leading reference 0)."""
-        v = (0, *valuation)
-        return any(z.contains(v) for z in self.zones.get(location, ()))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "constraints", {
+            q: tuple(tuple(z.constraints()) for z in zs)
+            for q, zs in self.zones.items()})
 
 
 def _pre_edge(t: Transition, zone: DBM, layout: ClockLayout) -> DBM | None:
@@ -188,38 +198,28 @@ def intersects_nonempty(
     state that overlaps, so a lazy input does no work past it."""
     if layout.automaton_clocks != nonempty.clocks:
         raise ValueError("clock layout does not match the nonempty map")
-    idx = layout.automaton_indices()
+    live = nonempty.constraints
     for s in states:
-        zs = nonempty.zones.get(s.location)
-        if not zs:
-            continue
-        proj = s.zone.restrict(idx)
-        if any(proj.intersects(z) for z in zs):
-            return True
+        for cons in live.get(s.location, ()):
+            if not s.zone.and_constraints(cons).is_empty():
+                return True
     return False
 
 
 def dump_map(nonempty: NonEmptyMap, scale: int = 1) -> str:
     """Human-readable rendering, one line per (location, zone)."""
     names = ("0",) + nonempty.clocks
-
-    def val(enc: int) -> str:
-        v = bound_value(enc)
-        return str(v / scale if scale != 1 else v)
-
     lines = []
-    for q in sorted(nonempty.zones):
-        for z in nonempty.zones[q]:
+    for q in sorted(nonempty.constraints):
+        for cons in nonempty.constraints[q]:
             atoms = []
-            for i in range(z.dim):
-                for j in range(z.dim):
-                    if i == j or z.m[i][j] == INF:
-                        continue
-                    if i == 0 and z.m[i][j] == LE_ZERO:
-                        continue  # plain non-negativity
-                    rel = "<" if bound_is_strict(z.m[i][j]) else "<="
-                    lhs = names[i] if j == 0 else (
-                        f"{names[i]}-{names[j]}" if i else f"-{names[j]}")
-                    atoms.append(f"{lhs}{rel}{val(z.m[i][j])}")
+            for i, j, b in cons:
+                if i == 0 and b == LE_ZERO:
+                    continue  # plain non-negativity
+                rel = "<" if bound_is_strict(b) else "<="
+                lhs = names[i] if j == 0 else (
+                    f"{names[i]}-{names[j]}" if i else f"-{names[j]}")
+                atoms.append(
+                    f"{lhs}{rel}{format_scaled(bound_value(b), scale)}")
             lines.append(f"{q}: {' && '.join(atoms) if atoms else 'true'}")
     return "\n".join(lines) + ("\n" if lines else "")

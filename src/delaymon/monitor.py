@@ -115,9 +115,6 @@ class _Side:
     automaton: TBA
     layout: ClockLayout
     nonempty: NonEmptyMap
-    # per location, each nonempty zone's finite entries; the automaton
-    # clocks have the same indices in the nonempty map and in the layout
-    nonempty_cons: dict[str, tuple[tuple[tuple[int, int, int], ...], ...]]
     measures: list[tuple[int, int, int, int]]  # Measure with clock indices
     channel_clocks: tuple[int, ...]  # each channel's clock index
     reach: list[SymbolicState]
@@ -165,7 +162,7 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
     a state at a location without nonempty zones is skipped before any zone
     work, and a zone included in a sibling cannot change whether some state
     meets the nonempty zones."""
-    live = side.nonempty.zones
+    live = side.nonempty.constraints
     for s in side.reach:
         if not live.get(s.location):
             continue
@@ -183,7 +180,7 @@ def _latencies(side: _Side) -> list[tuple[Interval, ...]]:
     """Per measure, the latency values consistent with this polarity."""
     unions: list[list[Interval]] = [[] for _ in side.measures]
     for s in side.reach:
-        for cons in side.nonempty_cons.get(s.location, ()):
+        for cons in side.nonempty.constraints.get(s.location, ()):
             z = s.zone.and_constraints(cons)
             if z.is_empty():
                 continue
@@ -222,10 +219,7 @@ class _Engine:
             if hi != INF:
                 cons.append((xi, yi, bound(hi)))
         z0 = layout.universal_zone().and_constraints(cons)
-        nonempty = nonempty_states(automaton)
-        nonempty_cons = {q: tuple(tuple(z.constraints()) for z in zs)
-                         for q, zs in nonempty.zones.items()}
-        return _Side(automaton, layout, nonempty, nonempty_cons, resolved,
+        return _Side(automaton, layout, nonempty_states(automaton), resolved,
                      tuple(layout.index(c) for c, _, _ in self.channels),
                      [SymbolicState(q, z0) for q in automaton.initial])
 

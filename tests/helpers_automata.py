@@ -16,7 +16,16 @@ from delaymon.automata import (
     post,
     prune_included,
 )
-from delaymon.dbm import DBM, LE_ZERO, bound
+from delaymon.dbm import (
+    DBM,
+    INF,
+    LE_ZERO,
+    bound,
+    bound_is_strict,
+    bound_value,
+    format_scaled,
+)
+from delaymon.liveness import NonEmptyMap
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
               ">=": operator.ge, ">": operator.gt}
@@ -30,6 +39,65 @@ def holds(g: AtomicConstraint, value: int) -> bool:
 def zero_zone(dim: int) -> DBM:
     """The single valuation with every clock equal to 0."""
     return DBM(dim, [[LE_ZERO] * dim for _ in range(dim)])
+
+
+def zone_contains(zone: DBM, valuation: tuple[int, ...]) -> bool:
+    """Membership of a scaled-integer valuation (index 0 must be 0)."""
+    if zone.is_empty():
+        return False
+    for i, row in enumerate(zone.m):
+        for j, b in enumerate(row):
+            if b == INF:
+                continue
+            d = valuation[i] - valuation[j]
+            if d > bound_value(b) or (d == bound_value(b)
+                                      and bound_is_strict(b)):
+                return False
+    return True
+
+
+def nonempty_contains(nonempty: NonEmptyMap, location: str,
+                      valuation: tuple[int, ...]) -> bool:
+    """Membership of a valuation of the automaton clocks (no leading
+    reference 0) in the nonempty zones at ``location``."""
+    v = (0, *valuation)
+    return any(zone_contains(z, v) for z in nonempty.zones.get(location, ()))
+
+
+def max_constant(automaton: TBA, clock: str) -> int:
+    """Largest guard constant on ``clock`` (0 if no guard reads it)."""
+    return max((g.constant for t in automaton.transitions for g in t.guard
+                if g.clock == clock), default=0)
+
+
+def serialize_tba(automaton: TBA, scale: int = 10) -> str:
+    """Inverse of :func:`delaymon.automata.parse_tba` (up to declaration
+    order)."""
+    lines = ["alphabet " + " ".join(sorted(automaton.alphabet))]
+    if automaton.inputs:
+        lines.append("inputs " + " ".join(sorted(automaton.inputs)))
+    if automaton.outputs:
+        lines.append("outputs " + " ".join(sorted(automaton.outputs)))
+    if automaton.clocks:
+        lines.append("clocks " + " ".join(automaton.clocks))
+    for q in sorted(automaton.locations):
+        flags = ""
+        if q in automaton.initial:
+            flags += " initial"
+        if q in automaton.accepting:
+            flags += " accepting"
+        lines.append(f"location {q}{flags}")
+    for t in sorted(automaton.transitions,
+                    key=lambda t: (t.src, t.label, t.dst)):
+        parts = [f"edge {t.src} -> {t.dst} on {t.label}"]
+        if t.guard:
+            parts.append("when " + " && ".join(
+                f"{g.clock}{g.relation}{format_scaled(g.constant, scale)}"
+                for g in t.guard))
+        if t.resets:
+            parts.append("reset " + " ".join(sorted(t.resets)))
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def eventually_then_safe_tba(accept_good: bool, scale: int = 10) -> TBA:

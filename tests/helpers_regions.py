@@ -17,6 +17,8 @@ from typing import Iterable
 
 from delaymon.automata import TBA
 
+from helpers_automata import max_constant
+
 # region encoding: per clock either None (above ceiling) or (int, rank);
 # rank 0 = fractional part zero, ranks 1..m order the positive fractions
 Region = tuple
@@ -147,7 +149,7 @@ class RegionGraph:
     def __init__(self, automaton: TBA):
         self.automaton = automaton
         self.ceilings = [
-            max(automaton.max_constant(c), 1) for c in automaton.clocks
+            max(max_constant(automaton, c), 1) for c in automaton.clocks
         ] + [1]  # divergence clock
         self.z = len(automaton.clocks)
         self.edges = oracle_edges(automaton, self.z)

@@ -8,7 +8,9 @@ gear-controller fixture runs, and a throughput/size benchmark.
 
 from __future__ import annotations
 
+import gc
 import random
+import resource
 import time
 from pathlib import Path
 
@@ -404,18 +406,43 @@ class TestBenchmark:
     def run_engine(self, observe, engine, events):
         max_states = 0
         checkpoint_states = None
-        worst_ns = 0
-        for k, (sym, tau) in enumerate(events, start=1):
-            start = time.perf_counter_ns()
-            v = observe(sym, tau)
-            worst_ns = max(worst_ns, time.perf_counter_ns() - start)
-            assert v is Verdict.INCONCLUSIVE
-            max_states = max(
-                max_states, len(engine.pos.reach) + len(engine.neg.reach))
-            if k == self.CHECKPOINT:
-                checkpoint_states = max_states
+        # the slowest event: wall and thread CPU time (ns), gen-2
+        # collections and involuntary context switches during it
+        worst = (0, 0, 0, 0)
+        gen2 = [0]
+
+        def count_gen2(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                gen2[0] += 1
+
+        gc.callbacks.append(count_gen2)
+        try:
+            for k, (sym, tau) in enumerate(events, start=1):
+                switches = resource.getrusage(resource.RUSAGE_SELF).ru_nivcsw
+                collections = gen2[0]
+                cpu = time.thread_time_ns()
+                start = time.perf_counter_ns()
+                v = observe(sym, tau)
+                wall = time.perf_counter_ns() - start
+                if wall > worst[0]:
+                    worst = (
+                        wall, time.thread_time_ns() - cpu,
+                        gen2[0] - collections,
+                        resource.getrusage(resource.RUSAGE_SELF).ru_nivcsw
+                        - switches)
+                assert v is Verdict.INCONCLUSIVE
+                max_states = max(
+                    max_states, len(engine.pos.reach) + len(engine.neg.reach))
+                if k == self.CHECKPOINT:
+                    checkpoint_states = max_states
+        finally:
+            gc.callbacks.remove(count_gen2)
         assert max_states == checkpoint_states, "reach sets kept growing"
-        assert worst_ns < 10_000_000, f"slow event: {worst_ns / 1e6:.2f} ms"
+        wall, cpu, collections, switches = worst
+        assert wall < 10_000_000, (
+            f"slow event: {wall / 1e6:.2f} ms wall, {cpu / 1e6:.2f} ms "
+            f"thread CPU, {collections} gen-2 collections, {switches} "
+            f"involuntary context switches")
         return max_states
 
     def test_constant_state_sizes_and_throughput(self):

@@ -17,7 +17,6 @@ from delaymon.automata import (
     io_alternation_product,
     parse_tba,
     post,
-    serialize_tba,
 )
 from delaymon.dbm import bound
 
@@ -25,8 +24,10 @@ from helpers_automata import (
     ConcreteState,
     eventually_then_safe_tba,
     explicit_run,
+    max_constant,
     random_timestamps,
     random_tba,
+    serialize_tba,
     succ,
     zero_zone,
 )
@@ -278,5 +279,5 @@ class TestModelValidation:
 
     def test_max_constant(self):
         a = eventually_then_safe_tba(accept_good=True)
-        assert a.max_constant("x") == 200
-        assert a.max_constant("nosuch") == 0
+        assert max_constant(a, "x") == 200
+        assert max_constant(a, "nosuch") == 0

@@ -21,7 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaymon.automata import parse_tba
 from delaymon.cli import main
+from delaymon.dbm import INF, parse_scaled
+from delaymon.monitor import DelayBounds, Monitor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -348,6 +351,43 @@ class TestStreamControl:
         assert "Input: @17.3 a" in out
         assert "Jitter bound: 0.2" in out
 
+    def test_large_scale_prints_parseable_decimals(self, capsys, tmp_path):
+        # A float renderer printed 1e-05 here, which the parser rejects.
+        scale = 100000
+        trace = write_trace(tmp_path, "@0.00001 a\n")
+        csv_path = tmp_path / "out.csv"
+        code, out, _ = run(capsys, [
+            "--spec", str(FIXTURES / "deadline_spec.txt"),
+            "--complement", str(FIXTURES / "deadline_complement.txt"),
+            "--scale", str(scale), "--latency", "0", "0.00005",
+            "--jitter", "0.00002", "--trace", trace, "--csv", str(csv_path)])
+        assert code == 2
+
+        def value(text: str) -> int:
+            return INF if text == "inf" else parse_scaled(text, scale, text)
+
+        monitor = Monitor(
+            *(parse_tba((FIXTURES / name).read_text(), scale)
+              for name in ("deadline_spec.txt", "deadline_complement.txt")),
+            DelayBounds(0, 5, 2))
+        monitor.observe("a", 1)
+        rep = monitor.latency_report()
+        want = [[(iv.lo, iv.hi) for iv in ivs]
+                for ivs in (rep.positive, rep.negative)]
+        assert any(0 < v < 10 for ends in want for iv in ends for v in iv)
+
+        assert [value(t) for t in re.findall(r"Input: @(\S+) ", out)] == [1]
+        assert [value(t) for t in re.findall(r"Jitter bound: (\S+)", out)
+                ] == [2, 2]
+        unions = re.findall(r"Consistent latencies: \{(.*)\}", out)
+        assert [[(value(lo), value(hi))
+                 for lo, hi in re.findall(r"[\[(]([^,]+),([^)\]]+)", u)]
+                for u in unions] == want
+        row = csv_path.read_text().splitlines()[1].split(",")
+        assert [[(value(lo.rstrip("s")), value(hi.rstrip("s")))
+                 for lo, hi in zip(row[k].split(";"), row[k + 1].split(";"))]
+                for k in (3, 9)] == want
+
 
 class TestFailuresExitThree:
     """Every bad input or environment ends in ``error: ...`` and exit 3,
@@ -441,6 +481,17 @@ class TestFailuresExitThree:
             "--scale", "1", "--trace", trace])
         assert code == 3
         assert "too large" in err
+
+    @pytest.mark.parametrize("scale", ["3", "20"])
+    def test_scale_not_a_power_of_ten(self, capsys, tmp_path, scale):
+        trace = write_trace(tmp_path, "@10 a\n")
+        code, out, err = run(capsys, [
+            "--spec", str(FIXTURES / "deadline_spec.txt"),
+            "--complement", str(FIXTURES / "deadline_complement.txt"),
+            "--scale", scale, "--trace", trace])
+        assert code == 3
+        assert err.startswith("error: ") and "--scale" in err
+        assert out == ""
 
     @pytest.mark.parametrize("stamp", ["1e999999999", "1/2", "inf"])
     def test_non_decimal_timestamp_rejected(self, capsys, tmp_path, stamp):

@@ -17,7 +17,12 @@ from delaymon.automata import (
 from delaymon.dbm import DBM, bound, included_in_union
 from delaymon.liveness import dump_map, intersects_nonempty, nonempty_states
 
-from helpers_automata import eventually_then_safe_tba, random_tba, scale_tba
+from helpers_automata import (
+    eventually_then_safe_tba,
+    nonempty_contains,
+    random_tba,
+    scale_tba,
+)
 from helpers_regions import RegionGraph
 
 
@@ -101,7 +106,7 @@ class TestProperties:
         n = len(base.clocks)
         for loc in sorted(base.locations):
             for vals in itertools.product(points, repeat=n):
-                got = sym.contains_point(loc, vals)
+                got = nonempty_contains(sym, loc, vals)
                 want = oracle.has_accepting_run(loc, list(vals), denom=4)
                 assert got == want, (loc, vals)
 
@@ -159,6 +164,41 @@ class TestIntersection:
             raise AssertionError("consumed past the first live state")
         assert intersects_nonempty(states(), m, layout)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_projection_then_meet(self, seed):
+        """Tightening a full reach zone by a nonempty zone's entries meets
+        the same states as projecting the reach zone onto the automaton
+        clocks first, whatever the auxiliary clocks and their signs."""
+        rng = random.Random(3000 + seed)
+        while True:  # draw until some location's zones constrain a clock
+            a = random_tba(rng, n_clocks=rng.choice([1, 2]), max_const=4)
+            m = nonempty_states(a)
+            full = DBM.universal(1 + len(a.clocks))
+            if any(zs != (full,) for zs in m.zones.values()):
+                break
+        aux = tuple(f"aux{k}" for k in range(rng.randint(1, 3)))
+        layout = ClockLayout(
+            a.clocks, aux,
+            unsigned=frozenset(c for c in aux if rng.random() < 0.5))
+        idx = layout.automaton_indices()
+        locations = sorted(a.locations)
+        outcomes = set()
+        for _ in range(150):
+            cons = [(*rng.sample(range(layout.dim), 2),
+                     bound(rng.randint(-6, 10), strict=rng.random() < 0.3))
+                    for _ in range(rng.randint(1, 2 * layout.dim))]
+            zone = layout.universal_zone().and_constraints(cons)
+            if zone.is_empty():
+                continue
+            loc = rng.choice(locations)
+            proj = zone.restrict(idx)
+            want = any(not proj.and_constraints(z.constraints()).is_empty()
+                       for z in m.zones.get(loc, ()))
+            got = intersects_nonempty([SymbolicState(loc, zone)], m, layout)
+            assert got == want, (loc, zone)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
     def test_layout_mismatch_rejected(self):
         m = nonempty_states(eventually_then_safe_tba(accept_good=True))
         with pytest.raises(ValueError):
@@ -169,5 +209,5 @@ class TestDump:
     def test_dump_lists_all_locations(self):
         m = nonempty_states(eventually_then_safe_tba(accept_good=True))
         text = dump_map(m, scale=10)
-        assert "q0: x<=10.0" in text
+        assert "q0: x<=10\n" in text
         assert "good: true" in text
