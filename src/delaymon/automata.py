@@ -8,6 +8,7 @@ integers; the parser owns the decimal-to-integer scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .dbm import DBM, ScaleError, bound, parse_scaled, reduce_union
@@ -118,6 +119,41 @@ class TBA:
     def edges(self, src: str, label: str) -> Sequence[Transition]:
         return self._edges.get((src, label), ())
 
+    @cached_property
+    def inactive_clocks(self) -> dict[str, int]:
+        """Per location, the clocks that every path resets before it reads
+        them, as a bitmask with bit ``i`` for the clock at DBM index ``i``
+        (automaton clocks are ``1..n`` in every layout).  Locations with no
+        inactive clock are left out.  Computed on first use; do not mutate.
+
+        This is the complement of the least fixpoint ``active(q) =
+        ⋃_{q→q'} guard_clocks(e) ∪ (active(q') − resets(e))`` (Daws &
+        Yovine, "Reducing the number of clock variables of timed automata",
+        RTSS 1996), solved by a worklist over predecessor edges."""
+        bits = {c: 1 << i for i, c in enumerate(self.clocks, start=1)}
+        every = sum(bits.values())
+        active = dict.fromkeys(self.locations, 0)
+        preds: dict[str, list[tuple[str, int]]] = {q: [] for q in active}
+        for t in self.transitions:
+            read = 0
+            for g in t.guard:
+                read |= bits[g.clock]
+            active[t.src] |= read
+            kept = every
+            for c in t.resets:
+                kept &= ~bits[c]
+            preds[t.dst].append((t.src, kept))
+        work = [q for q, a in active.items() if a]
+        while work:
+            q = work.pop()
+            a = active[q]
+            for p, kept in preds[q]:
+                grown = active[p] | (a & kept)
+                if grown != active[p]:
+                    active[p] = grown
+                    work.append(p)
+        return {q: every & ~a for q, a in active.items() if a != every}
+
 
 @dataclass(frozen=True, slots=True)
 class SymbolicState:
@@ -205,13 +241,27 @@ def post(
     return out
 
 
-def prune_included(states: Iterable[SymbolicState]) -> list[SymbolicState]:
-    """Drop states whose zone is included in a sibling at the same location."""
+def prune_subsumed(states: Iterable[SymbolicState], inactive: dict[str, int]
+                   ) -> list[SymbolicState]:
+    """Drop empty states and states whose zone, with the location's inactive
+    clocks (``inactive``, as from :attr:`TBA.inactive_clocks`) left out, is
+    included in a sibling's at the same location.  The kept states' zones
+    are returned as given.  An empty map prunes on whole zones.
+
+    This changes none of the engines' answers (Daws & Yovine, RTSS 1996):
+
+    - an inactive clock is reset on every path before it is read, so two
+      states that agree on the other clocks have successors that agree too;
+    - only automaton clocks are ever left out, and ``up`` and the engines'
+      channel and cutoff constraints touch none of them;
+    - the nonempty-language set at a location is a cylinder in its
+      inactive clocks, so the verdict and the latencies read the same
+      projection."""
     by_loc: dict[str, list[DBM]] = {}
     for s in states:
         by_loc.setdefault(s.location, []).append(s.zone)
     return [SymbolicState(loc, z) for loc, zones in by_loc.items()
-            for z in reduce_union(zones)]
+            for z in reduce_union(zones, inactive.get(loc, 0))]
 
 
 # -- IO alternation product --------------------------------------------------

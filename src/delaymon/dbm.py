@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 INF = 2 ** 62  # absorbing +infinity bound
@@ -485,13 +486,31 @@ def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     return out
 
 
-def reduce_union(zones: Iterable[DBM]) -> list[DBM]:
-    """Drop zones included in a sibling (pairwise inclusion only)."""
+def _covers(big: list[int], small: list[int]) -> bool:
+    """Entry-wise ``big >= small`` of two sub-matrices flattened alike."""
+    return all(map(ge, big, small))
+
+
+def reduce_union(zones: Iterable[DBM], skip: int = 0) -> list[DBM]:
+    """Drop empty zones and zones included in a sibling (pairwise inclusion
+    only), comparing projections that leave out the clocks whose bit is set
+    in ``skip`` (bit ``i`` for index ``i``).  The kept zones are returned
+    whole.
+
+    On a canonical nonempty DBM the projection is the sub-matrix (Behrmann
+    et al., "UPPAAL implementation secrets", FTRTFT 2002), so no zone is
+    built: each zone's kept rows and columns are flattened once into a list
+    of ints, and a pair is compared entry by entry."""
     zs = [z for z in zones if not z.is_empty()]
-    out: list[DBM] = []
+    if len(zs) < 2:
+        return zs
+    keep = [i for i in range(zs[0].dim) if not skip >> i & 1]
+    out: list[tuple[list[int], DBM]] = []
     for z in zs:
-        if any(o.includes(z) for o in out):
+        m = z.m
+        key = [m[i][j] for i in keep for j in keep]
+        if any(_covers(k, key) for k, _ in out):
             continue
-        out = [o for o in out if not z.includes(o)]
-        out.append(z)
-    return out
+        out = [(k, o) for k, o in out if not _covers(key, k)]
+        out.append((key, z))
+    return [z for _, z in out]

@@ -20,6 +20,20 @@ nonempty-language states.  The verdict probes this lazily: each reach state
 is advanced to the query time one at a time, and the probe stops at the
 first advanced state that meets a nonempty zone.
 
+Each observation prunes the reach-set modulo inactive clocks (Daws & Yovine,
+"Reducing the number of clock variables of timed automata", RTSS 1996): a
+state is dropped when its zone, with the automaton clocks that every path
+from its location resets before reading left out, is included in a
+sibling's at the same location.  The kept zones stay as ``post`` made them.
+This loses no answer:
+
+- an inactive clock is reset on every path before it is read, so states
+  that agree on the other clocks have successors that agree too;
+- ``up`` and the channel and cutoff constraints touch no automaton clock,
+  and the auxiliary clocks are never left out;
+- the nonempty set at a location is a cylinder in its inactive clocks, so
+  the verdict probe and the latency unions see the same projection.
+
 :class:`Monitor` is one output channel ``etime`` with latency ``δ ∈ [ℓ, u]``
 plus a per-event jitter in ``[0, ε]``; delay-free (classic) monitoring is
 the case ``DelayBounds(0, 0, 0)``.
@@ -36,7 +50,7 @@ from .automata import (
     ClockLayout,
     SymbolicState,
     post,
-    prune_included,
+    prune_subsumed,
 )
 from .dbm import (
     INF,
@@ -117,6 +131,7 @@ class _Side:
     nonempty: NonEmptyMap
     measures: list[tuple[int, int, int, int]]  # Measure with clock indices
     channel_clocks: tuple[int, ...]  # each channel's clock index
+    inactive: dict[str, int]  # automaton.inactive_clocks, read at set-up
     reach: list[SymbolicState]
 
 
@@ -149,7 +164,7 @@ def _step(side: _Side, symbol: str, ci: int, lo: int, hi: int
             z = p.zone.and_constraints(cons)
             if not z.is_empty():
                 out.append(SymbolicState(p.location, z))
-    return prune_included(out)
+    return prune_subsumed(out, side.inactive)
 
 
 def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
@@ -221,6 +236,7 @@ class _Engine:
         z0 = layout.universal_zone().and_constraints(cons)
         return _Side(automaton, layout, nonempty_states(automaton), resolved,
                      tuple(layout.index(c) for c, _, _ in self.channels),
+                     automaton.inactive_clocks,
                      [SymbolicState(q, z0) for q in automaton.initial])
 
     # -- queries -------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from delaymon.automata import (
     TBA,
@@ -14,7 +14,7 @@ from delaymon.automata import (
     SymbolicState,
     Transition,
     post,
-    prune_included,
+    prune_subsumed,
 )
 from delaymon.dbm import (
     DBM,
@@ -166,8 +166,10 @@ def request_response_tba(accept_good: bool, lo: int, hi: int,
 
 
 def random_tba(rng: random.Random, n_clocks: int = 2, n_locs: int = 3,
-               max_const: int = 5, accepting_ratio: float = 0.5) -> TBA:
-    """Small random automaton with total nondeterministic structure."""
+               max_const: int = 5, accepting_ratio: float = 0.5,
+               guard_ratio: float = 0.6) -> TBA:
+    """Small random automaton with total nondeterministic structure; each
+    edge guards each clock with probability ``guard_ratio``."""
     locs = [f"q{i}" for i in range(n_locs)]
     clocks = tuple(f"c{i}" for i in range(n_clocks))
     alphabet = ("a", "b")
@@ -177,7 +179,7 @@ def random_tba(rng: random.Random, n_clocks: int = 2, n_locs: int = 3,
             for _ in range(rng.randint(1, 2)):
                 guard = []
                 for c in clocks:
-                    if rng.random() < 0.6:
+                    if rng.random() < guard_ratio:
                         rel = rng.choice(["<", "<=", ">", ">="])
                         guard.append(AtomicConstraint(
                             c, rel, rng.randint(0, max_const)))
@@ -194,6 +196,12 @@ def random_tba(rng: random.Random, n_clocks: int = 2, n_locs: int = 3,
         transitions=tuple(trans),
         accepting=accepting or frozenset({locs[-1]}),
     )
+
+
+def with_io(automaton: TBA) -> TBA:
+    """The automaton over ``a``/``b`` with ``a`` as input, ``b`` as output."""
+    return replace(automaton, inputs=frozenset({"a"}),
+                   outputs=frozenset({"b"}))
 
 
 def scale_tba(automaton: TBA, factor: int) -> TBA:
@@ -262,7 +270,7 @@ def succ(states: list[SymbolicState], a: str, tau: int, automaton: TBA,
             z = p.zone.and_constraints(pinned)
             if not z.is_empty():
                 out.append(SymbolicState(p.location, z))
-    return prune_included(out)
+    return prune_subsumed(out, {})
 
 
 def random_timestamps(rng: random.Random, n: int, max_step: int = 4

@@ -8,6 +8,7 @@ gear-controller fixture runs, and a throughput/size benchmark.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import resource
@@ -16,14 +17,32 @@ from pathlib import Path
 
 import pytest
 
-from delaymon.automata import io_alternation_product, parse_tba
+import delaymon.dbm as dbm_module
+import delaymon.monitor as monitor_module
+from delaymon.automata import (
+    TBA,
+    io_alternation_product,
+    parse_tba,
+    prune_subsumed,
+)
 from delaymon.cli import main
 from delaymon.dbm import DBM, INF, LE_ZERO, bound, included_in_union
 from delaymon.liveness import nonempty_states
-from delaymon.monitor import DelayBounds, Monitor, Verdict
+from delaymon.monitor import (
+    ComplementViolationError,
+    DelayBounds,
+    Monitor,
+    MonitorError,
+    Verdict,
+)
 from delaymon.tester import IODelayBounds, Tester
 
-from helpers_automata import eventually_then_safe_tba, request_response_tba
+from helpers_automata import (
+    eventually_then_safe_tba,
+    random_tba,
+    request_response_tba,
+    with_io,
+)
 from helpers_oracle import IOOracleBounds, OracleBounds, oracle_io_verdict, \
     oracle_verdict
 from helpers_regions import RegionGraph
@@ -533,15 +552,127 @@ edge q3 -> bad on a
 """
 
 
+def wide_band_pair() -> tuple[TBA, TBA]:
+    spec = parse_tba(WIDE_BAND.format(q0="", bad="accepting"), 10)
+    comp = parse_tba(WIDE_BAND.format(q0="accepting", bad=""), 10)
+    return spec, comp
+
+
+def wide_band_walk(rng: random.Random, laps: int) -> list[tuple[str, int]]:
+    """A ground-truth run around the cycle q0 q1 q2 q3 of ``WIDE_BAND``;
+    each wait moves at most 0.3 from the middle of its guard window."""
+    events, t = [], 0
+    for _ in range(laps):
+        for sym, gap in (("a", 15), ("b", 20), ("a", 15), ("b", 25)):
+            t += gap + rng.randint(-3, 3)
+            events.append((sym, t))
+    return events
+
+
+class TestPruneModuloInactiveClocks:
+    """Pruning modulo inactive clocks changes no answer: along walks of 80
+    events and more, each engine agrees after every event with the same
+    engine pruning on whole zones, on the verdict and on every latency
+    union.  (The oracle gates use 1-4 events, too few for reach sets to
+    grow.)"""
+
+    @staticmethod
+    def compare(monkeypatch, make, observe: str, events) -> tuple[int, int]:
+        """Events compared, and how many of them left the engine with fewer
+        states than the whole-zone reference."""
+
+        def whole_zones(states, inactive):
+            return prune_subsumed(states, {})
+
+        def outcome(engine, sym, tau):
+            try:
+                return getattr(engine, observe)(sym, tau)
+            except MonitorError as e:
+                return type(e)
+
+        try:
+            engine, ref = make(), make()
+        except ComplementViolationError:
+            return 0, 0
+        compared = smaller = 0
+        for sym, tau in events:
+            got = outcome(engine, sym, tau)
+            with monkeypatch.context() as mp:
+                mp.setattr(monitor_module, "prune_subsumed", whole_zones)
+                want = outcome(ref, sym, tau)
+            assert got == want, (sym, tau)
+            if not isinstance(got, Verdict) or got.conclusive:
+                break
+            assert engine.latency_report() == ref.latency_report()
+            compared += 1
+            smaller += (len(engine.pos.reach) + len(engine.neg.reach)
+                        < len(ref.pos.reach) + len(ref.neg.reach))
+        return compared, smaller
+
+    def test_wide_band_monitor(self, monkeypatch):
+        spec, comp = wide_band_pair()
+        rng = random.Random(7)
+        events = [(s, t + 10 + rng.randint(0, 10))
+                  for s, t in wide_band_walk(rng, 25)]
+        compared, smaller = self.compare(
+            monkeypatch, lambda: Monitor(spec, comp, DelayBounds(0, 20, 10)),
+            "observe", events)
+        assert compared == 100 and smaller > 0
+
+    def test_wide_band_test(self, monkeypatch):
+        spec, comp = map(with_io, wide_band_pair())
+        rng = random.Random(8)
+        events = [(s, t - 3 - rng.randint(0, 2)) if s == "a"
+                  else (s, t + 3 + rng.randint(0, 2))
+                  for s, t in wide_band_walk(rng, 25)]
+        bounds = IODelayBounds(DelayBounds(0, 5, 2), DelayBounds(0, 5, 2))
+        compared, smaller = self.compare(
+            monkeypatch, lambda: Tester(spec, comp, bounds), "observe_io",
+            events)
+        assert compared == 100 and smaller > 0
+
+    @pytest.mark.parametrize("mode", ["monitor", "test"])
+    def test_random_pairs(self, monkeypatch, mode):
+        """A random automaton against itself with the other locations
+        accepting; rare guards leave clocks inactive."""
+        long_walks = 0
+        for seed in range(10):
+            rng = random.Random(f"{mode}/{seed}")
+            spec = random_tba(rng, n_clocks=3, guard_ratio=0.25)
+            comp = dataclasses.replace(
+                spec, accepting=spec.locations - spec.accepting)
+            if mode == "monitor":
+                def make():
+                    return Monitor(spec, comp, DelayBounds(0, 4, 2))
+                observe, syms = "observe", [rng.choice("ab")
+                                            for _ in range(80)]
+            else:
+                io = IODelayBounds(DelayBounds(0, 2, 1), DelayBounds(0, 2, 1))
+
+                def make():
+                    return Tester(with_io(spec), with_io(comp), io)
+                observe, syms = "observe_io", ["a", "b"] * 40
+            tau, events = 4, []
+            for sym in syms:
+                tau += rng.randint(0, 3)
+                events.append((sym, tau))
+            compared, smaller = self.compare(monkeypatch, make, observe,
+                                             events)
+            long_walks += compared == 80 and smaller > 0
+        assert long_walks >= 2
+
+
 class TestNoPruneInVerdict:
     """The verdict only asks whether some advanced reach state meets the
     nonempty zones, so it probes the advanced states lazily and never
     prunes them: a delayed session whose reach sets hold sibling zones at
-    one location runs no inclusion test inside the verdict."""
+    one location runs no inclusion test inside the verdict.  Pruning
+    modulo inactive clocks keeps that session's reach sets small."""
+
+    REACH_PEAK = 10  # pos + neg states; 26 when pruning compares whole zones
 
     def test_wide_band_session_tests_no_inclusion(self, monkeypatch):
-        spec = parse_tba(WIDE_BAND.format(q0="", bad="accepting"), 10)
-        comp = parse_tba(WIDE_BAND.format(q0="accepting", bad=""), 10)
+        spec, comp = wide_band_pair()
         lap = [("a", 15), ("b", 20), ("a", 15), ("b", 25)]
         events, t = [], 0
         for k in range(40):
@@ -550,12 +681,18 @@ class TestNoPruneInVerdict:
             events.append((sym, t + 10 + (k * 7) % 11))  # latency plus jitter
 
         in_verdict = []
-        calls = {True: 0, False: 0}
-        includes, verdict = DBM.includes, Monitor._compute_verdict
+        includes = {True: 0, False: 0}
+        covers = {True: 0, False: 0}
+        dbm_includes, dbm_covers = DBM.includes, dbm_module._covers
+        verdict = Monitor._compute_verdict
 
         def counted_includes(dbm, other):
-            calls[bool(in_verdict)] += 1
-            return includes(dbm, other)
+            includes[bool(in_verdict)] += 1
+            return dbm_includes(dbm, other)
+
+        def counted_covers(big, small):
+            covers[bool(in_verdict)] += 1
+            return dbm_covers(big, small)
 
         def tracked_verdict(engine, t):
             in_verdict.append(t)
@@ -563,14 +700,18 @@ class TestNoPruneInVerdict:
                 return verdict(engine, t)
             finally:
                 in_verdict.pop()
-        monkeypatch.setattr(DBM, "includes", counted_includes)
-        monkeypatch.setattr(Monitor, "_compute_verdict", tracked_verdict)
 
         m = Monitor(spec, comp, DelayBounds(0, 20, 10))
+        monkeypatch.setattr(DBM, "includes", counted_includes)
+        monkeypatch.setattr(dbm_module, "_covers", counted_covers)
+        monkeypatch.setattr(Monitor, "_compute_verdict", tracked_verdict)
+        peak = 0
         for sym, tau in events:
             assert m.observe(sym, tau) is Verdict.INCONCLUSIVE
+            peak = max(peak, len(m.pos.reach) + len(m.neg.reach))
         assert max(sum(s.location == q for s in m.pos.reach)
                    for q in spec.locations) >= 2
         assert m.verdict_at(events[-1][1] + 30) is Verdict.INCONCLUSIVE
-        assert calls[True] == 0
-        assert calls[False] > 0  # the counter is live: _step still prunes
+        assert includes[True] == 0 and covers[True] == 0
+        assert covers[False] > 0  # the counter is live: _step still prunes
+        assert peak <= self.REACH_PEAK

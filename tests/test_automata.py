@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from delaymon.automata import (
     io_alternation_product,
     parse_tba,
     post,
+    prune_subsumed,
 )
 from delaymon.dbm import bound
 
@@ -210,6 +212,84 @@ class TestSucc:
                 vals.append(iv.lo)
             got.add(ConcreteState(s.location, tuple(vals)))
         assert got == expected
+
+
+WIDE_BAND_SPEC = Path(__file__).parent.parent / (
+    "perfbench/inputs/wide_band_spec.txt")
+
+CHAIN_TEXT = """\
+# x is read only on the third edge of the chain p0 -> p1 -> p2 -> p3;
+# q0 enters the chain with a reset of x, and y is never read
+alphabet a
+clocks x y
+location q0 initial
+location p0
+location p1
+location p2
+location p3 accepting
+edge q0 -> p1 on a reset x
+edge p0 -> p1 on a reset y
+edge p1 -> p2 on a
+edge p2 -> p3 on a when x>=1
+edge p3 -> p3 on a reset x y
+"""
+
+
+def reference_inactive(automaton: TBA) -> dict[str, set[str]]:
+    """The active-clock fixpoint by plain iteration over sets of names."""
+    active = {q: set() for q in automaton.locations}
+    changed = True
+    while changed:
+        changed = False
+        for t in automaton.transitions:
+            grown = active[t.src] | {g.clock for g in t.guard} | (
+                active[t.dst] - t.resets)
+            if grown != active[t.src]:
+                active[t.src], changed = grown, True
+    return {q: set(automaton.clocks) - a for q, a in active.items()
+            if set(automaton.clocks) - a}
+
+
+def names_of(automaton: TBA, inactive: dict[str, int]) -> dict[str, set[str]]:
+    return {q: {c for i, c in enumerate(automaton.clocks, start=1)
+                if mask >> i & 1} for q, mask in inactive.items()}
+
+
+class TestInactiveClocks:
+    def test_wide_band(self):
+        a = parse_tba(WIDE_BAND_SPEC.read_text(), 10)
+        assert names_of(a, a.inactive_clocks) == {
+            "q0": {"x"}, "q1": {"y"}, "bad": {"x", "y"}}
+
+    def test_clock_read_two_edges_later(self):
+        a = parse_tba(CHAIN_TEXT)
+        assert names_of(a, a.inactive_clocks) == {
+            "q0": {"x", "y"}, "p0": {"y"}, "p1": {"y"}, "p2": {"y"},
+            "p3": {"x", "y"}}
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_plain_iteration(self, seed):
+        rng = random.Random(seed)
+        a = random_tba(rng, n_clocks=3, n_locs=5, guard_ratio=0.2)
+        assert names_of(a, a.inactive_clocks) == reference_inactive(a)
+
+    def test_prune_compares_active_clocks_only(self):
+        a = parse_tba(WIDE_BAND_SPEC.read_text(), 10)
+        layout = ClockLayout(a.clocks, ("time",))
+        x, y = layout.index("x"), layout.index("y")
+        wide = layout.universal_zone().and_constraints(
+            [(x, 0, bound(4)), (y, 0, bound(3))])
+        late = layout.universal_zone().and_constraints(
+            [(0, x, bound(-5)), (y, 0, bound(2))])
+        inactive = a.inactive_clocks
+        for loc, kept in (("q0", [wide]), ("q1", [wide, late])):
+            # q0 never reads x, on which alone the zones are incomparable;
+            # q1 reads x
+            for zones in ([wide, late], [late, wide]):
+                states = [SymbolicState(loc, z) for z in zones]
+                assert prune_subsumed(states, {}) == states
+                assert {s.zone for s in prune_subsumed(states, inactive)
+                        } == set(kept)
 
 
 class TestIOAlternationProduct:

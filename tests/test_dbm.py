@@ -239,6 +239,15 @@ class TestUnionHelpers:
         small = zone_from([(1, 0, bound(2))])
         assert reduce_union([small, big]) == [big]
 
+    def test_reduce_union_leaves_out_skipped_clocks(self):
+        # dim 3: the zones differ only in clock 1, so with clock 1 left out
+        # the later one is covered by the first, which is kept whole.
+        a = zone_from([(1, 0, bound(2)), (2, 0, bound(5))])
+        b = zone_from([(0, 1, bound(-3)), (2, 0, bound(5))])
+        assert reduce_union([a, b]) == [a, b]
+        assert reduce_union([a, b], skip=0b10) == [a]
+        assert reduce_union([a, b], skip=0b100) == [a, b]
+
     def test_reduce_union_drops_empty(self):
         empty = zone_from([(1, 0, bound(0, strict=True))])
         assert reduce_union([empty]) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from delaymon.automata import (
     SymbolicState,
     TBA,
     Transition,
+    io_alternation_product,
+    parse_tba,
 )
 from delaymon.dbm import DBM, bound, included_in_union
 from delaymon.liveness import dump_map, intersects_nonempty, nonempty_states
@@ -22,6 +25,7 @@ from helpers_automata import (
     nonempty_contains,
     random_tba,
     scale_tba,
+    with_io,
 )
 from helpers_regions import RegionGraph
 
@@ -131,6 +135,50 @@ class TestProperties:
         assert set(m1.zones) == set(m2.zones)
         for q in m1.zones:
             assert federation_equals(m1.zones[q], m2.zones[q])
+
+
+SHIPPED = sorted(
+    p for d in ("perfbench/inputs", "tests/fixtures")
+    for p in (Path(__file__).parent.parent / d).glob("*.txt")
+    if not p.name.endswith("_trace.txt"))
+
+
+def freed_zones_stay_nonempty(a: TBA) -> int:
+    """Check that the nonempty set at each location is a cylinder in the
+    location's inactive clocks, which pruning modulo those clocks relies
+    on: every nonempty zone with them freed stays inside the set.  Returns
+    how many zones had a clock to free."""
+    nonempty = nonempty_states(a)
+    inactive = a.inactive_clocks
+    freed = 0
+    for q, zs in nonempty.zones.items():
+        skip = [i for i in range(1, 1 + len(a.clocks))
+                if inactive.get(q, 0) >> i & 1]
+        if not skip:
+            continue
+        for z in zs:
+            assert included_in_union(z.free(skip), zs), q
+            freed += 1
+    return freed
+
+
+class TestNonEmptyIsCylinderInInactiveClocks:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random(self, seed):
+        rng = random.Random(3000 + seed)
+        a = random_tba(rng, n_clocks=rng.choice([2, 3]), max_const=3,
+                       guard_ratio=0.3)
+        freed_zones_stay_nonempty(a)
+        freed_zones_stay_nonempty(io_alternation_product(with_io(a)))
+
+    def test_shipped_automata_and_io_products(self):
+        freed = 0
+        for path in SHIPPED:
+            a = parse_tba(path.read_text(), 10)
+            freed += freed_zones_stay_nonempty(a)
+            if a.has_io_partition:
+                freed += freed_zones_stay_nonempty(io_alternation_product(a))
+        assert len(SHIPPED) >= 16 and freed > 0
 
 
 class TestIntersection:
