@@ -3,13 +3,19 @@
 Guards are conjunctions of atomic constraints ``x ~ n`` against single
 clocks (no clock differences).  All constants are stored as scaled
 integers; the parser owns the decimal-to-integer scaling.
+
+The automaton numbers its own clocks: ``clocks[k]`` is DBM index ``k + 1``
+in every zone built for it, and the engines and the nonemptiness analysis
+append their auxiliary clocks after index ``n``.  Each transition is
+compiled once, when the automaton is built, into an :class:`Edge` whose
+guard and resets are already in that numbering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dbm import DBM, ScaleError, bound, parse_scaled, reduce_union
 
@@ -51,11 +57,21 @@ class Transition:
     guard: tuple[AtomicConstraint, ...] = ()
 
 
+class Edge(NamedTuple):
+    """A transition compiled against the automaton's clock numbering."""
+
+    src: str
+    dst: str
+    guard: tuple[tuple[int, int, int], ...]  # encoded DBM constraints
+    resets: tuple[int, ...]  # DBM indices
+
+
 @dataclass(frozen=True)
 class TBA:
     """A timed Büchi automaton (Q, Q0, Σ, C, Δ, F).
 
     ``inputs``/``outputs`` optionally partition the alphabet for testing.
+    ``compiled`` holds one :class:`Edge` per transition, in transition order.
     """
 
     alphabet: frozenset[str]
@@ -66,15 +82,30 @@ class TBA:
     accepting: frozenset[str]
     inputs: frozenset[str] = frozenset()
     outputs: frozenset[str] = frozenset()
-    _edges: dict = field(default_factory=dict, compare=False, repr=False)
+    compiled: tuple[Edge, ...] = field(init=False, compare=False, repr=False)
+    _edges: dict[tuple[str, str], list[Edge]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         errors = self.validate()
         if errors:
             raise TBAError("; ".join(errors))
-        by_key: dict[tuple[str, str], list[Transition]] = {}
+        index = {c: i for i, c in enumerate(self.clocks, start=1)}
+        compiled: list[Edge] = []
+        by_key: dict[tuple[str, str], list[Edge]] = {}
         for t in self.transitions:
-            by_key.setdefault((t.src, t.label), []).append(t)
+            guard = []
+            for g in t.guard:
+                i, c = index[g.clock], g.constant
+                if g.relation in ("<", "<=", "="):
+                    guard.append((i, 0, bound(c, strict=g.relation == "<")))
+                if g.relation in (">", ">=", "="):
+                    guard.append((0, i, bound(-c, strict=g.relation == ">")))
+            e = Edge(t.src, t.dst, tuple(guard),
+                     tuple(sorted(index[c] for c in t.resets)))
+            compiled.append(e)
+            by_key.setdefault((t.src, t.label), []).append(e)
+        object.__setattr__(self, "compiled", tuple(compiled))
         object.__setattr__(self, "_edges", by_key)
 
     def validate(self) -> list[str]:
@@ -116,33 +147,30 @@ class TBA:
     def has_io_partition(self) -> bool:
         return bool(self.inputs or self.outputs)
 
-    def edges(self, src: str, label: str) -> Sequence[Transition]:
+    def edges(self, src: str, label: str) -> Sequence[Edge]:
         return self._edges.get((src, label), ())
 
     @cached_property
     def inactive_clocks(self) -> dict[str, int]:
         """Per location, the clocks that every path resets before it reads
         them, as a bitmask with bit ``i`` for the clock at DBM index ``i``
-        (automaton clocks are ``1..n`` in every layout).  Locations with no
+        (the automaton's own numbering, ``1..n``).  Locations with no
         inactive clock are left out.  Computed on first use; do not mutate.
 
         This is the complement of the least fixpoint ``active(q) =
         ⋃_{q→q'} guard_clocks(e) ∪ (active(q') − resets(e))`` (Daws &
         Yovine, "Reducing the number of clock variables of timed automata",
         RTSS 1996), solved by a worklist over predecessor edges."""
-        bits = {c: 1 << i for i, c in enumerate(self.clocks, start=1)}
-        every = sum(bits.values())
+        every = sum(1 << i for i in range(1, len(self.clocks) + 1))
         active = dict.fromkeys(self.locations, 0)
         preds: dict[str, list[tuple[str, int]]] = {q: [] for q in active}
-        for t in self.transitions:
-            read = 0
-            for g in t.guard:
-                read |= bits[g.clock]
-            active[t.src] |= read
+        for e in self.compiled:
+            for i, j, _ in e.guard:
+                active[e.src] |= 1 << (i or j)
             kept = every
-            for c in t.resets:
-                kept &= ~bits[c]
-            preds[t.dst].append((t.src, kept))
+            for i in e.resets:
+                kept &= ~(1 << i)
+            preds[e.dst].append((e.src, kept))
         work = [q for q, a in active.items() if a]
         while work:
             q = work.pop()
@@ -161,83 +189,30 @@ class SymbolicState:
     zone: DBM
 
 
-# -- clock layout ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClockLayout:
-    """Mapping of named clocks to DBM indices.
-
-    Index 0 is the reference clock; automaton clocks come first, then
-    auxiliary clocks (time, event-time, ...).  Auxiliary clocks listed in
-    ``unsigned`` are allowed to go negative.
-    """
-
-    automaton_clocks: tuple[str, ...]
-    aux_clocks: tuple[str, ...] = ()
-    unsigned: frozenset[str] = frozenset()
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        names = self.automaton_clocks + self.aux_clocks
-        object.__setattr__(
-            self, "_index", {c: i for i, c in enumerate(names, start=1)})
-
-    @property
-    def dim(self) -> int:
-        return 1 + len(self.automaton_clocks) + len(self.aux_clocks)
-
-    def index(self, clock: str) -> int:
-        try:
-            return self._index[clock]
-        except KeyError:
-            raise KeyError(f"unknown clock {clock!r}") from None
-
-    def automaton_indices(self) -> list[int]:
-        return list(range(1, 1 + len(self.automaton_clocks)))
-
-    def universal_zone(self) -> DBM:
-        nonneg = set(range(1, self.dim))
-        for c in self.unsigned:
-            nonneg.discard(self.index(c))
-        return DBM.universal(self.dim, nonneg=nonneg)
-
-
-def guard_constraints(
-    guard: Iterable[AtomicConstraint], layout: ClockLayout
-) -> list[tuple[int, int, int]]:
-    """Translate a guard into encoded DBM constraints."""
-    out: list[tuple[int, int, int]] = []
-    for g in guard:
-        i = layout.index(g.clock)
-        c = g.constant
-        if g.relation in ("<", "<="):
-            out.append((i, 0, bound(c, strict=g.relation == "<")))
-        elif g.relation in (">", ">="):
-            out.append((0, i, bound(-c, strict=g.relation == ">")))
-        else:  # =
-            out.append((i, 0, bound(c)))
-            out.append((0, i, bound(-c)))
-    return out
-
-
 # -- symbolic successor operators -------------------------------------------
 
 
-def post(
-    s: SymbolicState, a: str, automaton: TBA, layout: ClockLayout
-) -> list[SymbolicState]:
-    """Discrete-plus-delay successor: up, guard, reset, per a-edge."""
+def post(states: Iterable[SymbolicState], a: str, automaton: TBA,
+         window: Sequence[tuple[int, int, int]]) -> list[SymbolicState]:
+    """Successors of a reach set on one ``a`` event: time elapses (``up``),
+    the constraints ``window`` that hold at the event instant are met, then
+    each ``a``-edge's guard and reset apply.  A state whose location has no
+    ``a``-edge costs no zone work.  Empty successors are dropped; the rest
+    are returned unpruned, in state and edge order."""
     if a not in automaton.alphabet:
         raise TBAError(f"symbol {a!r} not in alphabet")
-    up = s.zone.up()
     out: list[SymbolicState] = []
-    for t in automaton.edges(s.location, a):
-        z = up.and_constraints(guard_constraints(t.guard, layout))
+    for s in states:
+        edges = automaton.edges(s.location, a)
+        if not edges:
+            continue
+        z = s.zone.up().and_constraints(window)
         if z.is_empty():
             continue
-        z = z.reset([layout.index(c) for c in t.resets])
-        out.append(SymbolicState(t.dst, z))
+        for e in edges:
+            g = z.and_constraints(e.guard)
+            if not g.is_empty():
+                out.append(SymbolicState(e.dst, g.reset(e.resets)))
     return out
 
 

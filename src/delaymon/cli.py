@@ -101,9 +101,11 @@ def read_trace(stream: TextIO, scale: int) -> Iterator[TraceEvent]:
 def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
                  jitters: dict[str, int], inputs: frozenset[str],
                  seed: int) -> list[TraceEvent]:
-    """Turn a ground-truth trace into an observed one by shifting outputs
-    forward and input stimuli backward by the assigned latency plus seeded
-    jitter.  Rejects schedules where the shifts would reorder the channel."""
+    """Turn a ground-truth trace into an observed one by shifting the
+    stimuli (``inputs``: the test-mode inputs, empty in the other modes)
+    backward and every other event forward by the assigned latency plus
+    seeded jitter.  Rejects schedules where the shifts would reorder the
+    channel."""
     rng = random.Random(seed)
     out: list[TraceEvent] = []
     last = 0
@@ -298,20 +300,27 @@ def run_stream(args, out: TextIO) -> int:
         jitters = {"din": io_bounds.input.jitter,
                    "dout": io_bounds.output.jitter}
         inject_bounds = {"din": io_bounds.input, "dout": io_bounds.output}
+        stimuli = spec.inputs
     else:
         bounds = (DelayBounds(0, 0, 0) if args.mode == "classic"
                   else _bounds_pair(args, "", scale))
         engine = Monitor(spec, comp, bounds)
         observe = engine.observe
         block = monitor_block
-        jitters = {"din": 0, "dout": bounds.jitter}
+        # Every event goes through the one output channel.
+        jitters = {"dout": bounds.jitter}
         inject_bounds = {"dout": bounds}
+        stimuli = frozenset()
 
     with _open_trace(args.trace) as stream:
         events: Iterable[TraceEvent] = read_trace(stream, scale)
 
         if args.inject:
             assigned, seed = _parse_inject(args.inject, scale)
+            if "din" not in inject_bounds and "din" in assigned:
+                raise CliError(
+                    f"--inject: din applies to test mode only; {args.mode} "
+                    f"mode delays every event by dout")
             for key, b in inject_bounds.items():
                 if key not in assigned:
                     raise CliError(f"--inject: missing {key}")
@@ -320,9 +329,8 @@ def run_stream(args, out: TextIO) -> int:
                              or assigned[key] <= b.latency_high)):
                     raise CliError(
                         f"--inject: {key} outside the declared bounds")
-            assigned.setdefault("din", 0)
             events = inject_delay(list(events), assigned, jitters,
-                                  spec.inputs, seed)
+                                  stimuli, seed)
 
         csv_rows = [CSV_HEADER] if args.csv else None
         timings_ns: list[int] = []

@@ -15,13 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .automata import (
-    TBA,
-    ClockLayout,
-    SymbolicState,
-    Transition,
-    guard_constraints,
-)
+from .automata import TBA, Edge, SymbolicState
 from .dbm import (
     DBM,
     LE_ZERO,
@@ -33,8 +27,6 @@ from .dbm import (
     reduce_union,
 )
 
-DIVERGENCE_CLOCK = "_z"
-
 
 class LivenessError(RuntimeError):
     """The analysis exceeded its iteration budget or did not stabilize."""
@@ -45,12 +37,12 @@ class NonEmptyMap:
     """Per-location federation of zones over the automaton clocks.
 
     ``constraints`` holds each zone's finite off-diagonal entries as
-    ``(i, j, bound)`` tuples.  Every engine layout numbers the automaton
-    clocks ``1..n`` in the same order as these zones do, so the tuples
-    apply unchanged to a reach zone: tightening it by them meets it with
-    the nonempty zone, and on a canonical reach zone this is the same as
-    meeting its projection onto the automaton clocks (a canonical DBM's
-    projection is its sub-matrix)."""
+    ``(i, j, bound)`` tuples.  Every zone built for the automaton numbers
+    its clocks ``1..n`` as these zones do and appends auxiliary clocks
+    after them, so the tuples apply unchanged to a reach zone: tightening
+    it by them meets it with the nonempty zone, and on a canonical reach
+    zone this is the same as meeting its projection onto the automaton
+    clocks (a canonical DBM's projection is its sub-matrix)."""
 
     clocks: tuple[str, ...]
     zones: dict[str, tuple[DBM, ...]]
@@ -63,16 +55,16 @@ class NonEmptyMap:
             for q, zs in self.zones.items()})
 
 
-def _pre_edge(t: Transition, zone: DBM, layout: ClockLayout) -> DBM | None:
-    """States that can delay and take ``t`` into ``zone``."""
-    lam = [layout.index(c) for c in t.resets]
+def _pre_edge(e: Edge, zone: DBM) -> DBM | None:
+    """States that can delay and take ``e`` into ``zone``."""
+    lam = e.resets
     z = zone.and_constraints(
         [(i, 0, LE_ZERO) for i in lam] + [(0, i, LE_ZERO) for i in lam])
     if z.is_empty():
         return None
     if lam:
         z = z.free(lam)
-    z = z.and_constraints(guard_constraints(t.guard, layout))
+    z = z.and_constraints(e.guard)
     if z.is_empty():
         return None
     return z.down()
@@ -80,14 +72,13 @@ def _pre_edge(t: Transition, zone: DBM, layout: ClockLayout) -> DBM | None:
 
 def _backward_reach(
     automaton: TBA,
-    layout: ClockLayout,
     targets: dict[str, list[DBM]],
     include_targets: bool,
     max_insertions: int,
 ) -> dict[str, list[DBM]]:
-    by_dst: dict[str, list[Transition]] = {}
-    for t in automaton.transitions:
-        by_dst.setdefault(t.dst, []).append(t)
+    by_dst: dict[str, list[Edge]] = {}
+    for e in automaton.compiled:
+        by_dst.setdefault(e.dst, []).append(e)
     result: dict[str, list[DBM]] = (
         {q: list(zs) for q, zs in targets.items()} if include_targets else {})
     queue: deque[tuple[str, DBM]] = deque(
@@ -95,16 +86,16 @@ def _backward_reach(
     inserted = 0
     while queue:
         loc, zone = queue.popleft()
-        for t in by_dst.get(loc, ()):
-            p = _pre_edge(t, zone, layout)
+        for e in by_dst.get(loc, ()):
+            p = _pre_edge(e, zone)
             if p is None:
                 continue
-            have = result.setdefault(t.src, [])
+            have = result.setdefault(e.src, [])
             if included_in_union(p, have):
                 continue
             have[:] = [z for z in have if not p.includes(z)]
             have.append(p)
-            queue.append((t.src, p))
+            queue.append((e.src, p))
             inserted += 1
             if inserted > max_insertions:
                 raise LivenessError(
@@ -136,8 +127,7 @@ def nonempty_states(
     grow beyond every bound.
     """
     n_c = len(automaton.clocks)
-    layout = ClockLayout(automaton.clocks + (DIVERGENCE_CLOCK,))
-    zi = layout.index(DIVERGENCE_CLOCK)
+    zi = n_c + 1  # the divergence clock, after the automaton's
     one = 1  # the divergence clock counts raw scaled units
 
     # greatest fixpoint: accepting states allowing one more productive lap
@@ -153,7 +143,7 @@ def nonempty_states(
         }
         targets = {q: [z for z in zs if not z.is_empty()]
                    for q, zs in targets.items()}
-        back = _backward_reach(automaton, layout, targets,
+        back = _backward_reach(automaton, targets,
                                include_targets=False,
                                max_insertions=max_insertions)
         refreshed: dict[str, list[DBM]] = {}
@@ -176,9 +166,8 @@ def nonempty_states(
         raise LivenessError("recurrence fixpoint did not stabilize")
 
     # collect everything that can reach the recurrent core
-    plain = ClockLayout(automaton.clocks)
     targets = {q: [z.down() for z in zs] for q, zs in core.items()}
-    reach = _backward_reach(automaton, plain, targets,
+    reach = _backward_reach(automaton, targets,
                             include_targets=True,
                             max_insertions=max_insertions)
     return NonEmptyMap(
@@ -187,17 +176,12 @@ def nonempty_states(
     )
 
 
-def intersects_nonempty(
-    states: Iterable[SymbolicState],
-    nonempty: NonEmptyMap,
-    layout: ClockLayout,
-) -> bool:
+def intersects_nonempty(states: Iterable[SymbolicState],
+                        nonempty: NonEmptyMap) -> bool:
     """True iff some reach-set state overlaps the nonempty-language states.
 
     Stops at the first hit: ``states`` is consumed no further than the first
     state that overlaps, so a lazy input does no work past it."""
-    if layout.automaton_clocks != nonempty.clocks:
-        raise ValueError("clock layout does not match the nonempty map")
     live = nonempty.constraints
     for s in states:
         for cons in live.get(s.location, ()):

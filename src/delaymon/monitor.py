@@ -14,11 +14,24 @@ direction)``:
 
 The difference between a channel clock and ``time`` stays constant along a
 run and equals that channel's latency.  Channels are used in table order,
-round-robin.  Verdicts are three-valued: a polarity becomes impossible
-exactly when its reach-set stops intersecting the corresponding
-nonempty-language states.  The verdict probes this lazily: each reach state
-is advanced to the query time one at a time, and the probe stops at the
-first advanced state that meets a nonempty zone.
+round-robin.  A zone numbers the automaton's clocks ``1..n`` as the
+automaton does, then ``time`` is ``n + 1`` and the channel clocks follow
+from ``n + 2`` in table order.
+
+An observation is one symbolic step per reach state
+(:func:`delaymon.automata.post`): up, then the channel window (the range of
+the channel clock for the event's stamp), then each edge's guard and reset.
+This gives the same canonical zones as meeting the window after the reset:
+the window bounds only the channel clock, which no guard reads and no reset
+touches, so meeting it commutes with both, and a nonempty zone has one
+canonical DBM.  So the window is met once per state, not once per
+successor.
+
+Verdicts are three-valued: a polarity becomes impossible exactly when its
+reach-set stops intersecting the corresponding nonempty-language states.
+The verdict probes this lazily: each reach state is advanced to the query
+time one at a time, and the probe stops at the first advanced state that
+meets a nonempty zone.
 
 Each observation prunes the reach-set modulo inactive clocks (Daws & Yovine,
 "Reducing the number of clock variables of timed automata", RTSS 1996): a
@@ -45,19 +58,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .automata import (
-    TBA,
-    ClockLayout,
-    SymbolicState,
-    post,
-    prune_subsumed,
-)
-from .dbm import (
-    INF,
-    Interval,
-    bound,
-    merge_intervals,
-)
+from .automata import TBA, SymbolicState, post, prune_subsumed
+from .dbm import DBM, INF, Interval, bound, merge_intervals
 from .liveness import NonEmptyMap, intersects_nonempty, nonempty_states
 
 TIME = "time"
@@ -127,7 +129,6 @@ class _Side:
     """One automaton's half of an engine."""
 
     automaton: TBA
-    layout: ClockLayout
     nonempty: NonEmptyMap
     measures: list[tuple[int, int, int, int]]  # Measure with clock indices
     channel_clocks: tuple[int, ...]  # each channel's clock index
@@ -157,14 +158,9 @@ def _window(channel: Channel, tau: int) -> tuple[int, int]:
 
 def _step(side: _Side, symbol: str, ci: int, lo: int, hi: int
           ) -> list[SymbolicState]:
-    cons = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
-    out: list[SymbolicState] = []
-    for s in side.reach:
-        for p in post(s, symbol, side.automaton, side.layout):
-            z = p.zone.and_constraints(cons)
-            if not z.is_empty():
-                out.append(SymbolicState(p.location, z))
-    return prune_subsumed(out, side.inactive)
+    window = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
+    return prune_subsumed(post(side.reach, symbol, side.automaton, window),
+                          side.inactive)
 
 
 def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
@@ -220,22 +216,26 @@ class _Engine:
 
     def _make_side(self, automaton: TBA, measures: tuple[Measure, ...]
                    ) -> _Side:
-        layout = ClockLayout(
-            automaton.clocks, (TIME,) + tuple(c for c, _, _ in self.channels),
-            unsigned=frozenset(c for c, _, d in self.channels if d == INPUT))
-        resolved = [(layout.index(x), layout.index(y), lo, hi)
-                    for x, y, lo, hi in measures]
+        # The automaton's clocks are 1..n; time and the channel clocks
+        # follow them.
+        n = len(automaton.clocks)
+        index = {c: i for i, (c, _, _) in enumerate(self.channels, n + 2)}
+        index[TIME] = n + 1
+        resolved = [(index[x], index[y], lo, hi) for x, y, lo, hi in measures]
         # Initially only the measures' declared ranges constrain the aux
         # clocks (a round-trip range is implied by the channel ranges).
-        cons = [(i, 0, bound(0)) for i in layout.automaton_indices()]
-        cons.append((layout.index(TIME), 0, bound(0)))
+        cons = [(i, 0, bound(0)) for i in range(1, n + 2)]
         for xi, yi, lo, hi in resolved:
             cons.append((yi, xi, bound(-lo)))
             if hi != INF:
                 cons.append((xi, yi, bound(hi)))
-        z0 = layout.universal_zone().and_constraints(cons)
-        return _Side(automaton, layout, nonempty_states(automaton), resolved,
-                     tuple(layout.index(c) for c, _, _ in self.channels),
+        # input channel clocks start negative
+        signed = {index[c] for c, _, d in self.channels if d == INPUT}
+        dim = n + 2 + len(self.channels)
+        z0 = DBM.universal(dim, set(range(1, dim)) - signed).and_constraints(
+            cons)
+        return _Side(automaton, nonempty_states(automaton), resolved,
+                     tuple(index[c] for c, _, _ in self.channels),
                      automaton.inactive_clocks,
                      [SymbolicState(q, z0) for q in automaton.initial])
 
@@ -283,10 +283,10 @@ class _Engine:
         cutoff = _window(self.channels[k], t)[0]
         pos_live = intersects_nonempty(
             _advance(self.pos, self.pos.channel_clocks[k], cutoff),
-            self.pos.nonempty, self.pos.layout)
+            self.pos.nonempty)
         neg_live = intersects_nonempty(
             _advance(self.neg, self.neg.channel_clocks[k], cutoff),
-            self.neg.nonempty, self.neg.layout)
+            self.neg.nonempty)
         if not pos_live and not neg_live:
             raise ComplementViolationError(
                 "no ground truth fits either automaton; the complement "

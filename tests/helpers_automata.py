@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from delaymon.automata import (
     TBA,
     AtomicConstraint,
-    ClockLayout,
     SymbolicState,
     Transition,
     post,
@@ -246,7 +245,9 @@ def explicit_run(automaton: TBA, events: list[tuple[str, int]]
         nxt: set[ConcreteState] = set()
         for s in states:
             vals = tuple(v + elapsed for v in s.clocks)
-            for t in automaton.edges(s.location, sym):
+            for t in automaton.transitions:
+                if (t.src, t.label) != (s.location, sym):
+                    continue
                 named = dict(zip(automaton.clocks, vals))
                 if all(holds(g, named[g.clock]) for g in t.guard):
                     after = tuple(
@@ -258,19 +259,13 @@ def explicit_run(automaton: TBA, events: list[tuple[str, int]]
     return states
 
 
-def succ(states: list[SymbolicState], a: str, tau: int, automaton: TBA,
-         layout: ClockLayout) -> list[SymbolicState]:
-    """Delay-free symbolic successor set: ``post``, then pin the auxiliary
-    ``time`` clock to ``tau``."""
-    ti = layout.index("time")
+def succ(states: list[SymbolicState], a: str, tau: int, automaton: TBA
+         ) -> list[SymbolicState]:
+    """Delay-free symbolic successor set: ``post`` with the auxiliary
+    ``time`` clock, the one after the automaton's, pinned to ``tau``."""
+    ti = len(automaton.clocks) + 1
     pinned = [(ti, 0, bound(tau)), (0, ti, bound(-tau))]
-    out = []
-    for s in states:
-        for p in post(s, a, automaton, layout):
-            z = p.zone.and_constraints(pinned)
-            if not z.is_empty():
-                out.append(SymbolicState(p.location, z))
-    return prune_subsumed(out, {})
+    return prune_subsumed(post(states, a, automaton, pinned), {})
 
 
 def random_timestamps(rng: random.Random, n: int, max_step: int = 4

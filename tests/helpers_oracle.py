@@ -142,8 +142,9 @@ def _paths(automaton: TBA, word: list[str]):
     for sym in word:
         nxt = []
         for q, path in stack:
-            for t in automaton.edges(q, sym):
-                nxt.append((t.dst, path + [t]))
+            for t in automaton.transitions:
+                if (t.src, t.label) == (q, sym):
+                    nxt.append((t.dst, path + [t]))
         stack = nxt
     return stack
 

@@ -46,7 +46,7 @@ from helpers_automata import (
 from helpers_oracle import IOOracleBounds, OracleBounds, oracle_io_verdict, \
     oracle_verdict
 from helpers_regions import RegionGraph
-from test_monitor import DENOM, make_monitor, random_setup, spans
+from test_monitor import DENOM, ETIME, X, make_monitor, random_setup, spans
 from test_tester import random_io_setup
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,7 +60,7 @@ class TestSymbolicStateRegression:
     def test_initial_state(self):
         m = make_monitor(0, 100, 2)
         (s,) = m.pos.reach
-        x, e = m.pos.layout.index("x"), m.pos.layout.index("etime")
+        x, e = X, ETIME
         assert s.location == "q0"
         # [DERIVED] x = 0 and the event clock ranges over the latency band.
         assert spans([s.zone.difference_bounds(x, 0)]) == [
@@ -71,7 +71,7 @@ class TestSymbolicStateRegression:
     def test_state_after_first_observation(self):
         m = make_monitor(0, 100, 2)
         assert m.observe("a", 173) is Verdict.INCONCLUSIVE
-        x, e = m.pos.layout.index("x"), m.pos.layout.index("etime")
+        x, e = X, ETIME
         assert {s.location for s in m.pos.reach} == {"q1", "bad"}
         (s,) = [st for st in m.pos.reach if st.location == "q1"]
         # [DERIVED] on-time branch: ground delivery within the guard window.
@@ -92,7 +92,7 @@ class TestSymbolicStateRegression:
         m = make_monitor(0, 100, 2)
         m.observe("a", 173)
         assert m.observe("b", 275) is Verdict.INCONCLUSIVE
-        x, e = m.pos.layout.index("x"), m.pos.layout.index("etime")
+        x, e = X, ETIME
         (s,) = [st for st in m.pos.reach if st.location == "good"]
         assert spans([s.zone.difference_bounds(x, 0)]) == [
             (200, True, 204, False)]
@@ -488,11 +488,16 @@ class TestBenchmark:
 class TestNoClosurePerEvent:
     """Every zone operation keeps its DBM canonical incrementally, so a
     gear session (observe plus latency report per event) runs no full
-    Floyd-Warshall closure in classic, monitor or test mode."""
+    Floyd-Warshall closure in classic, monitor or test mode.  Each event's
+    symbolic step builds a fixed number of zones."""
 
     PAIRS = 100
+    # DBMs built per observe; 14 when the channel window was met after each
+    # edge's guard and reset, and up() ran at locations without the edge
+    ALLOCS_PER_EVENT = 11
 
-    def test_gear_session_closes_no_matrix(self, monkeypatch):
+    def runs(self) -> list:
+        """(engine, observe, events) for classic, monitor and test mode."""
         spec = request_response_tba(True, 150, 1205, "ReqNewGear", "NewGear")
         comp = request_response_tba(False, 150, 1205, "ReqNewGear", "NewGear")
         events = gear_trace(self.PAIRS)
@@ -502,10 +507,33 @@ class TestNoClosurePerEvent:
         delayed = Monitor(spec, comp, DelayBounds(0, 100, 10))
         tester = Tester(spec, comp, IODelayBounds(
             DelayBounds(10, 50, 10), DelayBounds(60, 100, 10)))
-        runs = [(classic, classic.observe, ground),
+        return [(classic, classic.observe, ground),
                 (delayed, delayed.observe, events),
                 (tester, tester.observe_io, events)]
 
+    def test_gear_session_allocates_fixed_zones(self, monkeypatch):
+        runs = self.runs()
+        allocs = []
+        init = DBM.__init__
+
+        def counted(dbm, *args, **kwargs):
+            allocs.append(dbm)
+            init(dbm, *args, **kwargs)
+        monkeypatch.setattr(DBM, "__init__", counted)
+
+        per_event = []
+        for engine, observe, evs in runs:
+            built = 0
+            for sym, tau in evs:
+                before = len(allocs)
+                assert observe(sym, tau) is Verdict.INCONCLUSIVE
+                built += len(allocs) - before
+                engine.latency_report()
+            per_event.append(built / len(evs))
+        assert per_event == [self.ALLOCS_PER_EVENT] * 3
+
+    def test_gear_session_closes_no_matrix(self, monkeypatch):
+        runs = self.runs()
         closures = []
         close = DBM._close_in_place
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from delaymon.automata import (
     TBA,
     AtomicConstraint,
-    ClockLayout,
+    Edge,
     SymbolicState,
     TBAError,
     TBAParseError,
@@ -20,7 +21,7 @@ from delaymon.automata import (
     post,
     prune_subsumed,
 )
-from delaymon.dbm import bound
+from delaymon.dbm import DBM, bound
 
 from helpers_automata import (
     ConcreteState,
@@ -77,6 +78,13 @@ class TestParsing:
         a = parse_tba(EXAMPLE_TEXT, scale=10)
         (t,) = [t for t in a.transitions if t.src == "q0" and t.dst == "q1"]
         assert t.guard == (AtomicConstraint("x", "<=", 100),)
+        # compiled once, with x at DBM index 1; replace() rebuilds the
+        # same edge table
+        assert Edge("q0", "q1", ((1, 0, bound(100)),), ()) in a.compiled
+        b = dataclasses.replace(a, accepting=frozenset({"q0", "bad"}))
+        assert b.compiled == a.compiled
+        assert all(b.edges(q, sym) == a.edges(q, sym)
+                   for q in a.locations for sym in a.alphabet)
 
     def test_fractional_constant_scales(self):
         a = parse_tba(
@@ -122,71 +130,65 @@ class TestParsing:
         a = parse_tba("alphabet a\nclocks x y\nlocation q initial\n"
                       "edge q -> q on a when x<=3 reset x y\n")
         assert a.transitions[0].resets == {"x", "y"}
+        assert a.compiled[0].resets == (1, 2)
 
 
-def monitor_layout() -> ClockLayout:
-    return ClockLayout(("x",), ("time", "etime"))
+# The zones of a monitor over eventually_then_safe_tba: its clock x, then
+# the engine's time and etime.
+X, TIME, DIM = 1, 2, 4
 
 
 class TestPost:
     def test_branching_on_threshold(self):
         a = eventually_then_safe_tba(accept_good=True)
-        layout = ClockLayout(("x",), ("time", "etime"))
-        z0 = zero_zone(layout.dim)
-        out = post(SymbolicState("q0", z0), "a", a, layout)
+        z0 = zero_zone(DIM)
+        out = post([SymbolicState("q0", z0)], "a", a, [])
         assert {s.location for s in out} == {"q1", "bad"}
 
     def test_self_loop_keeps_location(self):
         a = eventually_then_safe_tba(accept_good=True)
-        layout = monitor_layout()
-        z = layout.universal_zone()
-        out = post(SymbolicState("good", z), "a", a, layout)
+        z = DBM.universal(DIM)
+        out = post([SymbolicState("good", z)], "a", a, [])
         assert [s.location for s in out] == ["good"]
 
     def test_unknown_symbol_rejected(self):
         a = eventually_then_safe_tba(accept_good=True)
         with pytest.raises(TBAError, match="alphabet"):
-            post(SymbolicState("q0", zero_zone(4)), "zz", a, monitor_layout())
+            post([SymbolicState("q0", zero_zone(DIM))], "zz", a, [])
 
     def test_empty_guard_drops_candidate(self):
         a = eventually_then_safe_tba(accept_good=True)
-        layout = monitor_layout()
         # pin x above 20: the x<=10 edge candidate must be dropped
-        z = layout.universal_zone().and_constraints(
-            [(0, layout.index("x"), bound(-300))])
-        out = post(SymbolicState("q0", z), "a", a, layout)
+        z = DBM.universal(DIM).and_constraints([(0, X, bound(-300))])
+        out = post([SymbolicState("q0", z)], "a", a, [])
         assert {s.location for s in out} == {"bad"}
 
 
 class TestSucc:
     def test_delay_free_single_event(self):
         a = eventually_then_safe_tba(accept_good=True)
-        layout = monitor_layout()
-        s0 = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
-        out = succ(s0, "a", 173, a, layout)
+        s0 = [SymbolicState(q, zero_zone(DIM)) for q in a.initial]
+        out = succ(s0, "a", 173, a)
         assert {s.location for s in out} == {"bad"}
         (s,) = out
-        iv = s.zone.difference_bounds(layout.index("x"), 0)
+        iv = s.zone.difference_bounds(X, 0)
         assert (iv.lo, iv.hi) == (173, 173)
-        tv = s.zone.difference_bounds(layout.index("time"), 0)
+        tv = s.zone.difference_bounds(TIME, 0)
         assert (tv.lo, tv.hi) == (173, 173)
 
     def test_time_regression_gives_empty(self):
         a = eventually_then_safe_tba(accept_good=True)
-        layout = monitor_layout()
-        s0 = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
-        s1 = succ(s0, "a", 50, a, layout)
-        assert succ(s1, "a", 30, a, layout) == []
+        s0 = [SymbolicState(q, zero_zone(DIM)) for q in a.initial]
+        s1 = succ(s0, "a", 50, a)
+        assert succ(s1, "a", 30, a) == []
 
     def test_zones_pin_time_exactly(self):
         a = eventually_then_safe_tba(accept_good=True)
-        layout = monitor_layout()
-        s0 = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
+        s0 = [SymbolicState(q, zero_zone(DIM)) for q in a.initial]
         for tau in (30, 80, 150):
-            s0 = succ(s0, "a", tau, a, layout)
-            ti = layout.index("time")
+            s0 = succ(s0, "a", tau, a)
             for s in s0:
-                iv = s.zone.difference_bounds(ti, 0)
+                iv = s.zone.difference_bounds(TIME, 0)
                 assert (iv.lo, iv.hi, iv.lo_strict, iv.hi_strict) == (
                     tau, tau, False, False)
 
@@ -195,19 +197,19 @@ class TestSucc:
         """Delay-free symbolic reach equals brute-force enumeration."""
         rng = random.Random(seed)
         a = random_tba(rng)
-        layout = ClockLayout(a.clocks, ("time",))
         times = random_timestamps(rng, 5)
         word = [(rng.choice(["a", "b"]), t) for t in times]
-        sym = [SymbolicState(q, zero_zone(layout.dim)) for q in a.initial]
+        sym = [SymbolicState(q, zero_zone(len(a.clocks) + 2))
+               for q in a.initial]
         for lbl, tau in word:
-            sym = succ(sym, lbl, tau, a, layout)
+            sym = succ(sym, lbl, tau, a)
         expected = explicit_run(a, word)
         got: set[ConcreteState] = set()
         for s in sym:
             # each zone is a single point here: times are fully determined
             vals = []
-            for c in a.clocks:
-                iv = s.zone.difference_bounds(layout.index(c), 0)
+            for i in range(1, len(a.clocks) + 1):
+                iv = s.zone.difference_bounds(i, 0)
                 assert iv.lo == iv.hi
                 vals.append(iv.lo)
             got.add(ConcreteState(s.location, tuple(vals)))
@@ -275,11 +277,10 @@ class TestInactiveClocks:
 
     def test_prune_compares_active_clocks_only(self):
         a = parse_tba(WIDE_BAND_SPEC.read_text(), 10)
-        layout = ClockLayout(a.clocks, ("time",))
-        x, y = layout.index("x"), layout.index("y")
-        wide = layout.universal_zone().and_constraints(
+        x, y, dim = 1, 2, 4  # then time
+        wide = DBM.universal(dim).and_constraints(
             [(x, 0, bound(4)), (y, 0, bound(3))])
-        late = layout.universal_zone().and_constraints(
+        late = DBM.universal(dim).and_constraints(
             [(0, x, bound(-5)), (y, 0, bound(2))])
         inactive = a.inactive_clocks
         for loc, kept in (("q0", [wide]), ("q1", [wide, late])):
@@ -316,12 +317,11 @@ class TestIOAlternationProduct:
             "location q initial accepting\n"
             "edge q -> q on i\nedge q -> q on o\n")
         prod = io_alternation_product(base)
-        layout = ClockLayout((), ("time",))
-        s = [SymbolicState(q, zero_zone(layout.dim)) for q in prod.initial]
-        s = succ(s, "i", 10, prod, layout)
+        s = [SymbolicState(q, zero_zone(2)) for q in prod.initial]  # time
+        s = succ(s, "i", 10, prod)
         assert s
-        assert succ(s, "i", 20, prod, layout) == []
-        assert succ(s, "o", 20, prod, layout)
+        assert succ(s, "i", 20, prod) == []
+        assert succ(s, "o", 20, prod)
 
     def test_alternating_word_follows_original(self):
         base = parse_tba(
@@ -330,10 +330,9 @@ class TestIOAlternationProduct:
             "edge p -> q on i when x<=5 reset x\n"
             "edge q -> p on o when x<=5\n")
         prod = io_alternation_product(base)
-        layout = ClockLayout(("x",), ("time",))
-        s = [SymbolicState(q, zero_zone(layout.dim)) for q in prod.initial]
+        s = [SymbolicState(q, zero_zone(3)) for q in prod.initial]  # x, time
         for lbl, tau in [("i", 3), ("o", 5), ("i", 8)]:
-            s = succ(s, lbl, tau, prod, layout)
+            s = succ(s, lbl, tau, prod)
             assert s, f"stuck at {(lbl, tau)}"
         base_states = explicit_run(base, [("i", 3), ("o", 5), ("i", 8)])
         assert {st.location for st in base_states} == {

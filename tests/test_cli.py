@@ -279,6 +279,28 @@ class TestInjectReplay:
         assert code == 3
         assert "reorder" in err
 
+    def test_monitor_mode_shifts_every_event(self, capsys, tmp_path):
+        # Outside test mode the spec's inputs are ordinary events on the
+        # one output channel: they move forward with the outputs.
+        trace = write_trace(tmp_path, "@1000 ReqNewGear\n@1700 NewGear\n")
+        _, out, _ = run(capsys, GEAR_ARGS[:6] + [
+            "--mode", "monitor", "--latency", "0", "100", "--trace", trace,
+            "--inject", "dout:50,seed:1"])
+        assert self.observed_times(out) == [
+            "Input: @1050 ReqNewGear", "Input: @1750 NewGear"]
+
+    @pytest.mark.parametrize("mode", ["classic", "monitor"])
+    def test_din_rejected_outside_test_mode(self, capsys, tmp_path, mode):
+        trace = write_trace(tmp_path, "@1000 ReqNewGear\n@1700 NewGear\n")
+        latency = ["--latency", "0", "100"] if mode == "monitor" else []
+        code, out, err = run(capsys, GEAR_ARGS[:6] + [
+            "--mode", mode, *latency, "--trace", trace,
+            "--inject", "din:30,dout:0,seed:1"])
+        assert code == 3
+        assert err == (f"error: --inject: din applies to test mode only; "
+                       f"{mode} mode delays every event by dout\n")
+        assert out == ""
+
     def test_unknown_inject_key(self, capsys, tmp_path):
         trace = write_trace(tmp_path, self.GROUND)
         code, _, err = run(capsys, GEAR_ARGS + [

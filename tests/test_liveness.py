@@ -10,7 +10,6 @@ import pytest
 
 from delaymon.automata import (
     AtomicConstraint,
-    ClockLayout,
     SymbolicState,
     TBA,
     Transition,
@@ -181,36 +180,37 @@ class TestNonEmptyIsCylinderInInactiveClocks:
         assert len(SHIPPED) >= 16 and freed > 0
 
 
+# A monitor's zones over eventually_then_safe_tba: x, then time and etime.
+MONITOR_DIM = 4
+
+
 class TestIntersection:
     def test_empty_reach_set(self):
         m = nonempty_states(eventually_then_safe_tba(accept_good=True))
-        layout = ClockLayout(("x",), ("time", "etime"))
-        assert not intersects_nonempty([], m, layout)
+        assert not intersects_nonempty([], m)
 
     def test_projection_before_test(self):
         m = nonempty_states(eventually_then_safe_tba(accept_good=True))
-        layout = ClockLayout(("x",), ("time", "etime"))
         # x pinned to 150 at q0: outside the x <= 100 nonempty zone
-        z = layout.universal_zone().and_constraints(
+        z = DBM.universal(MONITOR_DIM).and_constraints(
             [(1, 0, bound(150)), (0, 1, bound(-150))])
-        assert not intersects_nonempty([SymbolicState("q0", z)], m, layout)
-        z2 = layout.universal_zone().and_constraints(
+        assert not intersects_nonempty([SymbolicState("q0", z)], m)
+        z2 = DBM.universal(MONITOR_DIM).and_constraints(
             [(1, 0, bound(90)), (0, 1, bound(-90))])
-        assert intersects_nonempty([SymbolicState("q0", z2)], m, layout)
+        assert intersects_nonempty([SymbolicState("q0", z2)], m)
 
     def test_stops_at_first_live_state(self):
         m = nonempty_states(eventually_then_safe_tba(accept_good=True))
-        layout = ClockLayout(("x",), ("time", "etime"))
-        dead = layout.universal_zone().and_constraints(
+        dead = DBM.universal(MONITOR_DIM).and_constraints(
             [(1, 0, bound(150)), (0, 1, bound(-150))])
-        live = layout.universal_zone().and_constraints(
+        live = DBM.universal(MONITOR_DIM).and_constraints(
             [(1, 0, bound(90)), (0, 1, bound(-90))])
 
         def states():
             yield SymbolicState("q0", dead)
             yield SymbolicState("q0", live)
             raise AssertionError("consumed past the first live state")
-        assert intersects_nonempty(states(), m, layout)
+        assert intersects_nonempty(states(), m)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_projection_then_meet(self, seed):
@@ -224,33 +224,29 @@ class TestIntersection:
             full = DBM.universal(1 + len(a.clocks))
             if any(zs != (full,) for zs in m.zones.values()):
                 break
-        aux = tuple(f"aux{k}" for k in range(rng.randint(1, 3)))
-        layout = ClockLayout(
-            a.clocks, aux,
-            unsigned=frozenset(c for c in aux if rng.random() < 0.5))
-        idx = layout.automaton_indices()
+        # the automaton's clocks 1..n, then 1-3 auxiliary ones, some signed
+        n = len(a.clocks)
+        dim = 1 + n + rng.randint(1, 3)
+        signed = {i for i in range(n + 1, dim) if rng.random() < 0.5}
+        idx = list(range(1, n + 1))
         locations = sorted(a.locations)
         outcomes = set()
         for _ in range(150):
-            cons = [(*rng.sample(range(layout.dim), 2),
+            cons = [(*rng.sample(range(dim), 2),
                      bound(rng.randint(-6, 10), strict=rng.random() < 0.3))
-                    for _ in range(rng.randint(1, 2 * layout.dim))]
-            zone = layout.universal_zone().and_constraints(cons)
+                    for _ in range(rng.randint(1, 2 * dim))]
+            zone = DBM.universal(dim, set(range(1, dim)) - signed
+                                 ).and_constraints(cons)
             if zone.is_empty():
                 continue
             loc = rng.choice(locations)
             proj = zone.restrict(idx)
             want = any(not proj.and_constraints(z.constraints()).is_empty()
                        for z in m.zones.get(loc, ()))
-            got = intersects_nonempty([SymbolicState(loc, zone)], m, layout)
+            got = intersects_nonempty([SymbolicState(loc, zone)], m)
             assert got == want, (loc, zone)
             outcomes.add(got)
         assert outcomes == {True, False}
-
-    def test_layout_mismatch_rejected(self):
-        m = nonempty_states(eventually_then_safe_tba(accept_good=True))
-        with pytest.raises(ValueError):
-            intersects_nonempty([], m, ClockLayout(("y",)))
 
 
 class TestDump:

@@ -25,6 +25,11 @@ from helpers_oracle import OracleBounds, complement_pair, oracle_consistent, \
 from helpers_regions import RegionGraph
 
 
+# DBM indices in make_monitor's zones: the automaton's clock x, then the
+# engine's time and the channel clock etime.
+X, TIME, ETIME = 1, 2, 3
+
+
 def make_monitor(lo: int, hi: int, jitter: int) -> Monitor:
     return Monitor(
         eventually_then_safe_tba(accept_good=True),
@@ -45,7 +50,7 @@ class TestWorkedExample:
         m = make_monitor(0, 100, 2)
         (s,) = m.pos.reach
         assert s.location == "q0"
-        x, t, e = (m.pos.layout.index(c) for c in ("x", "time", "etime"))
+        x, t, e = X, TIME, ETIME
         assert spans([s.zone.difference_bounds(x, 0)]) == [(0, False, 0, False)]
         assert spans([s.zone.difference_bounds(e, 0)]) == [
             (0, False, 100, False)]
@@ -56,7 +61,7 @@ class TestWorkedExample:
         m = make_monitor(0, 100, 2)
         assert m.observe("a", 173) is Verdict.INCONCLUSIVE
         assert {s.location for s in m.pos.reach} == {"q1", "bad"}
-        x, t, e = (m.pos.layout.index(c) for c in ("x", "time", "etime"))
+        x, t, e = X, TIME, ETIME
         (s,) = [st for st in m.pos.reach if st.location == "q1"]
         assert spans([s.zone.difference_bounds(x, 0)]) == [
             (71, False, 100, False)]
@@ -75,7 +80,7 @@ class TestWorkedExample:
         m.observe("a", 173)
         assert m.observe("b", 275) is Verdict.INCONCLUSIVE
         (s,) = [st for st in m.pos.reach if st.location == "good"]
-        x, t, e = (m.pos.layout.index(c) for c in ("x", "time", "etime"))
+        x, t, e = X, TIME, ETIME
         assert spans([s.zone.difference_bounds(x, 0)]) == [
             (200, True, 204, False)]
         assert spans([s.zone.difference_bounds(e, 0)]) == [
