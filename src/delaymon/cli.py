@@ -59,25 +59,13 @@ class TraceEvent:
 
 def fmt_interval(iv: Interval, scale: int) -> str:
     lo = "(" if iv.lo_strict else "["
-    hi = ")" if iv.hi_strict or iv.hi == INF else "]"
+    hi = ")" if iv.hi_strict else "]"
     return (f"{lo}{format_scaled(iv.lo, scale)},"
             f"{format_scaled(iv.hi, scale)}{hi}")
 
 
 def fmt_union(ivs: Iterable[Interval], scale: int) -> str:
     return "{" + ",".join(fmt_interval(iv, scale) for iv in ivs) + "}"
-
-
-def _csv_cell(ivs, scale: int, which: str) -> str:
-    parts = []
-    for iv in ivs:
-        if which == "low":
-            parts.append(format_scaled(iv.lo, scale)
-                         + ("s" if iv.lo_strict else ""))
-        else:
-            parts.append(format_scaled(iv.hi, scale)
-                         + ("s" if iv.hi_strict or iv.hi == INF else ""))
-    return ";".join(parts)
 
 
 # -- trace handling ----------------------------------------------------------
@@ -99,7 +87,7 @@ def read_trace(stream: TextIO, scale: int) -> Iterator[TraceEvent]:
 
 
 def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
-                 jitters: dict[str, int], inputs: frozenset[str],
+                 bounds: dict[str, DelayBounds], inputs: frozenset[str],
                  seed: int) -> list[TraceEvent]:
     """Turn a ground-truth trace into an observed one by shifting the
     stimuli (``inputs``: the test-mode inputs, empty in the other modes)
@@ -111,7 +99,7 @@ def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
     last = 0
     for ev in events:
         if ev.symbol in inputs:
-            shift = assigned["din"] + rng.randint(0, jitters["din"])
+            shift = assigned["din"] + rng.randint(0, bounds["din"].jitter)
             stamp = ev.timestamp - shift
             if stamp < 0:
                 raise CliError(
@@ -119,7 +107,7 @@ def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
                     f"ground-truth time {ev.timestamp} before time 0")
         else:
             stamp = (ev.timestamp + assigned["dout"]
-                     + rng.randint(0, jitters["dout"]))
+                     + rng.randint(0, bounds["dout"].jitter))
         if stamp < last:
             raise CliError(
                 f"injected delays would reorder the observation at "
@@ -184,8 +172,10 @@ def csv_row(engine, obs_index: int, scale: int) -> str:
         cols = [empty, rep.positive, empty, empty, rep.negative, empty]
     cells = [str(obs_index)]
     for ivs in cols:
-        cells.append(_csv_cell(ivs, scale, "low"))
-        cells.append(_csv_cell(ivs, scale, "high"))
+        cells.append(";".join(format_scaled(iv.lo, scale)
+                              + ("s" if iv.lo_strict else "") for iv in ivs))
+        cells.append(";".join(format_scaled(iv.hi, scale)
+                              + ("s" if iv.hi_strict else "") for iv in ivs))
     return ",".join(cells)
 
 
@@ -297,8 +287,6 @@ def run_stream(args, out: TextIO) -> int:
         engine = Tester(spec, comp, io_bounds)
         observe = engine.observe_io
         block = tester_block
-        jitters = {"din": io_bounds.input.jitter,
-                   "dout": io_bounds.output.jitter}
         inject_bounds = {"din": io_bounds.input, "dout": io_bounds.output}
         stimuli = spec.inputs
     else:
@@ -308,7 +296,6 @@ def run_stream(args, out: TextIO) -> int:
         observe = engine.observe
         block = monitor_block
         # Every event goes through the one output channel.
-        jitters = {"dout": bounds.jitter}
         inject_bounds = {"dout": bounds}
         stimuli = frozenset()
 
@@ -329,7 +316,7 @@ def run_stream(args, out: TextIO) -> int:
                              or assigned[key] <= b.latency_high)):
                     raise CliError(
                         f"--inject: {key} outside the declared bounds")
-            events = inject_delay(list(events), assigned, jitters,
+            events = inject_delay(list(events), assigned, inject_bounds,
                                   stimuli, seed)
 
         csv_rows = [CSV_HEADER] if args.csv else None

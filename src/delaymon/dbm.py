@@ -100,33 +100,13 @@ class Interval:
     lo_strict: bool
     hi: int
     hi_strict: bool
-    empty: bool = False
-
-    @staticmethod
-    def make_empty() -> "Interval":
-        return Interval(0, True, 0, True, empty=True)
 
     def is_empty(self) -> bool:
-        if self.empty:
-            return True
         if self.lo == -INF or self.hi == INF:
             return False
         if self.lo > self.hi:
             return True
         return self.lo == self.hi and (self.lo_strict or self.hi_strict)
-
-    def clip(self, lo: int, hi: int) -> "Interval":
-        """Intersect with the closed interval [lo, hi] (hi may be INF)."""
-        if self.is_empty():
-            return Interval.make_empty()
-        nlo, nlo_s = self.lo, self.lo_strict
-        nhi, nhi_s = self.hi, self.hi_strict
-        if nlo == -INF or lo > nlo:
-            nlo, nlo_s = lo, False
-        if hi != INF and (nhi == INF or hi < nhi):
-            nhi, nhi_s = hi, False
-        out = Interval(nlo, nlo_s, nhi, nhi_s)
-        return Interval.make_empty() if out.is_empty() else out
 
     def contains(self, value: int) -> bool:
         if self.is_empty():
@@ -375,7 +355,7 @@ class DBM:
     def difference_bounds(self, x: int, y: int) -> Interval:
         """Tightest interval containing {v(x) - v(y) | v in zone}."""
         if self.is_empty():
-            return Interval.make_empty()
+            return Interval(0, True, 0, True)  # empty
         up_b = self.m[x][y]
         lo_b = self.m[y][x]
         hi = INF if up_b == INF else bound_value(up_b)

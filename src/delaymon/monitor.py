@@ -4,7 +4,7 @@ automaton pair, and the zone-based engine core that active testing shares.
 The core tracks, for both automata, the symbolic set of states reachable
 under *some* consistent ground truth.  Zones carry the automaton clocks plus
 ``time`` (ground-truth time of the last event at the system) and one
-event-time clock per delayed channel.  A channel is ``(clock, bounds,
+event-time clock per delayed channel.  A channel is ``(bounds,
 direction)``:
 
 - an **output** channel's clock runs ahead of ``time`` by the latency, so an
@@ -15,8 +15,14 @@ direction)``:
 The difference between a channel clock and ``time`` stays constant along a
 run and equals that channel's latency.  Channels are used in table order,
 round-robin.  A zone numbers the automaton's clocks ``1..n`` as the
-automaton does, then ``time`` is ``n + 1`` and the channel clocks follow
-from ``n + 2`` in table order.
+automaton does, then ``time`` is ``n + 1`` and channel ``k``'s clock is
+``time + 1 + k``.  A latency report reads *measures*: pairs ``(x, y)`` of
+offsets from ``time``, each meaning the difference of clocks ``time + x``
+and ``time + y``.  The initial zone is built from the channel ranges only.
+They bound every measure, a round trip included, and ``up``, resets of
+automaton clocks and tightening never loosen a difference of two auxiliary
+clocks, so every reported interval stays inside its declared range without
+a clip.
 
 An observation is one symbolic step per reach state
 (:func:`delaymon.automata.post`): up, then the channel window (the range of
@@ -47,9 +53,9 @@ This loses no answer:
 - the nonempty set at a location is a cylinder in its inactive clocks, so
   the verdict probe and the latency unions see the same projection.
 
-:class:`Monitor` is one output channel ``etime`` with latency ``δ ∈ [ℓ, u]``
-plus a per-event jitter in ``[0, ε]``; delay-free (classic) monitoring is
-the case ``DelayBounds(0, 0, 0)``.
+:class:`Monitor` is one output channel (clock ``n + 2``) with latency
+``δ ∈ [ℓ, u]`` plus a per-event jitter in ``[0, ε]``; delay-free (classic)
+monitoring is the case ``DelayBounds(0, 0, 0)``.
 """
 
 from __future__ import annotations
@@ -62,8 +68,6 @@ from .automata import TBA, SymbolicState, post, prune_subsumed
 from .dbm import DBM, INF, Interval, bound, merge_intervals
 from .liveness import NonEmptyMap, intersects_nonempty, nonempty_states
 
-TIME = "time"
-ETIME = "etime"
 OUTPUT = "output"
 INPUT = "input"
 
@@ -111,10 +115,10 @@ class DelayBounds:
             raise ValueError("latency_high must be at least latency_low")
 
 
-# (event clock, latency bounds, OUTPUT or INPUT)
-Channel = tuple[str, DelayBounds, str]
-# (x, y, lo, hi): the latency x - y, known to lie in [lo, hi]
-Measure = tuple[str, str, int, int]
+# (latency bounds, OUTPUT or INPUT)
+Channel = tuple[DelayBounds, str]
+# (x, y): the latency clock(time + x) - clock(time + y)
+Measure = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,7 @@ class _Side:
 
     automaton: TBA
     nonempty: NonEmptyMap
-    measures: list[tuple[int, int, int, int]]  # Measure with clock indices
-    channel_clocks: tuple[int, ...]  # each channel's clock index
+    time: int  # DBM index of time; channel k's clock is time + 1 + k
     inactive: dict[str, int]  # automaton.inactive_clocks, read at set-up
     reach: list[SymbolicState]
 
@@ -142,15 +145,15 @@ def _require_same_alphabet(spec: TBA, complement: TBA) -> None:
             "property and complement automata use different alphabets")
 
 
-def _measure(channel: Channel) -> Measure:
-    clock, b, direction = channel
-    x, y = (clock, TIME) if direction == OUTPUT else (TIME, clock)
-    return x, y, b.latency_low, b.latency_high
+def _measure(k: int, direction: str) -> Measure:
+    """Channel ``k``'s latency: its clock minus ``time`` on output, ``time``
+    minus its clock on input."""
+    return (1 + k, 0) if direction == OUTPUT else (0, 1 + k)
 
 
 def _window(channel: Channel, tau: int) -> tuple[int, int]:
     """Range of the channel clock for an event stamped ``tau``."""
-    _, b, direction = channel
+    b, direction = channel
     if direction == OUTPUT:
         return tau - b.jitter, tau
     return tau, tau + b.jitter
@@ -187,16 +190,18 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
             yield SymbolicState(s.location, stay)
 
 
-def _latencies(side: _Side) -> list[tuple[Interval, ...]]:
+def _latencies(side: _Side, measures: tuple[Measure, ...]
+               ) -> list[tuple[Interval, ...]]:
     """Per measure, the latency values consistent with this polarity."""
-    unions: list[list[Interval]] = [[] for _ in side.measures]
+    t = side.time
+    unions: list[list[Interval]] = [[] for _ in measures]
     for s in side.reach:
         for cons in side.nonempty.constraints.get(s.location, ()):
             z = s.zone.and_constraints(cons)
             if z.is_empty():
                 continue
-            for (xi, yi, lo, hi), ivs in zip(side.measures, unions):
-                ivs.append(z.difference_bounds(xi, yi).clip(lo, hi))
+            for (x, y), ivs in zip(measures, unions):
+                ivs.append(z.difference_bounds(t + x, t + y))
     return [tuple(merge_intervals(ivs)) for ivs in unions]
 
 
@@ -207,35 +212,32 @@ class _Engine:
     def _start(self, spec: TBA, complement: TBA, channels: tuple[Channel, ...],
                extra_measures: tuple[Measure, ...] = ()) -> None:
         self.channels = channels
-        measures = tuple(map(_measure, channels)) + extra_measures
-        self.pos = self._make_side(spec, measures)
-        self.neg = self._make_side(complement, measures)
+        self.measures = tuple(_measure(k, d) for k, (_, d)
+                              in enumerate(channels)) + extra_measures
+        self.pos = self._make_side(spec)
+        self.neg = self._make_side(complement)
         self.last_obs_time = 0
         self.observation_count = 0
         self._verdict = self._compute_verdict(0)
 
-    def _make_side(self, automaton: TBA, measures: tuple[Measure, ...]
-                   ) -> _Side:
-        # The automaton's clocks are 1..n; time and the channel clocks
-        # follow them.
-        n = len(automaton.clocks)
-        index = {c: i for i, (c, _, _) in enumerate(self.channels, n + 2)}
-        index[TIME] = n + 1
-        resolved = [(index[x], index[y], lo, hi) for x, y, lo, hi in measures]
-        # Initially only the measures' declared ranges constrain the aux
-        # clocks (a round-trip range is implied by the channel ranges).
-        cons = [(i, 0, bound(0)) for i in range(1, n + 2)]
-        for xi, yi, lo, hi in resolved:
-            cons.append((yi, xi, bound(-lo)))
-            if hi != INF:
-                cons.append((xi, yi, bound(hi)))
+    def _make_side(self, automaton: TBA) -> _Side:
+        # The automaton's clocks are 1..n; time is n + 1 and the channel
+        # clocks follow it.  Initially only the channel ranges constrain
+        # the aux clocks.
+        time = len(automaton.clocks) + 1
+        cons = [(i, 0, bound(0)) for i in range(1, time + 1)]
+        for k, (b, direction) in enumerate(self.channels):
+            x, y = _measure(k, direction)
+            cons.append((time + y, time + x, bound(-b.latency_low)))
+            if b.latency_high != INF:
+                cons.append((time + x, time + y, bound(b.latency_high)))
         # input channel clocks start negative
-        signed = {index[c] for c, _, d in self.channels if d == INPUT}
-        dim = n + 2 + len(self.channels)
+        signed = {time + 1 + k for k, (_, d) in enumerate(self.channels)
+                  if d == INPUT}
+        dim = time + 1 + len(self.channels)
         z0 = DBM.universal(dim, set(range(1, dim)) - signed).and_constraints(
             cons)
-        return _Side(automaton, nonempty_states(automaton), resolved,
-                     tuple(index[c] for c, _, _ in self.channels),
+        return _Side(automaton, nonempty_states(automaton), time,
                      automaton.inactive_clocks,
                      [SymbolicState(q, z0) for q in automaton.initial])
 
@@ -270,7 +272,7 @@ class _Engine:
         k = self._next_slot()
         lo, hi = _window(self.channels[k], tau)
         for side in (self.pos, self.neg):
-            side.reach = _step(side, symbol, side.channel_clocks[k], lo, hi)
+            side.reach = _step(side, symbol, side.time + 1 + k, lo, hi)
         self.last_obs_time = tau
         self.observation_count += 1
         self._verdict = self._compute_verdict(tau)
@@ -282,10 +284,10 @@ class _Engine:
         k = self._next_slot()
         cutoff = _window(self.channels[k], t)[0]
         pos_live = intersects_nonempty(
-            _advance(self.pos, self.pos.channel_clocks[k], cutoff),
+            _advance(self.pos, self.pos.time + 1 + k, cutoff),
             self.pos.nonempty)
         neg_live = intersects_nonempty(
-            _advance(self.neg, self.neg.channel_clocks[k], cutoff),
+            _advance(self.neg, self.neg.time + 1 + k, cutoff),
             self.neg.nonempty)
         if not pos_live and not neg_live:
             raise ComplementViolationError(
@@ -304,11 +306,11 @@ class Monitor(_Engine):
     def __init__(self, spec: TBA, complement: TBA, bounds: DelayBounds):
         _require_same_alphabet(spec, complement)
         self.bounds = bounds
-        self._start(spec, complement, ((ETIME, bounds, OUTPUT),))
+        self._start(spec, complement, ((bounds, OUTPUT),))
 
     def latency_report(self) -> LatencyReport:
-        (positive,) = _latencies(self.pos)
-        (negative,) = _latencies(self.neg)
+        (positive,) = _latencies(self.pos, self.measures)
+        (negative,) = _latencies(self.neg, self.measures)
         return LatencyReport(positive=positive, negative=negative,
                              jitter=self.bounds.jitter)
 

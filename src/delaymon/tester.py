@@ -9,11 +9,13 @@ response arrives.  Specifications must carry an input/output partition and
 are restricted to strictly alternating input/output words via
 :func:`delaymon.automata.io_alternation_product`.
 
-The engine is the core of :mod:`delaymon.monitor` with two channels: the
-input channel ``etime_i`` (ground-truth time minus the input latency; starts
-negative) and the output channel ``etime_o`` (ground-truth time plus the
-output latency), used alternately.  The round-trip latency is
-``etime_o - etime_i``.
+The engine is the core of :mod:`delaymon.monitor` with two channels, used
+alternately: for an automaton with ``n`` clocks, the input channel's clock
+``n + 2`` (ground-truth time minus the input latency; starts negative) and
+the output channel's clock ``n + 3`` (ground-truth time plus the output
+latency).  The round-trip latency is their difference, the measure
+:data:`ROUND_TRIP`; the two channel ranges already bound it to the summed
+range.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import TBA, io_alternation_product
-from .dbm import INF, Interval
+from .dbm import Interval
 from .monitor import (
     INPUT,
     OUTPUT,
     DelayBounds,
+    Measure,
     MonitorError,
     Verdict,
     _Engine,
@@ -33,8 +36,8 @@ from .monitor import (
     _require_same_alphabet,
 )
 
-ETIME_I = "etime_i"
-ETIME_O = "etime_o"
+# The output channel's clock minus the input channel's, as offsets from time
+ROUND_TRIP: Measure = (2, 1)
 
 
 class AlternationError(MonitorError):
@@ -56,11 +59,6 @@ class IODelayBounds:
     @property
     def combined_low(self) -> int:
         return self.input.latency_low + self.output.latency_low
-
-    @property
-    def combined_high(self) -> int:
-        a, b = self.input.latency_high, self.output.latency_high
-        return INF if INF in (a, b) else a + b
 
 
 @dataclass(frozen=True)
@@ -96,16 +94,15 @@ class Tester(_Engine):
         self.outputs = spec.outputs
         self._start(
             io_alternation_product(spec), io_alternation_product(complement),
-            ((ETIME_I, bounds.input, INPUT), (ETIME_O, bounds.output, OUTPUT)),
-            ((ETIME_O, ETIME_I, bounds.combined_low, bounds.combined_high),))
+            ((bounds.input, INPUT), (bounds.output, OUTPUT)), (ROUND_TRIP,))
 
     @property
     def awaiting_input(self) -> bool:
         return self.observation_count % 2 == 0
 
     def latency_report(self) -> IOLatencyReport:
-        pin, pout, pcomb = _latencies(self.pos)
-        nin, nout, ncomb = _latencies(self.neg)
+        pin, pout, pcomb = _latencies(self.pos, self.measures)
+        nin, nout, ncomb = _latencies(self.neg, self.measures)
         return IOLatencyReport(
             positive_input=pin, positive_output=pout, positive_combined=pcomb,
             negative_input=nin, negative_output=nout, negative_combined=ncomb,

@@ -213,19 +213,6 @@ class TestDifferenceBounds:
 
 
 class TestInterval:
-    def test_clip_to_window(self):
-        iv = Interval(3, False, 20, True)
-        c = iv.clip(5, 10)
-        assert (c.lo, c.lo_strict, c.hi, c.hi_strict) == (5, False, 10, False)
-
-    def test_clip_can_empty(self):
-        assert Interval(3, False, 4, False).clip(10, 20).is_empty()
-
-    def test_clip_unbounded_upper(self):
-        iv = Interval(0, False, INF, True)
-        c = iv.clip(2, INF)
-        assert c.lo == 2 and c.hi == INF
-
     def test_open_point_is_empty(self):
         assert Interval(4, True, 4, False).is_empty()
 

@@ -42,6 +42,13 @@ def spans(intervals) -> list[tuple]:
     return [(iv.lo, iv.lo_strict, iv.hi, iv.hi_strict) for iv in intervals]
 
 
+def within(intervals, lo: int, hi: int) -> bool:
+    """Every interval lies inside the declared band [lo, hi]; ``hi`` may be
+    INF."""
+    return all(lo <= iv.lo and (hi == INF or iv.hi <= hi)
+               for iv in intervals)
+
+
 class TestWorkedExample:
     """The running example: "a within 10, no b within 20" at scale 10,
     latency within [0, 10], jitter bound 0.2."""
@@ -261,6 +268,8 @@ class TestOracleEquivalence:
                 break
             seen.append((sym, tau))
             rep = m.latency_report()
+            for ivs in (rep.positive, rep.negative):
+                assert within(ivs, bounds.latency_low, bounds.latency_high)
             t = tau
             for delta in range(bounds.latency_low, bounds.latency_high + 1):
                 want_pos = oracle_consistent(

@@ -7,12 +7,13 @@ oracle extended with the second channel.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from delaymon.automata import io_alternation_product
-from delaymon.dbm import INF
+from delaymon.dbm import INF, Interval
 from delaymon.monitor import (
     ComplementViolationError,
     DelayBounds,
@@ -36,6 +37,7 @@ from helpers_oracle import (
     oracle_io_verdict,
 )
 from helpers_regions import RegionGraph
+from test_monitor import within
 
 
 def gear_pair(lo: int = 15, hi: int = 25):
@@ -159,6 +161,35 @@ class TestErrors:
         assert t.verdict_at(1000) is Verdict.FALSE
 
 
+class TestRoundTripFromChannelRanges:
+    """The initial zone is built from the two channel ranges only; they
+    bound the round trip (output clock ``n + 3`` minus input clock
+    ``n + 2``) to the summed range."""
+
+    @staticmethod
+    def draw(rng: random.Random, kind: str) -> DelayBounds:
+        lo = 0 if kind == "zero" else rng.randint(0, 30)
+        hi = {"zero": 0, "point": lo, "band": lo + rng.randint(1, 30),
+              "unbounded": INF}[kind]
+        return DelayBounds(lo, hi, rng.randint(0, 3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_initial_round_trip_is_the_summed_range(self, seed):
+        rng = random.Random(190_000 + seed)
+        kinds = ("zero", "point", "band", "unbounded")
+        for k_in, k_out in itertools.product(kinds, kinds):
+            b_in, b_out = self.draw(rng, k_in), self.draw(rng, k_out)
+            t = Tester(*gear_pair(), IODelayBounds(b_in, b_out))
+            lo = b_in.latency_low + b_out.latency_low
+            hi = (INF if INF in (b_in.latency_high, b_out.latency_high)
+                  else b_in.latency_high + b_out.latency_high)
+            for side in (t.pos, t.neg):
+                n = len(side.automaton.clocks)
+                for s in side.reach:
+                    assert s.zone.difference_bounds(n + 3, n + 2) == \
+                        Interval(lo, False, hi, hi == INF), (b_in, b_out)
+
+
 DENOM = 4  # quarter-unit scaling for oracle comparisons
 
 
@@ -239,6 +270,15 @@ class TestOracleEquivalence:
             if v.conclusive:
                 break
             rep = t.latency_report()
+            for ivs, lo, hi in (
+                (rep.positive_input + rep.negative_input,
+                 ob.in_lo, ob.in_hi),
+                (rep.positive_output + rep.negative_output,
+                 ob.out_lo, ob.out_hi),
+                (rep.positive_combined + rep.negative_combined,
+                 ob.in_lo + ob.out_lo, ob.in_hi + ob.out_hi),
+            ):
+                assert within(ivs, lo, hi), (ivs, lo, hi, seen)
             for prod, graph, unions in (
                 (prod_spec, g_spec, (rep.positive_input, rep.positive_output,
                                      rep.positive_combined)),
