@@ -53,6 +53,15 @@ This loses no answer:
 - the nonempty set at a location is a cylinder in its inactive clocks, so
   the verdict probe and the latency unions see the same projection.
 
+A complement is usually the property with another accepting set.  Then one
+reach set serves both polarities, stepped (and pruned) once per event: the
+reach set depends on every field of the automaton but ``accepting``, and the
+inactive clocks come from the edges alone.  Each polarity keeps its own
+nonempty-language states, which are all that the verdict probe and the
+latency unions read besides the reach set.  The engine decides this once, at
+set-up (for the tester, on the two I/O products); a complement that differs
+anywhere else gets its own reach set, stepped by the same loop.
+
 :class:`Monitor` is one output channel (clock ``n + 2``) with latency
 ``δ ∈ [ℓ, u]`` plus a per-event jitter in ``[0, ε]``; delay-free (classic)
 monitoring is the case ``DelayBounds(0, 0, 0)``.
@@ -61,7 +70,7 @@ monitoring is the case ``DelayBounds(0, 0, 0)``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .automata import TBA, SymbolicState, post, prune_subsumed
@@ -128,15 +137,35 @@ class LatencyReport:
     jitter: int
 
 
-@dataclass
-class _Side:
-    """One automaton's half of an engine."""
+@dataclass(eq=False)
+class _Track:
+    """The reach set of one automaton, stepped once per event however many
+    polarities read it."""
 
     automaton: TBA
-    nonempty: NonEmptyMap
     time: int  # DBM index of time; channel k's clock is time + 1 + k
     inactive: dict[str, int]  # automaton.inactive_clocks, read at set-up
     reach: list[SymbolicState]
+
+
+@dataclass
+class _Side:
+    """One polarity of an engine: a reach track, possibly shared with the
+    other polarity, and this polarity's own nonempty-language states."""
+
+    track: _Track
+    nonempty: NonEmptyMap
+
+    @property
+    def reach(self) -> list[SymbolicState]:
+        return self.track.reach
+
+
+def _same_but_accepting(a: TBA, b: TBA) -> bool:
+    """Whether ``a`` and ``b`` differ at most in their accepting sets, so
+    that they have the same reach sets on every trace."""
+    return all(getattr(a, f.name) == getattr(b, f.name) for f in fields(TBA)
+               if f.compare and f.name != "accepting")
 
 
 def _require_same_alphabet(spec: TBA, complement: TBA) -> None:
@@ -159,11 +188,11 @@ def _window(channel: Channel, tau: int) -> tuple[int, int]:
     return tau, tau + b.jitter
 
 
-def _step(side: _Side, symbol: str, ci: int, lo: int, hi: int
+def _step(track: _Track, symbol: str, ci: int, lo: int, hi: int
           ) -> list[SymbolicState]:
     window = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
-    return prune_subsumed(post(side.reach, symbol, side.automaton, window),
-                          side.inactive)
+    return prune_subsumed(post(track.reach, symbol, track.automaton, window),
+                          track.inactive)
 
 
 def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
@@ -193,7 +222,7 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
 def _latencies(side: _Side, measures: tuple[Measure, ...]
                ) -> list[tuple[Interval, ...]]:
     """Per measure, the latency values consistent with this polarity."""
-    t = side.time
+    t = side.track.time
     unions: list[list[Interval]] = [[] for _ in measures]
     for s in side.reach:
         for cons in side.nonempty.constraints.get(s.location, ()):
@@ -214,13 +243,17 @@ class _Engine:
         self.channels = channels
         self.measures = tuple(_measure(k, d) for k, (_, d)
                               in enumerate(channels)) + extra_measures
-        self.pos = self._make_side(spec)
-        self.neg = self._make_side(complement)
+        pos = self._make_track(spec)
+        neg = (pos if _same_but_accepting(spec, complement)
+               else self._make_track(complement))
+        self.tracks = (pos,) if neg is pos else (pos, neg)
+        self.pos = _Side(pos, nonempty_states(spec))
+        self.neg = _Side(neg, nonempty_states(complement))
         self.last_obs_time = 0
         self.observation_count = 0
         self._verdict = self._compute_verdict(0)
 
-    def _make_side(self, automaton: TBA) -> _Side:
+    def _make_track(self, automaton: TBA) -> _Track:
         # The automaton's clocks are 1..n; time is n + 1 and the channel
         # clocks follow it.  Initially only the channel ranges constrain
         # the aux clocks.
@@ -237,9 +270,8 @@ class _Engine:
         dim = time + 1 + len(self.channels)
         z0 = DBM.universal(dim, set(range(1, dim)) - signed).and_constraints(
             cons)
-        return _Side(automaton, nonempty_states(automaton), time,
-                     automaton.inactive_clocks,
-                     [SymbolicState(q, z0) for q in automaton.initial])
+        return _Track(automaton, time, automaton.inactive_clocks,
+                      [SymbolicState(q, z0) for q in automaton.initial])
 
     # -- queries -------------------------------------------------------------
 
@@ -271,8 +303,8 @@ class _Engine:
         """Feed one validated observation through the next channel."""
         k = self._next_slot()
         lo, hi = _window(self.channels[k], tau)
-        for side in (self.pos, self.neg):
-            side.reach = _step(side, symbol, side.time + 1 + k, lo, hi)
+        for track in self.tracks:
+            track.reach = _step(track, symbol, track.time + 1 + k, lo, hi)
         self.last_obs_time = tau
         self.observation_count += 1
         self._verdict = self._compute_verdict(tau)
@@ -284,10 +316,10 @@ class _Engine:
         k = self._next_slot()
         cutoff = _window(self.channels[k], t)[0]
         pos_live = intersects_nonempty(
-            _advance(self.pos, self.pos.time + 1 + k, cutoff),
+            _advance(self.pos, self.pos.track.time + 1 + k, cutoff),
             self.pos.nonempty)
         neg_live = intersects_nonempty(
-            _advance(self.neg, self.neg.time + 1 + k, cutoff),
+            _advance(self.neg, self.neg.track.time + 1 + k, cutoff),
             self.neg.nonempty)
         if not pos_live and not neg_live:
             raise ComplementViolationError(

@@ -203,6 +203,26 @@ def with_io(automaton: TBA) -> TBA:
                    outputs=frozenset({"b"}))
 
 
+def with_unreached_location(automaton: TBA) -> TBA:
+    """The automaton plus one location that no edge enters or leaves."""
+    return replace(automaton,
+                   locations=automaton.locations | {"unreached"})
+
+
+def rename_clock(automaton: TBA, old: str, new: str) -> TBA:
+    """The automaton with clock ``old`` called ``new`` everywhere."""
+    def name(c: str) -> str:
+        return new if c == old else c
+    return replace(
+        automaton,
+        clocks=tuple(map(name, automaton.clocks)),
+        transitions=tuple(
+            replace(t, resets=frozenset(map(name, t.resets)),
+                    guard=tuple(replace(g, clock=name(g.clock))
+                                for g in t.guard))
+            for t in automaton.transitions))
+
+
 def scale_tba(automaton: TBA, factor: int) -> TBA:
     """Multiply every guard constant by ``factor``."""
     return TBA(

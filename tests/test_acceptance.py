@@ -8,6 +8,8 @@ gear-controller fixture runs, and a throughput/size benchmark.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
 import gc
 import random
@@ -39,9 +41,12 @@ from delaymon.tester import IODelayBounds, Tester
 
 from helpers_automata import (
     eventually_then_safe_tba,
+    holds,
     random_tba,
+    rename_clock,
     request_response_tba,
     with_io,
+    with_unreached_location,
 )
 from helpers_oracle import IOOracleBounds, OracleBounds, oracle_io_verdict, \
     oracle_verdict
@@ -492,9 +497,11 @@ class TestNoClosurePerEvent:
     symbolic step builds a fixed number of zones."""
 
     PAIRS = 100
-    # DBMs built per observe; 14 when the channel window was met after each
-    # edge's guard and reset, and up() ran at locations without the edge
-    ALLOCS_PER_EVENT = 11
+    # DBMs built per observe, with one reach set stepped for both
+    # polarities; 11 when each polarity stepped its own, 14 before that when
+    # the channel window was met after each edge's guard and reset, and up()
+    # ran at locations without the edge
+    ALLOCS_PER_EVENT = 7.5
 
     def runs(self) -> list:
         """(engine, observe, events) for classic, monitor and test mode."""
@@ -597,6 +604,81 @@ def wide_band_walk(rng: random.Random, laps: int) -> list[tuple[str, int]]:
     return events
 
 
+def wide_band_monitor_run(seed: int):
+    """(build, observe, events): a 100-event walk of ``WIDE_BAND`` seen
+    through a latency band."""
+    rng = random.Random(seed)
+    events = [(s, t + 10 + rng.randint(0, 10))
+              for s, t in wide_band_walk(rng, 25)]
+
+    def build(spec, comp):
+        return Monitor(spec, comp, DelayBounds(0, 20, 10))
+    return build, "observe", events
+
+
+def wide_band_test_run(seed: int):
+    """(build, observe, events): a 100-event walk of ``WIDE_BAND`` with
+    stimuli sent early and responses seen late."""
+    rng = random.Random(seed)
+    events = [(s, t - 3 - rng.randint(0, 2)) if s == "a"
+              else (s, t + 3 + rng.randint(0, 2))
+              for s, t in wide_band_walk(rng, 25)]
+    bounds = IODelayBounds(DelayBounds(0, 5, 2), DelayBounds(0, 5, 2))
+
+    def build(spec, comp):
+        return Tester(with_io(spec), with_io(comp), bounds)
+    return build, "observe_io", events
+
+
+def random_pair_run(mode: str, seed: int):
+    """(spec, comp, build, observe, events): a random automaton against
+    itself with the other locations accepting, and 80 events; rare guards
+    leave clocks inactive."""
+    rng = random.Random(f"{mode}/{seed}")
+    spec = random_tba(rng, n_clocks=3, guard_ratio=0.25)
+    comp = dataclasses.replace(spec, accepting=spec.locations - spec.accepting)
+    if mode == "monitor":
+        def build(spec, comp):
+            return Monitor(spec, comp, DelayBounds(0, 4, 2))
+        observe, syms = "observe", [rng.choice("ab") for _ in range(80)]
+    else:
+        io = IODelayBounds(DelayBounds(0, 2, 1), DelayBounds(0, 2, 1))
+
+        def build(spec, comp):
+            return Tester(with_io(spec), with_io(comp), io)
+        observe, syms = "observe_io", ["a", "b"] * 40
+    tau, events = 4, []
+    for sym in syms:
+        tau += rng.randint(0, 3)
+        events.append((sym, tau))
+    return spec, comp, build, observe, events
+
+
+def lockstep(engine, ref, observe: str, events,
+             ref_context=contextlib.nullcontext):
+    """Feed ``events`` to two engines, the reference inside
+    ``ref_context()``.  After each event, assert the same verdict or the
+    same error type and, while inconclusive, equal latency reports; yield
+    that outcome.  Stops after the first conclusive verdict or error."""
+
+    def outcome(e, sym, tau):
+        try:
+            return getattr(e, observe)(sym, tau)
+        except MonitorError as err:
+            return type(err)
+
+    for sym, tau in events:
+        got = outcome(engine, sym, tau)
+        with ref_context():
+            want = outcome(ref, sym, tau)
+        assert got == want, (sym, tau)
+        if got is Verdict.INCONCLUSIVE:
+            assert engine.latency_report() == ref.latency_report()
+        yield got
+        if got is not Verdict.INCONCLUSIVE:
+            return
+
+
 class TestPruneModuloInactiveClocks:
     """Pruning modulo inactive clocks changes no answer: along walks of 80
     events and more, each engine agrees after every event with the same
@@ -612,82 +694,217 @@ class TestPruneModuloInactiveClocks:
         def whole_zones(states, inactive):
             return prune_subsumed(states, {})
 
-        def outcome(engine, sym, tau):
-            try:
-                return getattr(engine, observe)(sym, tau)
-            except MonitorError as e:
-                return type(e)
+        @contextlib.contextmanager
+        def whole_zone_pruning():
+            with monkeypatch.context() as mp:
+                mp.setattr(monitor_module, "prune_subsumed", whole_zones)
+                yield
 
         try:
             engine, ref = make(), make()
         except ComplementViolationError:
             return 0, 0
         compared = smaller = 0
-        for sym, tau in events:
-            got = outcome(engine, sym, tau)
-            with monkeypatch.context() as mp:
-                mp.setattr(monitor_module, "prune_subsumed", whole_zones)
-                want = outcome(ref, sym, tau)
-            assert got == want, (sym, tau)
-            if not isinstance(got, Verdict) or got.conclusive:
-                break
-            assert engine.latency_report() == ref.latency_report()
-            compared += 1
-            smaller += (len(engine.pos.reach) + len(engine.neg.reach)
-                        < len(ref.pos.reach) + len(ref.neg.reach))
+        for got in lockstep(engine, ref, observe, events, whole_zone_pruning):
+            if got is Verdict.INCONCLUSIVE:
+                compared += 1
+                smaller += (len(engine.pos.reach) + len(engine.neg.reach)
+                            < len(ref.pos.reach) + len(ref.neg.reach))
         return compared, smaller
 
     def test_wide_band_monitor(self, monkeypatch):
         spec, comp = wide_band_pair()
-        rng = random.Random(7)
-        events = [(s, t + 10 + rng.randint(0, 10))
-                  for s, t in wide_band_walk(rng, 25)]
+        build, observe, events = wide_band_monitor_run(7)
         compared, smaller = self.compare(
-            monkeypatch, lambda: Monitor(spec, comp, DelayBounds(0, 20, 10)),
-            "observe", events)
+            monkeypatch, lambda: build(spec, comp), observe, events)
         assert compared == 100 and smaller > 0
 
     def test_wide_band_test(self, monkeypatch):
-        spec, comp = map(with_io, wide_band_pair())
-        rng = random.Random(8)
-        events = [(s, t - 3 - rng.randint(0, 2)) if s == "a"
-                  else (s, t + 3 + rng.randint(0, 2))
-                  for s, t in wide_band_walk(rng, 25)]
-        bounds = IODelayBounds(DelayBounds(0, 5, 2), DelayBounds(0, 5, 2))
+        spec, comp = wide_band_pair()
+        build, observe, events = wide_band_test_run(8)
         compared, smaller = self.compare(
-            monkeypatch, lambda: Tester(spec, comp, bounds), "observe_io",
-            events)
+            monkeypatch, lambda: build(spec, comp), observe, events)
         assert compared == 100 and smaller > 0
 
     @pytest.mark.parametrize("mode", ["monitor", "test"])
     def test_random_pairs(self, monkeypatch, mode):
-        """A random automaton against itself with the other locations
-        accepting; rare guards leave clocks inactive."""
         long_walks = 0
         for seed in range(10):
-            rng = random.Random(f"{mode}/{seed}")
-            spec = random_tba(rng, n_clocks=3, guard_ratio=0.25)
-            comp = dataclasses.replace(
-                spec, accepting=spec.locations - spec.accepting)
-            if mode == "monitor":
-                def make():
-                    return Monitor(spec, comp, DelayBounds(0, 4, 2))
-                observe, syms = "observe", [rng.choice("ab")
-                                            for _ in range(80)]
-            else:
-                io = IODelayBounds(DelayBounds(0, 2, 1), DelayBounds(0, 2, 1))
-
-                def make():
-                    return Tester(with_io(spec), with_io(comp), io)
-                observe, syms = "observe_io", ["a", "b"] * 40
-            tau, events = 4, []
-            for sym in syms:
-                tau += rng.randint(0, 3)
-                events.append((sym, tau))
-            compared, smaller = self.compare(monkeypatch, make, observe,
-                                             events)
+            spec, comp, build, observe, events = random_pair_run(mode, seed)
+            compared, smaller = self.compare(
+                monkeypatch, lambda: build(spec, comp), observe, events)
             long_walks += compared == 80 and smaller > 0
         assert long_walks >= 2
+
+
+PERFBENCH_INPUTS = Path(__file__).parents[1] / "perfbench" / "inputs"
+
+
+def shipped_pairs() -> list[tuple[str, TBA, TBA]]:
+    """Every property/complement pair the repository ships, each one
+    automaton with two accepting sets."""
+    pairs = []
+    for directory, stems in (
+            (PERFBENCH_INPUTS, ["gear", "ladder_1", "ladder_2", "ladder_3",
+                                "ladder_4", "wide_band"]),
+            (FIXTURES, ["deadline", "gear"])):
+        for stem in stems:
+            spec, comp = (parse_tba((directory / f"{stem}_{role}.txt")
+                                    .read_text(), 10)
+                          for role in ("spec", "complement"))
+            pairs.append((f"{directory.name}/{stem}", spec, comp))
+    pairs.append(("request_response",
+                  request_response_tba(True, 150, 1205, "a", "b"),
+                  request_response_tba(False, 150, 1205, "a", "b")))
+    pairs.append(("eventually_then_safe", eventually_then_safe_tba(True),
+                  eventually_then_safe_tba(False)))
+    return pairs
+
+
+def ground_walk(tba: TBA, rng: random.Random, count: int, alternate: bool
+                ) -> list[tuple[str, int]]:
+    """A concrete run of ``tba`` that never enters ``bad``: each step waits
+    a whole number of units, at most the largest guard constant plus one,
+    and takes an edge that is then enabled; with ``alternate``, inputs and
+    outputs alternate, starting with an input.  Stops early when no such
+    edge turns up."""
+    horizon = 1 + max((g.constant for t in tba.transitions for g in t.guard),
+                      default=0)
+    loc, val = min(tba.initial), dict.fromkeys(tba.clocks, 0)
+    tau, events = 0, []
+    while len(events) < count:
+        labels = tba.alphabet
+        if alternate:
+            labels = tba.inputs if len(events) % 2 == 0 else tba.outputs
+        for _ in range(100):
+            d = rng.randint(1, horizon)
+            enabled = [t for t in tba.transitions
+                       if t.src == loc and t.label in labels
+                       and t.dst != "bad"
+                       and all(holds(g, val[g.clock] + d) for g in t.guard)]
+            if enabled:
+                break
+        else:
+            break
+        t = rng.choice(enabled)
+        tau += d
+        val = {c: 0 if c in t.resets else v + d for c, v in val.items()}
+        loc = t.dst
+        events.append((t.label, tau))
+    return events
+
+
+def engine_runs(spec: TBA, comp: TBA, seed: int):
+    """(engine, observe, events) in classic, monitor and test mode, each
+    over a ground-truth walk of ``spec``: seen as it is, 10 late, and as it
+    is through channels that may delay it.  A pair without an input/output
+    partition is tested with its first symbol as input."""
+    rng = random.Random(seed)
+    if not spec.has_io_partition:
+        first, second = sorted(spec.alphabet)
+        spec, comp = (dataclasses.replace(
+            a, inputs=frozenset({first}), outputs=frozenset({second}))
+            for a in (spec, comp))
+    free = ground_walk(spec, rng, 30, alternate=False)
+    classic = Monitor(spec, comp, DelayBounds(0, 0, 0))
+    delayed = Monitor(spec, comp, DelayBounds(0, 20, 5))
+    tester = Tester(spec, comp, IODelayBounds(
+        DelayBounds(0, 10, 2), DelayBounds(0, 10, 2)))
+    return [(classic, "observe", free),
+            (delayed, "observe", [(s, t + 10) for s, t in free]),
+            (tester, "observe_io", ground_walk(spec, rng, 30, alternate=True))]
+
+
+class TestOneReachSetForBothPolarities:
+    """A complement that differs from its property only in the accepting
+    set has the same reach set on every trace, so both polarities read one
+    reach set, stepped once per event; a complement that differs anywhere
+    else gets its own.  Sharing changes no answer."""
+
+    @staticmethod
+    def feed(engine, observe: str, events) -> int:
+        """Events the engine took, up to a conclusive verdict or an error,
+        checking after each that both polarities read one reach set, also
+        in a deep copy given the next event."""
+        taken = 0
+        for sym, tau in events:
+            twin = copy.deepcopy(engine)
+            try:
+                verdict = getattr(engine, observe)(sym, tau)
+                getattr(twin, observe)(sym, tau)
+            except MonitorError:
+                break
+            for e in (engine, twin):
+                assert e.tracks == (e.pos.track,)
+                assert e.neg.reach is e.pos.reach
+            taken += 1
+            if verdict.conclusive:
+                break
+        return taken
+
+    @pytest.mark.parametrize("spec,comp", [
+        pytest.param(spec, comp, id=name)
+        for name, spec, comp in shipped_pairs()])
+    def test_shipped_pairs_share(self, spec, comp):
+        for engine, observe, events in engine_runs(spec, comp, seed=10):
+            taken = self.feed(engine, observe, events)
+            assert taken == len(events) > 20 or engine.verdict.conclusive
+
+    @pytest.mark.parametrize("variant", ["unreached_location",
+                                         "renamed_clock"])
+    def test_other_complements_keep_two_sets(self, variant):
+        spec = request_response_tba(True, 150, 1205, "a", "b")
+        comp = request_response_tba(False, 150, 1205, "a", "b")
+        comp = (with_unreached_location(comp)
+                if variant == "unreached_location"
+                else rename_clock(comp, "x", "z"))
+        for engine, observe, events in engine_runs(spec, comp, seed=11):
+            assert len(engine.tracks) == 2
+            assert engine.pos.track is not engine.neg.track
+            sym, tau = events[0]
+            getattr(engine, observe)(sym, tau)
+            assert engine.neg.reach is not engine.pos.reach
+
+    @staticmethod
+    def compare(build, spec, comp, observe: str, events) -> int:
+        """Events after which the engine on (spec, comp), one shared reach
+        set, agreed with the engine on a complement with an unreached
+        location, two reach sets."""
+        shared = build(spec, comp)
+        two = build(spec, with_unreached_location(comp))
+        assert len(shared.tracks) == 1 and len(two.tracks) == 2
+        return sum(got is Verdict.INCONCLUSIVE
+                   for got in lockstep(shared, two, observe, events))
+
+    def test_wide_band_monitor(self):
+        build, observe, events = wide_band_monitor_run(7)
+        assert self.compare(build, *wide_band_pair(), observe, events) == 100
+
+    def test_wide_band_test(self):
+        build, observe, events = wide_band_test_run(8)
+        assert self.compare(build, *wide_band_pair(), observe, events) == 100
+
+    @pytest.mark.parametrize("mode", ["monitor", "test"])
+    def test_random_pairs(self, mode):
+        long_walks = 0
+        for seed in range(10):
+            spec, comp, build, observe, events = random_pair_run(mode, seed)
+            try:
+                long_walks += self.compare(
+                    build, spec, comp, observe, events) == 80
+            except ComplementViolationError:
+                pass
+        assert long_walks >= 2
+
+    def test_complement_violation_on_two_sets(self):
+        spec = request_response_tba(True, 15, 25)
+        bounds = IODelayBounds(DelayBounds(2, 4, 0), DelayBounds(5, 7, 0))
+        shared = Tester(spec, spec, bounds)
+        two = Tester(spec, with_unreached_location(spec), bounds)
+        assert len(shared.tracks) == 1 and len(two.tracks) == 2
+        outcomes = list(lockstep(shared, two, "observe_io",
+                                 [("req", 10), ("resp", 31)]))
+        assert outcomes == [Verdict.INCONCLUSIVE, ComplementViolationError]
 
 
 class TestNoPruneInVerdict:

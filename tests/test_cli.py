@@ -362,6 +362,15 @@ class TestStreamControl:
                    for ln in lines)
         assert any(ln.startswith("Max symbolic states: ") for ln in lines)
 
+    def test_benchmark_counts_states_per_polarity(self, capsys, tmp_path):
+        # Both polarities read one reach set of 3 states; the count sums
+        # the two polarities, as it did when each stepped its own.
+        trace = write_trace(tmp_path, "@173 a\n@275 b\n")
+        _, out, _ = run(capsys, DEADLINE_ARGS + [
+            "--latency", "0", "100", "--jitter", "2", "--trace", trace,
+            "--benchmark"])
+        assert "Max symbolic states: 6" in out.splitlines()
+
     def test_fractional_scale_round_trip(self, capsys, tmp_path):
         # With the default scale of 10 the wire times may carry one
         # fractional digit, and the report echoes them back in decimal.

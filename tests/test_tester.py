@@ -23,6 +23,7 @@ from delaymon.monitor import (
     Verdict,
 )
 from delaymon.tester import (
+    ROUND_TRIP,
     AlternationError,
     GapError,
     IODelayBounds,
@@ -183,10 +184,11 @@ class TestRoundTripFromChannelRanges:
             lo = b_in.latency_low + b_out.latency_low
             hi = (INF if INF in (b_in.latency_high, b_out.latency_high)
                   else b_in.latency_high + b_out.latency_high)
+            x, y = ROUND_TRIP
             for side in (t.pos, t.neg):
-                n = len(side.automaton.clocks)
+                time = side.track.time
                 for s in side.reach:
-                    assert s.zone.difference_bounds(n + 3, n + 2) == \
+                    assert s.zone.difference_bounds(time + x, time + y) == \
                         Interval(lo, False, hi, hi == INF), (b_in, b_out)
 
 
