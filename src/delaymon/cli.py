@@ -13,11 +13,11 @@ multiple of ``1/scale``, parsed and printed back exactly by
 Exit codes: 0 the property holds, 1 it is violated, 2 inconclusive at end of
 stream, 3 any error.
 
-Extras: ``--csv`` writes one row of latency-bound columns per observation
-(strict endpoints carry an ``s`` suffix, interval unions are joined with
-``;``), ``--inject`` replays the trace as a ground truth through synthetic
-channels with assigned latencies and seeded jitter, and ``--benchmark``
-reports response times and reach-set sizes.
+Extras: ``--csv`` writes one row of latency-bound columns per observation as
+it is made (strict endpoints carry an ``s`` suffix, interval unions are
+joined with ``;``), ``--inject`` replays the trace as a ground truth through
+synthetic channels with assigned latencies and seeded jitter, and
+``--benchmark`` reports response times and reach-set sizes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import os
 import random
-import statistics
 import sys
 import time as time_mod
 from dataclasses import dataclass
@@ -71,7 +70,7 @@ def fmt_union(ivs: Iterable[Interval], scale: int) -> str:
 # -- trace handling ----------------------------------------------------------
 
 
-def read_trace(stream: TextIO, scale: int) -> Iterator[TraceEvent]:
+def read_trace(stream: Iterable[str], scale: int) -> Iterator[TraceEvent]:
     for lineno, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -253,21 +252,62 @@ def _parse_inject(text: str, scale: int) -> tuple[dict[str, int], int]:
     return vals, seed
 
 
+def _cannot(verb: str, path: str, e: OSError | UnicodeDecodeError
+            ) -> CliError:
+    reason = e.strerror if isinstance(e, OSError) else e
+    return CliError(f"cannot {verb} {path}: {reason}")
+
+
 def _open_trace(path: str) -> contextlib.AbstractContextManager[TextIO]:
     if path == "-":
         return contextlib.nullcontext(sys.stdin)
     try:
         return open(path, encoding="utf-8")
     except OSError as e:
-        raise CliError(f"cannot read {path}: {e.strerror}") from None
+        raise _cannot("read", path, e) from None
+
+
+def _lines(stream: TextIO, path: str) -> Iterator[str]:
+    """The lines of the trace; a read failure or a byte that is not UTF-8
+    ends in an error that names the trace."""
+    try:
+        for line in stream:  # not ``yield from``: closing this closes stdin
+            yield line
+    except (OSError, UnicodeDecodeError) as e:
+        raise _cannot("read", path, e) from None
 
 
 def _load_tba(path: str, scale: int) -> TBA:
     try:
         with open(path, encoding="utf-8") as f:
             return parse_tba(f.read(), scale)
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e.strerror}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise _cannot("read", path, e) from None
+
+
+class _CsvFile:
+    """The ``--csv`` file, written row by row: the header on opening, each
+    row as it is made.  Rows written before an error stay in the file."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.file = self._do(open, path, "w", encoding="utf-8")
+        self.write(CSV_HEADER)
+
+    def _do(self, action, *args, **kwargs):
+        try:
+            return action(*args, **kwargs)
+        except OSError as e:
+            raise _cannot("write", self.path, e) from None
+
+    def write(self, row: str) -> None:
+        self._do(self.file.write, row + "\n")
+
+    def __enter__(self) -> "_CsvFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._do(self.file.close)
 
 
 # -- main loop ---------------------------------------------------------------
@@ -299,8 +339,11 @@ def run_stream(args, out: TextIO) -> int:
         inject_bounds = {"dout": bounds}
         stimuli = frozenset()
 
-    with _open_trace(args.trace) as stream:
-        events: Iterable[TraceEvent] = read_trace(stream, scale)
+    with contextlib.ExitStack() as files:
+        stream = files.enter_context(_open_trace(args.trace))
+        events: Iterable[TraceEvent] = read_trace(
+            _lines(stream, "standard input" if args.trace == "-"
+                   else args.trace), scale)
 
         if args.inject:
             assigned, seed = _parse_inject(args.inject, scale)
@@ -319,26 +362,26 @@ def run_stream(args, out: TextIO) -> int:
             events = inject_delay(list(events), assigned, inject_bounds,
                                   stimuli, seed)
 
-        csv_rows = [CSV_HEADER] if args.csv else None
-        timings_ns: list[int] = []
-        max_states = 0
+        csv = files.enter_context(_CsvFile(args.csv)) if args.csv else None
+        max_ns = total_ns = max_states = count = 0
         verdict = engine.verdict
-        count = 0
         for ev in events:
             out.write(
                 f"Input: @{format_scaled(ev.timestamp, scale)} {ev.symbol}\n")
             out.write("\n")
             start = time_mod.perf_counter_ns()
             verdict = observe(ev.symbol, ev.timestamp)
-            timings_ns.append(time_mod.perf_counter_ns() - start)
+            took = time_mod.perf_counter_ns() - start
+            max_ns = max(max_ns, took)
+            total_ns += took
             count += 1
             max_states = max(
                 max_states, len(engine.pos.reach) + len(engine.neg.reach))
             for line in block(engine, verdict, scale):
                 out.write(line + "\n")
             out.write("\n")
-            if csv_rows is not None:
-                csv_rows.append(csv_row(engine, count, scale))
+            if csv is not None:
+                csv.write(csv_row(engine, count, scale))
             if verdict.conclusive and not args.keep_going:
                 break
 
@@ -346,18 +389,11 @@ def run_stream(args, out: TextIO) -> int:
         for line in block(engine, verdict, scale):
             out.write(line + "\n")
 
-    if csv_rows is not None:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as f:
-                f.write("\n".join(csv_rows) + "\n")
-        except OSError as e:
-            raise CliError(f"cannot write {args.csv}: {e.strerror}") from None
-
-    if args.benchmark and timings_ns:
+    if args.benchmark and count:
         out.write(f"Events: {count}\n")
-        out.write(f"Max response time (us): {max(timings_ns) / 1000:.1f}\n")
+        out.write(f"Max response time (us): {max_ns / 1000:.1f}\n")
         out.write("Mean response time (us): "
-                  f"{statistics.fmean(timings_ns) / 1000:.1f}\n")
+                  f"{total_ns / count / 1000:.1f}\n")
         out.write(f"Max symbolic states: {max_states}\n")
 
     return {Verdict.TRUE: 0, Verdict.FALSE: 1,
@@ -389,6 +425,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         print("error: standard output closed before the run ended",
+              file=sys.stderr)
+        return 3
+    except OSError as e:  # every other file reports as a CliError
+        _discard_stdout()
+        print(f"error: cannot write standard output: {e.strerror}",
               file=sys.stderr)
         return 3
 

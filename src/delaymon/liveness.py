@@ -1,12 +1,15 @@
 """Language-nonemptiness analysis: from which states does a time-divergent
 accepting run exist?
 
-The computation is a two-level fixpoint over federations (per-location zone
-lists): a greatest fixpoint shrinks the set of accepting states that admit
-infinitely many "productive" revisits (at least one time unit elapsing per
-lap, tracked with an auxiliary clock), and a final backward reachability
-collects every state that can reach that recurrent core.  Backward preimages
-are exact — no extrapolation — which is what the monitor's verdicts rely on.
+The computation is the nested Büchi fixpoint over federations (per-location
+zone lists): each round takes the backward reach of the accepting "core"
+states with at least one time unit elapsing (tracked with an auxiliary
+clock), and the next core is its accepting part at zero elapsed time.  The
+rounds shrink the core to the states that admit infinitely many productive
+revisits, and the last round's backward reach, with the auxiliary clock
+projected away, is every state that can reach that core.  Backward
+preimages are exact — no extrapolation — which is what the monitor's
+verdicts rely on.
 """
 
 from __future__ import annotations
@@ -73,14 +76,12 @@ def _pre_edge(e: Edge, zone: DBM) -> DBM | None:
 def _backward_reach(
     automaton: TBA,
     targets: dict[str, list[DBM]],
-    include_targets: bool,
     max_insertions: int,
 ) -> dict[str, list[DBM]]:
     by_dst: dict[str, list[Edge]] = {}
     for e in automaton.compiled:
         by_dst.setdefault(e.dst, []).append(e)
-    result: dict[str, list[DBM]] = (
-        {q: list(zs) for q, zs in targets.items()} if include_targets else {})
+    result: dict[str, list[DBM]] = {}
     queue: deque[tuple[str, DBM]] = deque(
         (q, z) for q, zs in targets.items() for z in zs)
     inserted = 0
@@ -105,17 +106,6 @@ def _backward_reach(
     return result
 
 
-def _federations_equal(a: dict[str, list[DBM]],
-                       b: dict[str, list[DBM]]) -> bool:
-    for q in set(a) | set(b):
-        za, zb = a.get(q, []), b.get(q, [])
-        if not all(included_in_union(z, zb) for z in za):
-            return False
-        if not all(included_in_union(z, za) for z in zb):
-            return False
-    return True
-
-
 def nonempty_states(
     automaton: TBA,
     max_insertions: int = 200_000,
@@ -124,7 +114,17 @@ def nonempty_states(
     """Compute the states admitting an accepting run.
 
     As the infinite-word semantics demands, the witness run must let time
-    grow beyond every bound.
+    grow beyond every bound: a divergence clock ``z`` must reach 1 per lap
+    (Tripakis, Yovine & Bouajjani, FMSD 2005).  The rounds are the nested
+    Büchi fixpoint (Emerson & Lei, LICS 1986).  The step is monotone and
+    starts from the universal zones, so the core only shrinks, and the core
+    lying within its refresh marks the fixpoint.  That round's backward
+    reach with ``z`` projected away (``z`` can be chosen large at the
+    source) is exactly the states with a path of one or more edges into the
+    core.  It holds every core state, which has a productive lap back into
+    the core, and every state that reaches the core by delay alone: such a
+    state shares the lap of the core state it delays into, so it is itself
+    in the core.
     """
     n_c = len(automaton.clocks)
     zi = n_c + 1  # the divergence clock, after the automaton's
@@ -143,9 +143,7 @@ def nonempty_states(
         }
         targets = {q: [z for z in zs if not z.is_empty()]
                    for q, zs in targets.items()}
-        back = _backward_reach(automaton, targets,
-                               include_targets=False,
-                               max_insertions=max_insertions)
+        back = _backward_reach(automaton, targets, max_insertions)
         refreshed: dict[str, list[DBM]] = {}
         for q in automaton.accepting:
             zs = []
@@ -158,22 +156,17 @@ def nonempty_states(
             zs = reduce_union(zs)
             if zs:
                 refreshed[q] = zs
-        if _federations_equal(refreshed, core):
-            core = refreshed
+        if all(included_in_union(z, refreshed.get(q, ()))
+               for q, zs in core.items() for z in zs):
             break
         core = refreshed
     else:
         raise LivenessError("recurrence fixpoint did not stabilize")
 
-    # collect everything that can reach the recurrent core
-    targets = {q: [z.down() for z in zs] for q, zs in core.items()}
-    reach = _backward_reach(automaton, targets,
-                            include_targets=True,
-                            max_insertions=max_insertions)
-    return NonEmptyMap(
-        clocks=automaton.clocks,
-        zones={q: tuple(reduce_union(zs)) for q, zs in reach.items() if zs},
-    )
+    # every state with a path into the core, divergence clock projected away
+    return NonEmptyMap(clocks=automaton.clocks, zones={
+        q: tuple(reduce_union(z.restrict(range(1, 1 + n_c)) for z in zs))
+        for q, zs in back.items()})
 
 
 def intersects_nonempty(states: Iterable[SymbolicState],

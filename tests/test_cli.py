@@ -8,12 +8,14 @@ delay-injection replay mode.
 from __future__ import annotations
 
 import functools
+import gc
 import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -371,6 +373,29 @@ class TestStreamControl:
             "--benchmark"])
         assert "Max symbolic states: 6" in out.splitlines()
 
+    def test_csv_run_memory_does_not_grow(self, tmp_path):
+        # Rows go to the file as they are made and the response times are
+        # kept as running figures, so a longer run holds no more memory.
+        def peak(events: int) -> int:
+            trace = tmp_path / f"{events}.txt"
+            trace.write_text("".join(f"@{100 * k} a\n"
+                                     for k in range(1, events + 1)))
+            argv = DEADLINE_ARGS + [
+                "--mode", "classic", "--keep-going", "--benchmark",
+                "--trace", str(trace), "--csv", str(tmp_path / "out.csv")]
+            gc.collect()  # the garbage of an earlier run is not this one's
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w") as null, redirect_stdout(null):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            small, large = peak(1_000), peak(10_000)
+        finally:
+            tracemalloc.stop()
+        assert large - small < 64 * 1024, (small, large)
+
     def test_fractional_scale_round_trip(self, capsys, tmp_path):
         # With the default scale of 10 the wire times may carry one
         # fractional digit, and the report echoes them back in decimal.
@@ -432,6 +457,36 @@ class TestFailuresExitThree:
         assert code == 3
         assert err.startswith("error: cannot write ")
 
+    def test_rows_before_an_error_stay_in_the_csv(self, capsys, tmp_path):
+        trace = write_trace(tmp_path, "@1 a\n@3 a\n@2 a\n")
+        csv_path = tmp_path / "out.csv"
+        code, _, err = run(capsys, DEADLINE_ARGS + [
+            "--trace", trace, "--csv", str(csv_path)])
+        assert code == 3
+        assert err.startswith("error: ")
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].startswith("obs,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    def test_csv_on_a_full_device(self, capsys, tmp_path):
+        trace = write_trace(tmp_path, "@173 a\n")
+        code, _, err = run(capsys, DEADLINE_ARGS + [
+            "--trace", trace, "--csv", "/dev/full"])
+        assert code == 3
+        assert err.startswith("error: cannot write /dev/full: ")
+
+    @pytest.mark.parametrize("which", ["--spec", "--trace"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"@173 \xffa\n")
+        argv = DEADLINE_ARGS + ["--trace", write_trace(tmp_path, "@173 a\n")]
+        argv[argv.index(which) + 1] = str(bad)
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert err.startswith(f"error: cannot read {bad}: ")
+
     def test_closed_stdout(self, tmp_path):
         # Like `delaymon ... | head -2`, but the reader is gone before the
         # first write, so the outcome does not depend on timing.
@@ -450,6 +505,21 @@ class TestFailuresExitThree:
         assert proc.returncode == 3
         assert proc.stderr == (
             "error: standard output closed before the run ended\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    def test_full_stdout(self, tmp_path):
+        trace = write_trace(tmp_path, "@173 a\n@271 b\n")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "delaymon.cli", *DEADLINE_ARGS,
+                 "--latency", "0", "100", "--trace", trace],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1  # no traceback
 
     def test_injected_stimulus_before_time_zero(self, capsys, tmp_path):
         trace = write_trace(tmp_path, "@5 ReqNewGear\n@700 NewGear\n")

@@ -17,7 +17,12 @@ from delaymon.automata import (
     parse_tba,
 )
 from delaymon.dbm import DBM, bound, included_in_union
-from delaymon.liveness import dump_map, intersects_nonempty, nonempty_states
+from delaymon.liveness import (
+    _pre_edge,
+    dump_map,
+    intersects_nonempty,
+    nonempty_states,
+)
 
 from helpers_automata import (
     eventually_then_safe_tba,
@@ -178,6 +183,44 @@ class TestNonEmptyIsCylinderInInactiveClocks:
             if a.has_io_partition:
                 freed += freed_zones_stay_nonempty(io_alternation_product(a))
         assert len(SHIPPED) >= 16 and freed > 0
+
+
+def nonempty_is_closed_backward(a: TBA) -> int:
+    """Check that nothing leaves the nonempty set going backward: every
+    state that can delay and take an edge into it, or delay into it, is in
+    it.  Returns how many edge preimages were checked."""
+    zones = nonempty_states(a).zones
+    checked = 0
+    for q, zs in zones.items():
+        for z in zs:
+            assert included_in_union(z.down(), zs), q
+    for e in a.compiled:
+        for z in zones.get(e.dst, ()):
+            p = _pre_edge(e, z)
+            if p is not None:
+                assert included_in_union(p, zones.get(e.src, ())), e
+                checked += 1
+    return checked
+
+
+class TestNonEmptyIsClosedBackward:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random(self, seed):
+        rng = random.Random(4000 + seed)
+        a = random_tba(rng, n_clocks=rng.choice([1, 2, 3]), max_const=3,
+                       guard_ratio=0.4)
+        nonempty_is_closed_backward(a)
+        nonempty_is_closed_backward(io_alternation_product(with_io(a)))
+
+    def test_shipped_automata_and_io_products(self):
+        checked = 0
+        for path in SHIPPED:
+            a = parse_tba(path.read_text(), 10)
+            checked += nonempty_is_closed_backward(a)
+            if a.has_io_partition:
+                checked += nonempty_is_closed_backward(
+                    io_alternation_product(a))
+        assert len(SHIPPED) >= 16 and checked > 0
 
 
 # A monitor's zones over eventually_then_safe_tba: x, then time and etime.
