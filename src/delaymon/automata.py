@@ -197,8 +197,10 @@ def post(states: Iterable[SymbolicState], a: str, automaton: TBA,
     """Successors of a reach set on one ``a`` event: time elapses (``up``),
     the constraints ``window`` that hold at the event instant are met, then
     each ``a``-edge's guard and reset apply.  A state whose location has no
-    ``a``-edge costs no zone work.  Empty successors are dropped; the rest
-    are returned unpruned, in state and edge order."""
+    ``a``-edge costs no zone work; one that has copies its matrix once for
+    the elapse and the window, and once more per edge whose guard tightens
+    the zone or that resets a clock.  Empty successors are dropped; the
+    rest are returned unpruned, in state and edge order."""
     if a not in automaton.alphabet:
         raise TBAError(f"symbol {a!r} not in alphabet")
     out: list[SymbolicState] = []
@@ -206,13 +208,13 @@ def post(states: Iterable[SymbolicState], a: str, automaton: TBA,
         edges = automaton.edges(s.location, a)
         if not edges:
             continue
-        z = s.zone.up().and_constraints(window)
+        z = s.zone.elapse(window)
         if z.is_empty():
             continue
         for e in edges:
-            g = z.and_constraints(e.guard)
+            g = z.and_constraints(e.guard, e.resets)
             if not g.is_empty():
-                out.append(SymbolicState(e.dst, g.reset(e.resets)))
+                out.append(SymbolicState(e.dst, g))
     return out
 
 

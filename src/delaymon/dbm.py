@@ -6,6 +6,16 @@ constants are scaled integers; bounds are encoded in a single int as
 ``2*c | 1`` for a weak bound (<=) and ``2*c`` for a strict one (<), so that
 the natural int order coincides with bound tightness and the canonicalization
 loop stays branch-free.
+
+A zone is refined by :meth:`DBM.and_constraints` (a meet, then optional
+clock resets), :meth:`DBM.elapse` (``up``, then a meet) and
+:meth:`DBM.pre` (the preimage of an edge: pin and free its reset clocks,
+meet its guard, then ``down``).  Each applies its whole chain of steps to
+one copy of the matrix, keeping it canonical in place through
+:func:`_tighten`, so a derived zone costs one copy and no closure (as in
+UPPAAL's DBM library: Behrmann et al., "UPPAAL implementation secrets",
+FTRTFT 2002).  A latency union is merged on the encoded bounds of the met
+zones by :func:`merge_difference_bounds`.
 """
 
 from __future__ import annotations
@@ -248,86 +258,38 @@ class DBM:
 
     # -- operations ----------------------------------------------------------
 
-    def up(self) -> "DBM":
-        """Future operator: drop upper bounds on individual clocks."""
-        if self.is_empty():
+    def elapse(self, cons: Iterable[tuple[int, int, int]]) -> "DBM":
+        """Future operator ``up`` (drop the upper bounds of the clocks),
+        then the meet with the encoded constraints ``cons``: one copy.
+
+        ``up`` keeps a canonical matrix canonical: it only relaxes
+        ``m[i][0]``, and ``m[i][j] <= m[i][0] + m[0][j]`` holds trivially
+        for the new value."""
+        if self._empty:
             return self
         m = self.copy_matrix()
-        for i in range(1, self.dim):
-            m[i][0] = INF
-        # differences and lower bounds are untouched, result stays canonical:
-        # m[i][0]=INF only relaxes, and m[i][j] <= m[i][0]+m[0][j] trivially.
-        return DBM._canonical(self.dim, m)
-
-    def down(self) -> "DBM":
-        """Past operator: valuations from which a delay leads into the zone.
-
-        Assumes all clocks are non-negative: each lower bound relaxes to
-        ``>= 0`` and is then re-tightened by the difference constraints,
-        ``m[0][i] = min_k (max(m[0][k], <=0) + m[k][i])`` over ``k >= 1``.
-        The other rows of a canonical matrix stay as they are.
-        """
-        if self.is_empty():
-            return self
-        m = self.copy_matrix()
-        low = [max(b, LE_ZERO) for b in m[0]]
-        row0 = m[0]
-        for i in range(1, self.dim):
-            best = low[i]
-            for k in range(1, self.dim):
-                a, c = low[k], m[k][i]
-                if a != INF and c != INF:
-                    s = (((a >> 1) + (c >> 1)) << 1) | (a & c & 1)
-                    if s < best:
-                        best = s
-            row0[i] = best
-        return DBM._canonical(self.dim, m)
-
-    def reset(self, clocks: Iterable[int]) -> "DBM":
-        """Set each clock in ``clocks`` to 0, project its old value away;
-        a canonical zone stays canonical."""
-        cs = sorted(set(clocks))
-        if not cs:
-            return self
-        if 0 in cs:
-            raise ValueError("cannot reset the reference clock")
-        if self.is_empty():
-            return self
-        m = self.copy_matrix()
-        for x in cs:
-            for j in range(self.dim):
-                m[x][j] = m[0][j]
-                m[j][x] = m[j][0]
-            m[x][x] = LE_ZERO
-            m[x][0] = LE_ZERO
-            m[0][x] = LE_ZERO
-        return DBM._canonical(self.dim, m)
-
-    def free(self, clocks: int | Iterable[int]) -> "DBM":
-        """Remove every constraint on the given clock(s) except ``>= 0``.
-
-        Other clocks retain the closure-tightened constraints among
-        themselves; a canonical zone stays canonical.
-        """
-        cs = sorted({clocks} if isinstance(clocks, int) else set(clocks))
-        if 0 in cs:
-            raise ValueError("cannot free the reference clock")
-        if self.is_empty():
-            return self
-        m = self.copy_matrix()
-        for x in cs:
-            for j in range(self.dim):
-                if j != x:
-                    m[x][j] = INF
-                    m[j][x] = m[j][0] if j != 0 else LE_ZERO
+        for row in m[1:]:
+            row[0] = INF
+        for i, j, b in cons:
+            if b < m[i][j] and not _tighten(m, i, j, b):
+                return DBM._canonical(self.dim, m, empty=True)
         return DBM._canonical(self.dim, m)
 
     def and_constraint(self, i: int, j: int, b: int) -> "DBM":
         """Intersect with ``x_i - x_j (<|<=) c`` for encoded bound ``b``."""
         return self.and_constraints(((i, j, b),))
 
-    def and_constraints(self, cons: Iterable[tuple[int, int, int]]) -> "DBM":
-        if self.is_empty():
+    def and_constraints(self, cons: Iterable[tuple[int, int, int]],
+                        resets: Sequence[int] = ()) -> "DBM":
+        """Intersect with the encoded constraints ``cons``, then set each
+        clock in ``resets`` to 0 and project its old value away: one copy,
+        and none when ``cons`` tightens nothing and ``resets`` is empty.
+
+        A reset copies row and column 0 into the clock's, which keeps a
+        canonical matrix canonical."""
+        if 0 in resets:
+            raise ValueError("cannot reset the reference clock")
+        if self._empty:
             return self
         m = self.m
         for i, j, b in cons:
@@ -336,9 +298,56 @@ class DBM:
                     m = self.copy_matrix()
                 if not _tighten(m, i, j, b):
                     return DBM._canonical(self.dim, m, empty=True)
+        if resets:
+            if m is self.m:
+                m = self.copy_matrix()
+            for x in resets:
+                m[x] = m[0][:]
+                for row in m:
+                    row[x] = row[0]
         if m is self.m:
             return self
         return DBM._canonical(self.dim, m)
+
+    def pre(self, guard: Iterable[tuple[int, int, int]],
+            resets: Sequence[int]) -> "DBM":
+        """Valuations from which a delay and then an edge with ``guard``
+        and ``resets`` lead into the zone, for non-negative clocks: pin the
+        reset clocks to 0, free them (drop every constraint on them but
+        ``>= 0``), meet the guard, then the past operator ``down``.  One
+        copy for the four steps.
+
+        On the pinned canonical matrix a reset clock's column already
+        equals column 0, so freeing it only clears its row.  ``down``
+        relaxes each lower bound to ``>= 0`` and re-tightens it by the
+        difference constraints, ``m[0][i] = min_k (max(m[0][k], <=0) +
+        m[k][i])`` over ``k >= 1``; the other rows stay as they are."""
+        if self._empty:
+            return self
+        dim = self.dim
+        m = self.copy_matrix()
+        for x in resets:
+            for i, j in ((x, 0), (0, x)):
+                if LE_ZERO < m[i][j] and not _tighten(m, i, j, LE_ZERO):
+                    return DBM._canonical(dim, m, empty=True)
+        for x in resets:
+            m[x] = [INF] * dim
+            m[x][x] = LE_ZERO
+        for i, j, b in guard:
+            if b < m[i][j] and not _tighten(m, i, j, b):
+                return DBM._canonical(dim, m, empty=True)
+        row0 = m[0]
+        low = [max(b, LE_ZERO) for b in row0]
+        for i in range(1, dim):
+            best = low[i]
+            for k in range(1, dim):
+                a, c = low[k], m[k][i]
+                if a != INF and c != INF:
+                    s = (((a >> 1) + (c >> 1)) << 1) | (a & c & 1)
+                    if s < best:
+                        best = s
+            row0[i] = best
+        return DBM._canonical(dim, m)
 
     def includes(self, other: "DBM") -> bool:
         """True iff every valuation of ``other`` satisfies ``self``."""
@@ -356,13 +365,7 @@ class DBM:
         """Tightest interval containing {v(x) - v(y) | v in zone}."""
         if self.is_empty():
             return Interval(0, True, 0, True)  # empty
-        up_b = self.m[x][y]
-        lo_b = self.m[y][x]
-        hi = INF if up_b == INF else bound_value(up_b)
-        hi_s = bound_is_strict(up_b) if up_b != INF else True
-        lo = -INF if lo_b == INF else -bound_value(lo_b)
-        lo_s = bound_is_strict(lo_b) if lo_b != INF else True
-        return Interval(lo, lo_s, hi, hi_s)
+        return _interval(self.m[y][x], self.m[x][y])
 
     # -- queries -------------------------------------------------------------
 
@@ -438,32 +441,41 @@ def included_in_union(zone: DBM, zones: Iterable[DBM]) -> bool:
     return not remains
 
 
-def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
-    """Union of intervals as a sorted list of maximal disjoint intervals."""
-    ivs = sorted(
-        (iv for iv in intervals if not iv.is_empty()),
-        key=lambda iv: (iv.lo, iv.lo_strict),
-    )
+def _interval(lo_b: int, up_b: int) -> Interval:
+    """The interval ``-lo_b <= d <= up_b`` of a difference ``d`` from the
+    encoded bounds on ``-d`` and on ``d``.  :data:`INF` is even, so an
+    unbounded end comes out strict, as :class:`Interval` wants."""
+    return Interval(-INF if lo_b == INF else -(lo_b >> 1), not lo_b & 1,
+                    INF if up_b == INF else up_b >> 1, not up_b & 1)
+
+
+def merge_difference_bounds(pairs: list[tuple[int, int]]
+                            ) -> tuple[Interval, ...]:
+    """Union of difference ranges as sorted maximal disjoint intervals.
+
+    Each pair is ``(m[y][x], m[x][y])`` of a nonempty canonical zone: the
+    encoded bounds on ``x_y - x_x`` and ``x_x - x_y``.  ``pairs`` is sorted
+    in place.  Descending encoded lower bounds are ascending low ends, a
+    closed end before an open one; so the merge reads ints only and builds
+    an :class:`Interval` per merged piece.  A piece ending at ``hi`` and
+    the next one starting at ``lo`` overlap or touch iff ``hi - lo > 0``,
+    or ``hi = lo`` with an end closed."""
+    if not pairs:
+        return ()
+    pairs.sort(reverse=True)
     out: list[Interval] = []
-    for iv in ivs:
-        if out:
-            last = out[-1]
-            touches = (
-                last.hi == INF
-                or iv.lo < last.hi
-                or (iv.lo == last.hi and not (iv.lo_strict and last.hi_strict))
-            )
-            if touches:
-                new_hi, new_hi_s = last.hi, last.hi_strict
-                if last.hi != INF and (
-                        iv.hi == INF or iv.hi > last.hi
-                        or (iv.hi == last.hi and last.hi_strict
-                            and not iv.hi_strict)):
-                    new_hi, new_hi_s = iv.hi, iv.hi_strict
-                out[-1] = Interval(last.lo, last.lo_strict, new_hi, new_hi_s)
-                continue
-        out.append(iv)
-    return out
+    rest = iter(pairs)
+    lo, hi = next(rest)
+    for low, up in rest:
+        s = (hi >> 1) + (low >> 1)
+        if s > 0 or (s == 0 and (hi | low) & 1):
+            if up > hi:
+                hi = up
+        else:
+            out.append(_interval(lo, hi))
+            lo, hi = low, up
+    out.append(_interval(lo, hi))
+    return tuple(out)
 
 
 def _covers(big: list[int], small: list[int]) -> bool:

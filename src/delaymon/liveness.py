@@ -58,21 +58,6 @@ class NonEmptyMap:
             for q, zs in self.zones.items()})
 
 
-def _pre_edge(e: Edge, zone: DBM) -> DBM | None:
-    """States that can delay and take ``e`` into ``zone``."""
-    lam = e.resets
-    z = zone.and_constraints(
-        [(i, 0, LE_ZERO) for i in lam] + [(0, i, LE_ZERO) for i in lam])
-    if z.is_empty():
-        return None
-    if lam:
-        z = z.free(lam)
-    z = z.and_constraints(e.guard)
-    if z.is_empty():
-        return None
-    return z.down()
-
-
 def _backward_reach(
     automaton: TBA,
     targets: dict[str, list[DBM]],
@@ -88,8 +73,8 @@ def _backward_reach(
     while queue:
         loc, zone = queue.popleft()
         for e in by_dst.get(loc, ()):
-            p = _pre_edge(e, zone)
-            if p is None:
+            p = zone.pre(e.guard, e.resets)
+            if p.is_empty():
                 continue
             have = result.setdefault(e.src, [])
             if included_in_union(p, have):

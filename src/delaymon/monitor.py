@@ -31,7 +31,12 @@ This gives the same canonical zones as meeting the window after the reset:
 the window bounds only the channel clock, which no guard reads and no reset
 touches, so meeting it commutes with both, and a nonempty zone has one
 canonical DBM.  So the window is met once per state, not once per
-successor.
+successor.  Each derived zone is one matrix copy: up and the window are
+one (:meth:`delaymon.dbm.DBM.elapse`), each edge's guard and reset one more
+(none if the guard tightens nothing and the edge resets nothing), and so is
+the verdict probe's advance of a state to the query time.  A latency report
+merges the encoded bounds of the met zones and builds an
+:class:`~delaymon.dbm.Interval` per merged piece only.
 
 Verdicts are three-valued: a polarity becomes impossible exactly when its
 reach-set stops intersecting the corresponding nonempty-language states.
@@ -74,7 +79,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .automata import TBA, SymbolicState, post, prune_subsumed
-from .dbm import DBM, INF, Interval, bound, merge_intervals
+from .dbm import DBM, INF, Interval, bound, merge_difference_bounds
 from .liveness import NonEmptyMap, intersects_nonempty, nonempty_states
 
 OUTPUT = "output"
@@ -206,12 +211,12 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
     work, and a zone included in a sibling cannot change whether some state
     meets the nonempty zones."""
     live = side.nonempty.constraints
+    at_cutoff = ((ci, 0, bound(cutoff)), (0, ci, bound(-cutoff)))
     for s in side.reach:
         if not live.get(s.location):
             continue
         if cutoff >= 0:
-            adv = s.zone.up().and_constraints(
-                [(ci, 0, bound(cutoff)), (0, ci, bound(-cutoff))])
+            adv = s.zone.elapse(at_cutoff)
             if not adv.is_empty():
                 yield SymbolicState(s.location, adv)
         stay = s.zone.and_constraint(0, ci, bound(-cutoff, strict=True))
@@ -221,17 +226,21 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
 
 def _latencies(side: _Side, measures: tuple[Measure, ...]
                ) -> list[tuple[Interval, ...]]:
-    """Per measure, the latency values consistent with this polarity."""
+    """Per measure, the latency values consistent with this polarity: the
+    union over every reach zone met with a nonempty zone, merged on the
+    encoded bounds of the met zones."""
     t = side.track.time
-    unions: list[list[Interval]] = [[] for _ in measures]
+    cells = [(t + x, t + y) for x, y in measures]
+    unions: list[list[tuple[int, int]]] = [[] for _ in measures]
     for s in side.reach:
         for cons in side.nonempty.constraints.get(s.location, ()):
             z = s.zone.and_constraints(cons)
             if z.is_empty():
                 continue
-            for (x, y), ivs in zip(measures, unions):
-                ivs.append(z.difference_bounds(t + x, t + y))
-    return [tuple(merge_intervals(ivs)) for ivs in unions]
+            m = z.m
+            for (x, y), pairs in zip(cells, unions):
+                pairs.append((m[y][x], m[x][y]))
+    return [merge_difference_bounds(pairs) for pairs in unions]
 
 
 class _Engine:

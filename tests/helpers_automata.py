@@ -55,6 +55,78 @@ def zone_contains(zone: DBM, valuation: tuple[int, ...]) -> bool:
     return True
 
 
+# -- textbook zone operations ------------------------------------------------
+#
+# The engine fuses these steps on one matrix copy (DBM.elapse,
+# DBM.and_constraints with resets, DBM.pre).  Here each step writes its
+# defining matrix on a copy and closes it fully with Floyd-Warshall
+# (``DBM(dim, m)``), so they serve as the reference.  An empty zone stays
+# as it is: the matrix of an empty DBM need not be infeasible.
+
+
+def textbook_meet(zone: DBM, cons) -> DBM:
+    if zone.is_empty():
+        return zone
+    m = zone.copy_matrix()
+    for i, j, b in cons:
+        m[i][j] = min(m[i][j], b)
+    return DBM(zone.dim, m)
+
+
+def textbook_up(zone: DBM) -> DBM:
+    """Drop the upper bound of every clock."""
+    if zone.is_empty():
+        return zone
+    m = zone.copy_matrix()
+    for row in m[1:]:
+        row[0] = INF
+    return DBM(zone.dim, m)
+
+
+def textbook_reset(zone: DBM, clocks) -> DBM:
+    """Set each clock in ``clocks`` to 0."""
+    if zone.is_empty():
+        return zone
+    m = zone.copy_matrix()
+    for x in clocks:
+        m[x] = m[0][:]
+        for row in m:
+            row[x] = row[0]
+        m[0][x] = m[x][0] = LE_ZERO
+    return DBM(zone.dim, m)
+
+
+def textbook_free(zone: DBM, clocks) -> DBM:
+    """Drop every constraint on the clocks in ``clocks`` but ``>= 0``."""
+    if zone.is_empty():
+        return zone
+    m = zone.copy_matrix()
+    for x in clocks:
+        m[x] = [INF] * zone.dim
+        for row in m:
+            row[x] = row[0]
+        m[0][x] = m[x][x] = LE_ZERO
+    return DBM(zone.dim, m)
+
+
+def textbook_down(zone: DBM) -> DBM:
+    """Relax every lower bound to ``>= 0``: the past of a zone over
+    non-negative clocks."""
+    if zone.is_empty():
+        return zone
+    m = zone.copy_matrix()
+    m[0] = [max(b, LE_ZERO) for b in m[0]]
+    return DBM(zone.dim, m)
+
+
+def textbook_pre(zone: DBM, guard, resets) -> DBM:
+    """States that can delay and take an edge with ``guard`` and
+    ``resets`` into ``zone``."""
+    pinned = textbook_meet(zone, [(x, 0, LE_ZERO) for x in resets]
+                           + [(0, x, LE_ZERO) for x in resets])
+    return textbook_down(textbook_meet(textbook_free(pinned, resets), guard))
+
+
 def nonempty_contains(nonempty: NonEmptyMap, location: str,
                       valuation: tuple[int, ...]) -> bool:
     """Membership of a valuation of the automaton clocks (no leading

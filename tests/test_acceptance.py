@@ -497,11 +497,13 @@ class TestNoClosurePerEvent:
     symbolic step builds a fixed number of zones."""
 
     PAIRS = 100
-    # DBMs built per observe, with one reach set stepped for both
-    # polarities; 11 when each polarity stepped its own, 14 before that when
+    # DBMs built per observe, with each derived zone one matrix copy (up
+    # and the window one, each edge's guard and reset one, the verdict
+    # probe's advance one); 7.5 when each of those steps built its own, 11
+    # when each polarity stepped its own reach set, 14 before that when
     # the channel window was met after each edge's guard and reset, and up()
     # ran at locations without the edge
-    ALLOCS_PER_EVENT = 7.5
+    ALLOCS_PER_EVENT = 4.5
 
     def runs(self) -> list:
         """(engine, observe, events) for classic, monitor and test mode."""

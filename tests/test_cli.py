@@ -468,6 +468,22 @@ class TestFailuresExitThree:
         assert lines[0].startswith("obs,")
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
+    @pytest.mark.parametrize("late,message", [
+        ("@3 a", "observation at 3 precedes 5"),
+        ("@6 zzz", "symbol 'zzz' not in alphabet"),
+    ])
+    def test_bad_event_after_the_verdict(self, capsys, tmp_path, late,
+                                         message):
+        # The engine ignores events once its verdict is FALSE; with
+        # --keep-going the CLI still refuses one it would have refused.
+        trace = write_trace(tmp_path, f"@5 b\n{late}\n@7 a\n")
+        code, out, err = run(capsys, DEADLINE_ARGS + [
+            "--mode", "classic", "--keep-going", "--trace", trace])
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert out.count("Verdict: FALSE") == 1
+        assert out.endswith(f"Input: {late}\n\n")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device that is always full")
     def test_csv_on_a_full_device(self, capsys, tmp_path):

@@ -24,10 +24,18 @@ from delaymon.dbm import (
     bound_is_strict,
     bound_value,
     included_in_union,
+    merge_difference_bounds,
     reduce_union,
 )
 
-from helpers_automata import zone_contains
+from helpers_automata import (
+    textbook_down,
+    textbook_meet,
+    textbook_pre,
+    textbook_reset,
+    textbook_up,
+    zone_contains,
+)
 
 GRID = range(0, 7)  # valuation grid per clock
 
@@ -112,7 +120,7 @@ class TestOperations:
     @settings(max_examples=80, deadline=None)
     def test_up_keeps_differences_drops_upper(self, cons):
         z = zone_from(cons)
-        u = z.up()
+        u = z.elapse(())
         for v in points_of(z):
             # every uniform time shift of a member stays in up(z)
             for d in range(0, 3):
@@ -124,7 +132,7 @@ class TestOperations:
     @settings(max_examples=80, deadline=None)
     def test_reset_sends_members_to_zero(self, cons):
         z = zone_from(cons)
-        r = z.reset([1])
+        r = z.and_constraints((), [1])
         expect = {(0, 0, v[2]) for v in points_of(z)}
         assert expect <= points_of(r)
         for v in points_of(r):
@@ -133,9 +141,11 @@ class TestOperations:
     @given(constraints)
     @settings(max_examples=80, deadline=None)
     def test_free_is_existential_projection(self, cons):
+        # The preimage of a reset of x1 frees x1 in the zone pinned at
+        # x1 = 0: with no delay, any x1 leads to a member.
         z = zone_from(cons)
-        f = z.free(1)
-        reachable = {v[2] for v in points_of(z)}
+        f = z.pre((), [1])
+        reachable = {v[2] for v in points_of(z) if v[1] == 0}
         for v in grid_points(3):
             if v[2] in reachable:
                 assert zone_contains(f, v)
@@ -183,7 +193,7 @@ class TestOperations:
 
     def test_reset_reference_clock_rejected(self):
         with pytest.raises(ValueError):
-            DBM.universal(3).reset([0])
+            DBM.universal(3).and_constraints((), [0])
 
 
 class TestDifferenceBounds:
@@ -218,6 +228,95 @@ class TestInterval:
 
     def test_closed_point_nonempty(self):
         assert not Interval(4, False, 4, False).is_empty()
+
+
+def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
+    """Reference: union of intervals as a sorted list of maximal disjoint
+    intervals, merged on decoded endpoints."""
+    ivs = sorted(
+        (iv for iv in intervals if not iv.is_empty()),
+        key=lambda iv: (iv.lo, iv.lo_strict),
+    )
+    out: list[Interval] = []
+    for iv in ivs:
+        if out:
+            last = out[-1]
+            touches = (
+                last.hi == INF
+                or iv.lo < last.hi
+                or (iv.lo == last.hi and not (iv.lo_strict and last.hi_strict))
+            )
+            if touches:
+                new_hi, new_hi_s = last.hi, last.hi_strict
+                if last.hi != INF and (
+                        iv.hi == INF or iv.hi > last.hi
+                        or (iv.hi == last.hi and last.hi_strict
+                            and not iv.hi_strict)):
+                    new_hi, new_hi_s = iv.hi, iv.hi_strict
+                out[-1] = Interval(last.lo, last.lo_strict, new_hi, new_hi_s)
+                continue
+        out.append(iv)
+    return out
+
+
+def encoded(lo: int, lo_strict: bool, hi: int, hi_strict: bool
+            ) -> tuple[int, int]:
+    """``(m[y][x], m[x][y])`` of a zone in which ``x - y`` ranges over the
+    interval; ``-INF``/``INF`` ends are unbounded."""
+    return (INF if lo == -INF else bound(-lo, strict=lo_strict),
+            INF if hi == INF else bound(hi, strict=hi_strict))
+
+
+def decoded(lo_b: int, up_b: int) -> Interval:
+    """Reference decoding of an encoded pair, endpoint by endpoint."""
+    return Interval(-INF if lo_b == INF else -bound_value(lo_b),
+                    bound_is_strict(lo_b) if lo_b != INF else True,
+                    INF if up_b == INF else bound_value(up_b),
+                    bound_is_strict(up_b) if up_b != INF else True)
+
+
+class TestMergeDifferenceBounds:
+    @staticmethod
+    def random_pairs(rng: random.Random) -> list[tuple[int, int]]:
+        """A union of nonempty ranges over few endpoint values, so ends
+        often meet, in all four strictness pairs, and ranges repeat."""
+        pool = []
+        for _ in range(rng.randint(1, 6)):
+            lo = -INF if rng.random() < 0.15 else rng.randint(-4, 4)
+            hi = INF if rng.random() < 0.15 else rng.randint(
+                -4 if lo == -INF else lo, 5)
+            lo_s, hi_s = rng.random() < 0.5, rng.random() < 0.5
+            if lo == hi:
+                lo_s = hi_s = False
+            pool.append(encoded(lo, lo_s, hi, hi_s))
+        return [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+
+    def test_matches_merge_on_decoded_intervals(self):
+        for seed in range(3000):
+            rng = random.Random(seed)
+            pairs = self.random_pairs(rng)
+            ref = merge_intervals([decoded(*p) for p in pairs])
+            assert merge_difference_bounds(list(pairs)) == tuple(ref), pairs
+
+    @pytest.mark.parametrize("first_open,second_open,pieces", [
+        (True, True, 2), (True, False, 1), (False, True, 1),
+        (False, False, 1)])
+    def test_touching_ends(self, first_open, second_open, pieces):
+        # [0,1) and (1,2] leave the point 1 out; any closed end covers it
+        pairs = [encoded(0, False, 1, first_open),
+                 encoded(1, second_open, 2, False)]
+        merged = merge_difference_bounds(pairs)
+        assert len(merged) == pieces
+        assert merged == tuple(merge_intervals(decoded(*p) for p in pairs))
+
+    def test_unbounded_ends(self):
+        merged = merge_difference_bounds(
+            [encoded(3, True, INF, True), encoded(-INF, True, -1, False)])
+        assert merged == (Interval(-INF, True, -1, False),
+                          Interval(3, True, INF, True))
+
+    def test_empty_union(self):
+        assert merge_difference_bounds([]) == ()
 
 
 class TestUnionHelpers:
@@ -264,15 +363,6 @@ def random_constraints(rng: random.Random, dim: int, k: int
             for _ in range(k)]
 
 
-def closed(dim: int, m: list[list[int]],
-           cons: Iterable[tuple[int, int, int]] = ()) -> DBM:
-    """Reference: tighten a copy of ``m`` entrywise, then close it fully."""
-    m = [row[:] for row in m]
-    for i, j, b in cons:
-        m[i][j] = min(m[i][j], b)
-    return DBM(dim, m)
-
-
 def random_zones(dim: int, unsigned: bool = True
                  ) -> Iterable[tuple[random.Random, DBM]]:
     """Seeded nonempty canonical zones; with ``unsigned`` a few clocks may
@@ -283,7 +373,8 @@ def random_zones(dim: int, unsigned: bool = True
         nonneg = [c for c in range(1, dim)
                   if not unsigned or rng.random() < 0.8]
         base = DBM.universal(dim, nonneg=nonneg)
-        z = closed(dim, base.m, random_constraints(rng, dim, rng.randint(0, dim)))
+        z = textbook_meet(
+            base, random_constraints(rng, dim, rng.randint(0, dim)))
         if not z.is_empty():
             made += 1
             yield rng, z
@@ -304,47 +395,83 @@ class TestKernelMatchesClosure:
     def test_and_constraint(self, dim):
         for rng, z in random_zones(dim):
             (c,) = random_constraints(rng, dim, 1)
-            assert_same(z.and_constraint(*c), closed(dim, z.m, [c]))
+            assert_same(z.and_constraint(*c), textbook_meet(z, [c]))
 
     def test_and_constraints(self, dim):
         for rng, z in random_zones(dim):
             cons = random_constraints(rng, dim, rng.randint(1, 2 * dim))
-            assert_same(z.and_constraints(cons), closed(dim, z.m, cons))
+            assert_same(z.and_constraints(cons), textbook_meet(z, cons))
 
-    def test_reset(self, dim):
-        for rng, z in random_zones(dim):
-            cs = rng.sample(range(1, dim), rng.randint(1, dim - 1))
-            m = z.copy_matrix()
-            for x in cs:
-                m[x] = m[0][:]
-                for row in m:
-                    row[x] = row[0]
-                m[0][x] = m[x][0] = LE_ZERO
-            assert_same(z.reset(cs), closed(dim, m))
-
-    def test_free(self, dim):
-        for rng, z in random_zones(dim):
-            cs = rng.sample(range(1, dim), rng.randint(1, dim - 1))
-            m = z.copy_matrix()
-            for x in cs:
-                m[x] = [INF] * dim
-                for row in m:
-                    row[x] = row[0]
-                m[0][x] = m[x][x] = LE_ZERO
-            assert_same(z.free(cs), closed(dim, m))
-
-    def test_down(self, dim):
-        for _, z in random_zones(dim):
-            m = z.copy_matrix()
-            m[0] = [max(b, LE_ZERO) for b in m[0]]
-            assert_same(z.down(), closed(dim, m))
+    # Each fused operation against its textbook steps, each step closed
+    # fully; the degenerate cases first.
 
     def test_up(self, dim):
         for _, z in random_zones(dim):
-            m = z.copy_matrix()
-            for row in m[1:]:
-                row[0] = INF
-            assert_same(z.up(), closed(dim, m))
+            assert_same(z.elapse(()), textbook_up(z))
+
+    def test_reset(self, dim):
+        for rng, z in random_zones(dim):
+            cs = tuple(sorted(rng.sample(range(1, dim),
+                                         rng.randint(1, dim - 1))))
+            assert_same(z.and_constraints((), cs), textbook_reset(z, cs))
+
+    def test_down(self, dim):
+        for _, z in random_zones(dim):
+            assert_same(z.pre((), ()), textbook_down(z))
+
+    def test_free(self, dim):
+        # pin the reset clocks to 0, free them, then down
+        for rng, z in random_zones(dim):
+            cs = tuple(sorted(rng.sample(range(1, dim),
+                                         rng.randint(1, dim - 1))))
+            assert_same(z.pre((), cs), textbook_pre(z, (), cs))
+
+    def test_elapse_then_window(self, dim):
+        # up, then one clock's window, as post and the verdict probe do;
+        # random_zones lets clocks go negative, like an input channel's
+        outcomes = set()
+        for rng, z in random_zones(dim):
+            for _ in range(4):
+                c = rng.randrange(1, dim)
+                lo = rng.randint(-6, 10)
+                window = [(c, 0, bound(lo + rng.randint(0, 3))),
+                          (0, c, bound(-lo))]
+                ref = textbook_meet(textbook_up(z), window)
+                assert_same(z.elapse(window), ref)
+                outcomes.add(ref.is_empty())
+        assert outcomes == {True, False}
+
+    def test_guard_then_reset(self, dim):
+        outcomes = set()
+        for rng, z in random_zones(dim):
+            for _ in range(4):
+                guard = random_constraints(rng, dim, rng.randint(0, 3))
+                resets = tuple(sorted(rng.sample(range(1, dim),
+                                                 rng.randint(0, dim - 1))))
+                fast = z.and_constraints(guard, resets)
+                ref = textbook_reset(textbook_meet(z, guard), resets)
+                assert_same(fast, ref)
+                if not resets and textbook_meet(z, guard) == z:
+                    assert fast is z  # no copy when nothing changes
+                outcomes.add(ref.is_empty())
+        assert outcomes == {True, False}
+
+    def test_pre_edge(self, dim):
+        # pin, free, guard, down; count where the textbook chain empties
+        emptied = {"pin": 0, "guard": 0, "none": 0}
+        for rng, z in random_zones(dim):
+            for _ in range(4):
+                guard = random_constraints(rng, dim, rng.randint(0, 3))
+                resets = tuple(sorted(rng.sample(range(1, dim),
+                                                 rng.randint(0, dim - 1))))
+                ref = textbook_pre(z, guard, resets)
+                assert_same(z.pre(guard, resets), ref)
+                pinned = textbook_meet(
+                    z, [(x, 0, LE_ZERO) for x in resets]
+                    + [(0, x, LE_ZERO) for x in resets])
+                emptied["pin" if pinned.is_empty() else
+                        "guard" if ref.is_empty() else "none"] += 1
+        assert all(emptied.values()), emptied
 
     def test_embed(self, dim):
         # the embedded zones are over automaton clocks, all non-negative
@@ -352,7 +479,7 @@ class TestKernelMatchesClosure:
             extra = rng.randint(1, 2)
             base = DBM.universal(dim + extra, nonneg=range(1, dim))
             assert_same(z.embed(extra),
-                        closed(dim + extra, base.m, entries(z)))
+                        textbook_meet(base, entries(z)))
 
     def test_intersects(self, dim):
         # meeting two zones by tightening one with the other's entries, as
@@ -360,7 +487,7 @@ class TestKernelMatchesClosure:
         zones = [z for _, z in random_zones(dim)]
         for a, b in zip(zones, zones[1:]):
             assert_same(a.and_constraints(b.constraints()),
-                        closed(dim, a.m, entries(b)))
+                        textbook_meet(a, entries(b)))
 
 
 def test_intersects_needs_more_than_the_pair_test():
@@ -378,4 +505,4 @@ def test_intersects_needs_more_than_the_pair_test():
         if INF not in (a.m[i][j], b.m[j][i]))
     assert a.and_constraints(b.constraints()).is_empty()
     assert b.and_constraints(a.constraints()).is_empty()
-    assert closed(7, a.m, entries(b)).is_empty()
+    assert textbook_meet(a, entries(b)).is_empty()

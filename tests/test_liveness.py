@@ -18,7 +18,6 @@ from delaymon.automata import (
 )
 from delaymon.dbm import DBM, bound, included_in_union
 from delaymon.liveness import (
-    _pre_edge,
     dump_map,
     intersects_nonempty,
     nonempty_states,
@@ -29,6 +28,8 @@ from helpers_automata import (
     nonempty_contains,
     random_tba,
     scale_tba,
+    textbook_down,
+    textbook_free,
     with_io,
 )
 from helpers_regions import RegionGraph
@@ -161,7 +162,7 @@ def freed_zones_stay_nonempty(a: TBA) -> int:
         if not skip:
             continue
         for z in zs:
-            assert included_in_union(z.free(skip), zs), q
+            assert included_in_union(textbook_free(z, skip), zs), q
             freed += 1
     return freed
 
@@ -193,11 +194,11 @@ def nonempty_is_closed_backward(a: TBA) -> int:
     checked = 0
     for q, zs in zones.items():
         for z in zs:
-            assert included_in_union(z.down(), zs), q
+            assert included_in_union(textbook_down(z), zs), q
     for e in a.compiled:
         for z in zones.get(e.dst, ()):
-            p = _pre_edge(e, z)
-            if p is not None:
+            p = z.pre(e.guard, e.resets)
+            if not p.is_empty():
                 assert included_in_union(p, zones.get(e.src, ())), e
                 checked += 1
     return checked

@@ -9,6 +9,8 @@ from pathlib import Path
 
 from delaymon.dbm import DBM
 
+import test_acceptance
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Targets this version does not define: the engines reach post,
@@ -40,3 +42,27 @@ def test_recorder_installs_and_uninstalls():
     assert set(recorder.missing) <= KNOWN_MISSING
     assert DBM.__dict__["__init__"] is init
     assert DBM.__dict__["includes"] is includes
+
+
+def test_recorder_counts_the_pinned_allocations():
+    """The traced run reads ``dbm.allocs_per_event`` off the recorder's
+    count at ``DBM.__init__``.  Over the gear session that pins the zones
+    built per observe, it must read the pinned figure, so a zone built
+    past ``DBM.__init__`` would show here as a shortfall."""
+    gear = test_acceptance.TestNoClosurePerEvent()
+    runs = gear.runs()
+    recorder = load_spans().Recorder()
+    recorder.install()
+    try:
+        per_event = []
+        for k, (engine, observe, events) in enumerate(runs):
+            for sym, tau in events:
+                recorder.set_phase(f"observe {k}")
+                observe(sym, tau)
+                recorder.set_phase("report")
+                engine.latency_report()
+            per_event.append(
+                recorder.counts[f"observe {k}", "dbm_allocs"] / len(events))
+    finally:
+        recorder.uninstall()
+    assert per_event == [gear.ALLOCS_PER_EVENT] * 3
