@@ -34,15 +34,18 @@ canonical DBM.  So the window is met once per state, not once per
 successor.  Each derived zone is one matrix copy: up and the window are
 one (:meth:`delaymon.dbm.DBM.elapse`), each edge's guard and reset one more
 (none if the guard tightens nothing and the edge resets nothing), and so is
-the verdict probe's advance of a state to the query time.  A latency report
-merges the encoded bounds of the met zones and builds an
-:class:`~delaymon.dbm.Interval` per merged piece only.
+the verdict probe's advance of a state to the query time (none for a state
+already past the cutoff).  A latency report merges the encoded bounds of
+the met zones and builds an :class:`~delaymon.dbm.Interval` per merged
+piece only.
 
 Verdicts are three-valued: a polarity becomes impossible exactly when its
 reach-set stops intersecting the corresponding nonempty-language states.
-The verdict probes this lazily: each reach state is advanced to the query
-time one at a time, and the probe stops at the first advanced state that
-meets a nonempty zone.
+The verdict probes this lazily, one zone per reach state: a state whose
+next channel clock is already at least the cutoff (the least value it can
+take when nothing has arrived by the query time) is read as it is, any
+other is advanced until its clock reaches the cutoff, and the probe stops
+at the first zone that meets a nonempty zone.
 
 Each observation prunes the reach-set modulo inactive clocks (Daws & Yovine,
 "Reducing the number of clock variables of timed automata", RTSS 1996): a
@@ -202,26 +205,32 @@ def _step(track: _Track, symbol: str, ci: int, lo: int, hi: int
 
 def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
     """Reach-set once it is known that the next event's clock (index
-    ``ci``) is at least ``cutoff``: zones below the cutoff elapse time up to
-    it, the rest stay put.  Only an output clock can meet a negative cutoff,
-    and it is never negative, so then nothing advances.
+    ``ci``) is at least ``cutoff``, with its delay successors: a zone whose
+    clock is already at least the cutoff is yielded as it is, with no copy;
+    any other lets time pass and keeps the part where the clock has reached
+    the cutoff, in one copy.
+
+    This gives the verdict of the exact set, the reach states that time
+    takes to the cutoff or that are already past it.  Every state of the
+    exact set is in the yielded one, and every yielded state is a delay
+    successor of one in the exact set.  The nonempty-language set is closed
+    under the past: a state that can delay into it has an accepting run
+    itself.  So both sets meet the nonempty zones, or neither does.
 
     The states are yielded lazily and unpruned, for a liveness test only:
     a state at a location without nonempty zones is skipped before any zone
     work, and a zone included in a sibling cannot change whether some state
     meets the nonempty zones."""
     live = side.nonempty.constraints
-    at_cutoff = ((ci, 0, bound(cutoff)), (0, ci, bound(-cutoff)))
+    at_least = bound(-cutoff)  # 0 - clock <= -cutoff
     for s in side.reach:
         if not live.get(s.location):
             continue
-        if cutoff >= 0:
-            adv = s.zone.elapse(at_cutoff)
-            if not adv.is_empty():
-                yield SymbolicState(s.location, adv)
-        stay = s.zone.and_constraint(0, ci, bound(-cutoff, strict=True))
-        if not stay.is_empty():
-            yield SymbolicState(s.location, stay)
+        if s.zone.m[0][ci] <= at_least:
+            yield s
+        else:
+            yield SymbolicState(s.location,
+                                s.zone.elapse(((0, ci, at_least),)))
 
 
 def _latencies(side: _Side, measures: tuple[Measure, ...]
@@ -303,20 +312,26 @@ class _Engine:
         """Position of the next event's channel in the table."""
         return self.observation_count % len(self.channels)
 
-    def _check_order(self, tau: int) -> None:
+    def _check(self, symbol: str, tau: int) -> None:
+        """Refuse an observation out of order or off the alphabet, whether
+        or not the verdict is conclusive."""
         if tau < self.last_obs_time:
             raise OrderingError(
                 f"observation at {tau} precedes {self.last_obs_time}")
+        if symbol not in self.pos.track.automaton.alphabet:
+            raise MonitorError(f"symbol {symbol!r} not in alphabet")
 
     def _record(self, symbol: str, tau: int) -> Verdict:
-        """Feed one validated observation through the next channel."""
+        """Feed one validated observation through the next channel; once
+        the verdict is conclusive, only count it."""
         k = self._next_slot()
-        lo, hi = _window(self.channels[k], tau)
-        for track in self.tracks:
-            track.reach = _step(track, symbol, track.time + 1 + k, lo, hi)
         self.last_obs_time = tau
         self.observation_count += 1
-        self._verdict = self._compute_verdict(tau)
+        if not self._verdict.conclusive:
+            lo, hi = _window(self.channels[k], tau)
+            for track in self.tracks:
+                track.reach = _step(track, symbol, track.time + 1 + k, lo, hi)
+            self._verdict = self._compute_verdict(tau)
         return self._verdict
 
     def _compute_verdict(self, t: int) -> Verdict:
@@ -356,9 +371,7 @@ class Monitor(_Engine):
                              jitter=self.bounds.jitter)
 
     def observe(self, symbol: str, tau: int) -> Verdict:
-        if self._verdict.conclusive:
-            return self._verdict
-        self._check_order(tau)
+        self._check(symbol, tau)
         if self.observation_count == 0 and tau < self.bounds.latency_low:
             raise ObservationError(
                 f"first observation at {tau} is earlier than the minimum "

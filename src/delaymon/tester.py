@@ -111,20 +111,13 @@ class Tester(_Engine):
         )
 
     def observe_io(self, symbol: str, tau: int) -> Verdict:
-        if self._verdict.conclusive:
-            return self._verdict
-        if symbol in self.inputs:
-            is_input = True
-        elif symbol in self.outputs:
-            is_input = False
-        else:
-            raise MonitorError(f"symbol {symbol!r} is not in the alphabet")
+        self._check(symbol, tau)
+        is_input = symbol in self.inputs
         if is_input is not self.awaiting_input:
             expected = "an input" if self.awaiting_input else "an output"
             raise AlternationError(
                 f"observation {self.observation_count + 1} ({symbol!r}) "
                 f"must be {expected}")
-        self._check_order(tau)
         if not is_input:
             gap = self.bounds.combined_low
             if tau - self.last_obs_time < gap:

@@ -497,13 +497,12 @@ class TestNoClosurePerEvent:
     symbolic step builds a fixed number of zones."""
 
     PAIRS = 100
-    # DBMs built per observe, with each derived zone one matrix copy (up
-    # and the window one, each edge's guard and reset one, the verdict
-    # probe's advance one); 7.5 when each of those steps built its own, 11
-    # when each polarity stepped its own reach set, 14 before that when
-    # the channel window was met after each edge's guard and reset, and up()
-    # ran at locations without the edge
-    ALLOCS_PER_EVENT = 4.5
+    # DBMs built per observe in classic, monitor and test mode: one for up
+    # and the window, one per edge whose guard tightens or that resets, and
+    # one per reach state that the verdict probe advances to the cutoff
+    # (none in classic and monitor mode, where the window already puts
+    # every state past it)
+    ALLOCS_PER_EVENT = (2.5, 2.5, 3.5)
 
     def runs(self) -> list:
         """(engine, observe, events) for classic, monitor and test mode."""
@@ -539,7 +538,7 @@ class TestNoClosurePerEvent:
                 built += len(allocs) - before
                 engine.latency_report()
             per_event.append(built / len(evs))
-        assert per_event == [self.ALLOCS_PER_EVENT] * 3
+        assert per_event == list(self.ALLOCS_PER_EVENT)
 
     def test_gear_session_closes_no_matrix(self, monkeypatch):
         runs = self.runs()

@@ -474,8 +474,8 @@ class TestFailuresExitThree:
     ])
     def test_bad_event_after_the_verdict(self, capsys, tmp_path, late,
                                          message):
-        # The engine ignores events once its verdict is FALSE; with
-        # --keep-going the CLI still refuses one it would have refused.
+        # Once its verdict is FALSE the engine steps no more events but
+        # still checks each one, so --keep-going refuses a bad one.
         trace = write_trace(tmp_path, f"@5 b\n{late}\n@7 a\n")
         code, out, err = run(capsys, DEADLINE_ARGS + [
             "--mode", "classic", "--keep-going", "--trace", trace])
@@ -483,6 +483,20 @@ class TestFailuresExitThree:
         assert err == f"error: {message}\n"
         assert out.count("Verdict: FALSE") == 1
         assert out.endswith(f"Input: {late}\n\n")
+
+    def test_alternation_checked_after_the_verdict(self, capsys, tmp_path):
+        # The narrow gear session is refuted at its last observation, 22.
+        # The input after it is taken; a second input in a row is refused,
+        # as it would be before the verdict.
+        narrow = (FIXTURES / "gear_narrow_trace.txt").read_text()
+        trace = write_trace(tmp_path, narrow + (
+            "@100000 ReqNewGear\n@100001 ReqNewGear\n@100002 NewGear\n"))
+        code, out, err = run(capsys, GEAR_ARGS + [
+            "--keep-going", "--trace", trace])
+        assert code == 3
+        assert err == (
+            "error: observation 24 ('ReqNewGear') must be an output\n")
+        assert out.count("Verdict: FALSE") == 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device that is always full")

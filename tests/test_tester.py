@@ -158,7 +158,8 @@ class TestErrors:
         t = Tester(*gear_pair(), BOUNDS)
         t.observe_io("req", 10)
         assert t.observe_io("resp", 31) is Verdict.FALSE
-        assert t.observe_io("req", 5) is Verdict.FALSE  # ignored entirely
+        with pytest.raises(OrderingError):  # still checked, never stepped
+            t.observe_io("req", 5)
         assert t.verdict_at(1000) is Verdict.FALSE
 
 
