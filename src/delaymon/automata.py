@@ -13,11 +13,12 @@ guard and resets are already in that numbering.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .dbm import DBM, ScaleError, bound, parse_scaled, reduce_union
+from .dbm import DBM, bound, parse_scaled, reduce_union
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -284,8 +285,15 @@ def io_alternation_product(automaton: TBA) -> TBA:
 # -- text format -------------------------------------------------------------
 
 
-def _parse_guard(text: str, scale: int, line: int, column: int
-                 ) -> tuple[AtomicConstraint, ...]:
+def _column(raw: str, k: int, start: int = 0) -> int:
+    """The 1-based column of word ``k`` of ``raw`` from offset ``start``."""
+    starts = [w.start() for w in re.finditer(r"\S+", raw[start:])]
+    return start + starts[k] + 1
+
+
+def _parse_guard(text: str, scale: int) -> tuple[AtomicConstraint, ...]:
+    """The conjuncts of a guard; a ValueError, such as a
+    :class:`~delaymon.dbm.ScaleError`, for a malformed one."""
     out = []
     for part in text.split("&&"):
         part = part.strip()
@@ -294,16 +302,12 @@ def _parse_guard(text: str, scale: int, line: int, column: int
                 clock, _, num = part.partition(rel)
                 clock, num = clock.strip(), num.strip()
                 if not clock or not num:
-                    raise TBAParseError(
-                        f"malformed guard atom {part!r}", line, column)
-                try:
-                    const = parse_scaled(num, scale, "guard constant")
-                except ScaleError as e:
-                    raise TBAParseError(str(e), line, column) from None
+                    raise ValueError(f"malformed guard atom {part!r}")
+                const = parse_scaled(num, scale, "guard constant")
                 out.append(AtomicConstraint(clock, rel, const))
                 break
         else:
-            raise TBAParseError(f"malformed guard atom {part!r}", line, column)
+            raise ValueError(f"malformed guard atom {part!r}")
     return tuple(out)
 
 
@@ -342,7 +346,7 @@ def parse_tba(text: str, scale: int = 10) -> TBA:
                 raise TBAParseError("location needs a name", lineno)
             name = words[1]
             locations.append(name)
-            for flag in words[2:]:
+            for k, flag in enumerate(words[2:], start=2):
                 if flag == "initial":
                     initial.append(name)
                 elif flag == "accepting":
@@ -350,7 +354,7 @@ def parse_tba(text: str, scale: int = 10) -> TBA:
                 else:
                     raise TBAParseError(
                         f"unknown location flag {flag!r}", lineno,
-                        raw.index(flag) + 1)
+                        _column(raw, k))
         elif kw == "edge":
             transitions.append(_parse_edge(raw, line, scale, lineno))
         else:
@@ -390,12 +394,15 @@ def _parse_edge(raw: str, line: str, scale: int, lineno: int) -> Transition:
             when_part = tail[: idx].strip() if idx > 0 else ""
             reset_part = f" {tail} "[idx + len(" reset "):].strip()
         if when_part:
-            if not when_part.startswith("when"):
-                raise TBAParseError(
-                    f"unexpected edge clause {when_part.split()[0]!r}", lineno,
-                    raw.index(when_part.split()[0]) + 1)
-            guard = _parse_guard(when_part[len("when"):], scale, lineno,
-                                 raw.index("when") + 1)
+            try:
+                if not when_part.startswith("when"):
+                    raise ValueError(
+                        f"unexpected edge clause {when_part.split()[0]!r}")
+                guard = _parse_guard(when_part[len("when"):], scale)
+            except ValueError as e:
+                # after the arrow: dst, "on", the label, then the clause
+                raise TBAParseError(str(e), lineno, _column(
+                    raw, 3, raw.index("->") + 2)) from None
         if reset_part:
             resets = frozenset(reset_part.split())
     if not src or not dst or not label:

@@ -87,12 +87,12 @@ def read_trace(stream: Iterable[str], scale: int) -> Iterator[TraceEvent]:
 
 def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
                  bounds: dict[str, DelayBounds], inputs: frozenset[str],
-                 seed: int) -> list[TraceEvent]:
+                 seed: int, scale: int) -> list[TraceEvent]:
     """Turn a ground-truth trace into an observed one by shifting the
     stimuli (``inputs``: the test-mode inputs, empty in the other modes)
     backward and every other event forward by the assigned latency plus
     seeded jitter.  Rejects schedules where the shifts would reorder the
-    channel."""
+    channel; an error quotes the time as the trace writes it."""
     rng = random.Random(seed)
     out: list[TraceEvent] = []
     last = 0
@@ -102,15 +102,15 @@ def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
             stamp = ev.timestamp - shift
             if stamp < 0:
                 raise CliError(
-                    f"injected delays would send the stimulus at "
-                    f"ground-truth time {ev.timestamp} before time 0")
+                    f"injected delays would send the stimulus at ground-truth "
+                    f"time {format_scaled(ev.timestamp, scale)} before time 0")
         else:
             stamp = (ev.timestamp + assigned["dout"]
                      + rng.randint(0, bounds["dout"].jitter))
         if stamp < last:
             raise CliError(
                 f"injected delays would reorder the observation at "
-                f"ground-truth time {ev.timestamp}")
+                f"ground-truth time {format_scaled(ev.timestamp, scale)}")
         last = stamp
         out.append(TraceEvent(stamp, ev.symbol))
     return out
@@ -360,8 +360,13 @@ def run_stream(args, out: TextIO) -> int:
                     raise CliError(
                         f"--inject: {key} outside the declared bounds")
             events = inject_delay(list(events), assigned, inject_bounds,
-                                  stimuli, seed)
+                                  stimuli, seed, scale)
 
+        inputs = [args.spec, args.complement] + (
+            [args.trace] if args.trace != "-" else [])
+        if args.csv and os.path.exists(args.csv) and any(
+                os.path.samefile(args.csv, p) for p in inputs):
+            raise CliError(f"--csv {args.csv} is also an input file")
         csv = files.enter_context(_CsvFile(args.csv)) if args.csv else None
         max_ns = total_ns = max_states = count = 0
         verdict = engine.verdict
@@ -370,7 +375,13 @@ def run_stream(args, out: TextIO) -> int:
                 f"Input: @{format_scaled(ev.timestamp, scale)} {ev.symbol}\n")
             out.write("\n")
             start = time_mod.perf_counter_ns()
-            verdict = observe(ev.symbol, ev.timestamp)
+            try:
+                verdict = observe(ev.symbol, ev.timestamp)
+            except MonitorError as e:  # quote times as the trace does
+                if not e.times:
+                    raise
+                raise CliError(e.template.format(
+                    *(format_scaled(t, scale) for t in e.times))) from None
             took = time_mod.perf_counter_ns() - start
             max_ns = max(max_ns, took)
             total_ns += took

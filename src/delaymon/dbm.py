@@ -119,8 +119,6 @@ class Interval:
         return self.lo == self.hi and (self.lo_strict or self.hi_strict)
 
     def contains(self, value: int) -> bool:
-        if self.is_empty():
-            return False
         if self.lo != -INF:
             if value < self.lo or (value == self.lo and self.lo_strict):
                 return False
@@ -171,13 +169,12 @@ class DBM:
     ``DBM(dim, m)`` closes an arbitrary matrix (Floyd-Warshall, O(n^3)).
     """
 
-    __slots__ = ("dim", "m", "_empty", "_hash")
+    __slots__ = ("dim", "m", "_empty")
 
     def __init__(self, dim: int, m: list[list[int]], _closed: bool = False):
         self.dim = dim
         self.m = m
         self._empty: bool | None = None
-        self._hash: int | None = None
         if not _closed:
             self._close_in_place()
 
@@ -252,9 +249,7 @@ class DBM:
         return isinstance(other, DBM) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        return hash(self._key())
 
     # -- operations ----------------------------------------------------------
 
@@ -274,10 +269,6 @@ class DBM:
             if b < m[i][j] and not _tighten(m, i, j, b):
                 return DBM._canonical(self.dim, m, empty=True)
         return DBM._canonical(self.dim, m)
-
-    def and_constraint(self, i: int, j: int, b: int) -> "DBM":
-        """Intersect with ``x_i - x_j (<|<=) c`` for encoded bound ``b``."""
-        return self.and_constraints(((i, j, b),))
 
     def and_constraints(self, cons: Iterable[tuple[int, int, int]],
                         resets: Sequence[int] = ()) -> "DBM":
@@ -382,8 +373,6 @@ class DBM:
         """Lift to ``extra`` more trailing, fully unconstrained clocks (no
         sign assumption; the intersecting zone supplies it).  The block
         matrix of a canonical zone and free clocks is canonical."""
-        if extra == 0:
-            return self
         n = self.dim + extra
         pad = [INF] * extra
         m = [row + pad for row in self.m]
@@ -407,10 +396,10 @@ class DBM:
             # negate x_i - x_j (<|<=) c  ->  x_j - x_i (<|<=) -c with
             # flipped strictness
             neg = bound(-bound_value(b), strict=not bound_is_strict(b))
-            piece = rest.and_constraint(j, i, neg)
+            piece = rest.and_constraints(((j, i, neg),))
             if not piece.is_empty():
                 out.append(piece)
-            rest = rest.and_constraint(i, j, b)
+            rest = rest.and_constraints(((i, j, b),))
             if rest.is_empty():
                 return out
         return out

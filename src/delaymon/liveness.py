@@ -19,16 +19,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import TBA, Edge, SymbolicState
-from .dbm import (
-    DBM,
-    LE_ZERO,
-    bound,
-    bound_is_strict,
-    bound_value,
-    format_scaled,
-    included_in_union,
-    reduce_union,
-)
+from .dbm import DBM, LE_ZERO, bound, included_in_union, reduce_union
+
+# The analysis budget: zones inserted by one backward reach, and rounds of
+# the recurrence fixpoint.
+MAX_INSERTIONS = 200_000
+MAX_ROUNDS = 1_000
 
 
 class LivenessError(RuntimeError):
@@ -47,7 +43,6 @@ class NonEmptyMap:
     zone this is the same as meeting its projection onto the automaton
     clocks (a canonical DBM's projection is its sub-matrix)."""
 
-    clocks: tuple[str, ...]
     zones: dict[str, tuple[DBM, ...]]
     constraints: dict[str, tuple[tuple[tuple[int, int, int], ...], ...]] = (
         field(init=False, repr=False, compare=False))
@@ -58,11 +53,8 @@ class NonEmptyMap:
             for q, zs in self.zones.items()})
 
 
-def _backward_reach(
-    automaton: TBA,
-    targets: dict[str, list[DBM]],
-    max_insertions: int,
-) -> dict[str, list[DBM]]:
+def _backward_reach(automaton: TBA, targets: dict[str, list[DBM]]
+                    ) -> dict[str, list[DBM]]:
     by_dst: dict[str, list[Edge]] = {}
     for e in automaton.compiled:
         by_dst.setdefault(e.dst, []).append(e)
@@ -83,7 +75,7 @@ def _backward_reach(
             have.append(p)
             queue.append((e.src, p))
             inserted += 1
-            if inserted > max_insertions:
+            if inserted > MAX_INSERTIONS:
                 raise LivenessError(
                     "backward reachability exceeded the iteration budget; "
                     "the automaton's constants may be too large for exact "
@@ -91,11 +83,7 @@ def _backward_reach(
     return result
 
 
-def nonempty_states(
-    automaton: TBA,
-    max_insertions: int = 200_000,
-    max_rounds: int = 1_000,
-) -> NonEmptyMap:
+def nonempty_states(automaton: TBA) -> NonEmptyMap:
     """Compute the states admitting an accepting run.
 
     As the infinite-word semantics demands, the witness run must let time
@@ -118,7 +106,7 @@ def nonempty_states(
     # greatest fixpoint: accepting states allowing one more productive lap
     core: dict[str, list[DBM]] = {
         q: [DBM.universal(1 + n_c)] for q in automaton.accepting}
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         targets = {
             q: [
                 z.embed(1).and_constraints([(0, zi, bound(-one))])
@@ -128,7 +116,7 @@ def nonempty_states(
         }
         targets = {q: [z for z in zs if not z.is_empty()]
                    for q, zs in targets.items()}
-        back = _backward_reach(automaton, targets, max_insertions)
+        back = _backward_reach(automaton, targets)
         refreshed: dict[str, list[DBM]] = {}
         for q in automaton.accepting:
             zs = []
@@ -149,7 +137,7 @@ def nonempty_states(
         raise LivenessError("recurrence fixpoint did not stabilize")
 
     # every state with a path into the core, divergence clock projected away
-    return NonEmptyMap(clocks=automaton.clocks, zones={
+    return NonEmptyMap(zones={
         q: tuple(reduce_union(z.restrict(range(1, 1 + n_c)) for z in zs))
         for q, zs in back.items()})
 
@@ -166,22 +154,3 @@ def intersects_nonempty(states: Iterable[SymbolicState],
             if not s.zone.and_constraints(cons).is_empty():
                 return True
     return False
-
-
-def dump_map(nonempty: NonEmptyMap, scale: int = 1) -> str:
-    """Human-readable rendering, one line per (location, zone)."""
-    names = ("0",) + nonempty.clocks
-    lines = []
-    for q in sorted(nonempty.constraints):
-        for cons in nonempty.constraints[q]:
-            atoms = []
-            for i, j, b in cons:
-                if i == 0 and b == LE_ZERO:
-                    continue  # plain non-negativity
-                rel = "<" if bound_is_strict(b) else "<="
-                lhs = names[i] if j == 0 else (
-                    f"{names[i]}-{names[j]}" if i else f"-{names[j]}")
-                atoms.append(
-                    f"{lhs}{rel}{format_scaled(bound_value(b), scale)}")
-            lines.append(f"{q}: {' && '.join(atoms) if atoms else 'true'}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -100,7 +100,16 @@ class Verdict(enum.Enum):
 
 
 class MonitorError(Exception):
-    """Base class for monitor usage errors."""
+    """Base class for monitor usage errors.
+
+    A message that quotes times is a ``template`` with one ``{}`` per time
+    in ``times``; it holds no user text, whose braces ``str.format`` would
+    read.  The message writes the times as scaled integers."""
+
+    def __init__(self, template: str, *times: int):
+        super().__init__(template.format(*times) if times else template)
+        self.template = template
+        self.times = times
 
 
 class OrderingError(MonitorError):
@@ -300,8 +309,8 @@ class _Engine:
     def verdict_at(self, t: int) -> Verdict:
         if t < self.last_obs_time:
             raise OrderingError(
-                f"query time {t} precedes last observation "
-                f"{self.last_obs_time}")
+                "query time {} precedes last observation {}", t,
+                self.last_obs_time)
         if self._verdict.conclusive:
             return self._verdict
         return self._compute_verdict(t)
@@ -316,8 +325,8 @@ class _Engine:
         """Refuse an observation out of order or off the alphabet, whether
         or not the verdict is conclusive."""
         if tau < self.last_obs_time:
-            raise OrderingError(
-                f"observation at {tau} precedes {self.last_obs_time}")
+            raise OrderingError("observation at {} precedes {}", tau,
+                                self.last_obs_time)
         if symbol not in self.pos.track.automaton.alphabet:
             raise MonitorError(f"symbol {symbol!r} not in alphabet")
 
@@ -374,6 +383,6 @@ class Monitor(_Engine):
         self._check(symbol, tau)
         if self.observation_count == 0 and tau < self.bounds.latency_low:
             raise ObservationError(
-                f"first observation at {tau} is earlier than the minimum "
-                f"latency {self.bounds.latency_low}")
+                "first observation at {} is earlier than the minimum "
+                "latency {}", tau, self.bounds.latency_low)
         return self._record(symbol, tau)

@@ -91,7 +91,6 @@ class Tester(_Engine):
                 "input/output partition")
         self.bounds = bounds
         self.inputs = spec.inputs
-        self.outputs = spec.outputs
         self._start(
             io_alternation_product(spec), io_alternation_product(complement),
             ((bounds.input, INPUT), (bounds.output, OUTPUT)), (ROUND_TRIP,))
@@ -122,6 +121,6 @@ class Tester(_Engine):
             gap = self.bounds.combined_low
             if tau - self.last_obs_time < gap:
                 raise GapError(
-                    f"output observed {tau - self.last_obs_time} after the "
-                    f"input; the channels need at least {gap}")
+                    "output observed {} after the input; the channels need "
+                    "at least {}", tau - self.last_obs_time, gap)
         return self._record(symbol, tau)

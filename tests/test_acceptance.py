@@ -187,7 +187,7 @@ class TestNonEmptyMaps:
                 and all(included_in_union(z, zones) for z in expected))
 
     def x_le(self, c: int) -> DBM:
-        return DBM.universal(2).and_constraint(1, 0, bound(c))
+        return DBM.universal(2).and_constraints(((1, 0, bound(c)),))
 
     def test_property_side_map(self):
         m = nonempty_states(eventually_then_safe_tba(accept_good=True))

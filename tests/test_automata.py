@@ -108,6 +108,17 @@ class TestParsing:
             parse_tba("alphabet a\nstate q0\n")
         assert e.value.line == 2 and e.value.column == 1
 
+    @pytest.mark.parametrize("line, column", [
+        ("location q q", 12),
+        ("edge foo -> foo on a foo x<5", 22),
+        ("edge when -> when on a when x<=1.55", 24),
+    ])
+    def test_error_column_is_the_word_it_names(self, line, column):
+        # The word the message names also occurs earlier on the line.
+        with pytest.raises(TBAParseError) as e:
+            parse_tba(f"alphabet a\nclocks x\nlocation foo initial\n{line}\n")
+        assert (e.value.line, e.value.column) == (4, column)
+
     def test_semantic_errors_all_listed(self):
         text = ("alphabet a\nclocks x\nlocation q0 initial\n"
                 "edge q0 -> nowhere on a\n"

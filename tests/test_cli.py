@@ -7,7 +7,6 @@ delay-injection replay mode.
 
 from __future__ import annotations
 
-import functools
 import gc
 import io
 import os
@@ -559,6 +558,22 @@ class TestFailuresExitThree:
         assert "before time 0" in err
         assert "Input: " not in out
 
+    @pytest.mark.parametrize("which", ["--trace", "--spec"])
+    def test_csv_naming_an_input_is_refused(self, capsys, tmp_path, which):
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes((FIXTURES / "deadline_spec.txt").read_bytes())
+        argv = DEADLINE_ARGS + ["--trace", write_trace(tmp_path, "@173 a\n")]
+        argv[argv.index("--spec") + 1] = str(spec)
+        target = argv[argv.index(which) + 1]
+        before = Path(target).read_bytes()
+        # another spelling of the same path
+        csv = os.path.join(tmp_path, ".", Path(target).name)
+        code, out, err = run(capsys, argv + ["--csv", csv])
+        assert code == 3
+        assert err == f"error: --csv {csv} is also an input file\n"
+        assert out == ""
+        assert Path(target).read_bytes() == before
+
     def test_trace_file_is_closed(self, capsys, tmp_path, monkeypatch):
         import delaymon.cli
 
@@ -578,16 +593,15 @@ class TestFailuresExitThree:
         assert all(f.closed for f in opened)
 
     @pytest.mark.parametrize("budget, message", [
-        ({"max_insertions": 0}, "budget"),
-        ({"max_rounds": 0}, "did not stabilize"),
+        ({"MAX_INSERTIONS": 0}, "budget"),
+        ({"MAX_ROUNDS": 0}, "did not stabilize"),
     ])
     def test_liveness_failure(self, capsys, tmp_path, monkeypatch, budget,
                               message):
-        import delaymon.monitor
+        import delaymon.liveness
 
-        monkeypatch.setattr(
-            delaymon.monitor, "nonempty_states",
-            functools.partial(delaymon.monitor.nonempty_states, **budget))
+        for name, value in budget.items():
+            monkeypatch.setattr(delaymon.liveness, name, value)
         trace = write_trace(tmp_path, "@173 a\n")
         code, _, err = run(capsys, DEADLINE_ARGS + ["--trace", trace])
         assert code == 3
@@ -630,6 +644,39 @@ class TestFailuresExitThree:
         code, _, err = run(capsys, DEADLINE_ARGS + ["--trace", trace])
         assert code == 3
         assert "not a number" in err
+
+
+class TestTimesAsWritten:
+    """An error message quotes each time as the trace writes it, not in
+    units of ``1/scale``."""
+
+    DEADLINE = DEADLINE_ARGS[:4] + ["--scale", "10"]
+    GEAR = GEAR_ARGS[:4] + [
+        "--scale", "10", "--mode", "test",
+        "--in-latency", "1", "5", "--out-latency", "6", "10"]
+
+    @pytest.mark.parametrize("argv, trace, message", [
+        (DEADLINE + ["--mode", "classic"], "@5 a\n@3 a\n",
+         "observation at 3 precedes 5"),
+        (DEADLINE + ["--latency", "1", "2"], "@0.5 a\n",
+         "first observation at 0.5 is earlier than the minimum latency 1"),
+        (GEAR, "@10 ReqNewGear\n@11 NewGear\n",
+         "output observed 1 after the input; the channels need at least 7"),
+        (GEAR + ["--inject", "din:5,dout:10,seed:1"],
+         "@10 ReqNewGear\n@11 NewGear\n@12 ReqNewGear\n",
+         "injected delays would reorder the observation at ground-truth "
+         "time 12"),
+        (GEAR + ["--inject", "din:1,dout:10,seed:1"],
+         "@0.5 ReqNewGear\n@7 NewGear\n",
+         "injected delays would send the stimulus at ground-truth time 0.5 "
+         "before time 0"),
+    ], ids=["order", "first", "gap", "reorder", "before-zero"])
+    def test_error_at_scale_ten(self, capsys, tmp_path, argv, trace,
+                                message):
+        code, _, err = run(capsys, argv + [
+            "--trace", write_trace(tmp_path, trace)])
+        assert code == 3
+        assert err == f"error: {message}\n"
 
 
 # -- fuzzing -----------------------------------------------------------------

@@ -395,7 +395,7 @@ class TestKernelMatchesClosure:
     def test_and_constraint(self, dim):
         for rng, z in random_zones(dim):
             (c,) = random_constraints(rng, dim, 1)
-            assert_same(z.and_constraint(*c), textbook_meet(z, [c]))
+            assert_same(z.and_constraints((c,)), textbook_meet(z, [c]))
 
     def test_and_constraints(self, dim):
         for rng, z in random_zones(dim):

@@ -17,11 +17,7 @@ from delaymon.automata import (
     parse_tba,
 )
 from delaymon.dbm import DBM, bound, included_in_union
-from delaymon.liveness import (
-    dump_map,
-    intersects_nonempty,
-    nonempty_states,
-)
+from delaymon.liveness import intersects_nonempty, nonempty_states
 
 from helpers_automata import (
     eventually_then_safe_tba,
@@ -36,7 +32,7 @@ from helpers_regions import RegionGraph
 
 
 def zone_x_le(c: int) -> DBM:
-    return DBM.universal(2).and_constraint(1, 0, bound(c))
+    return DBM.universal(2).and_constraints(((1, 0, bound(c)),))
 
 
 def federation_equals(zones, expected) -> bool:
@@ -291,11 +287,3 @@ class TestIntersection:
             assert got == want, (loc, zone)
             outcomes.add(got)
         assert outcomes == {True, False}
-
-
-class TestDump:
-    def test_dump_lists_all_locations(self):
-        m = nonempty_states(eventually_then_safe_tba(accept_good=True))
-        text = dump_map(m, scale=10)
-        assert "q0: x<=10\n" in text
-        assert "good: true" in text
