@@ -311,100 +311,84 @@ def _parse_guard(text: str, scale: int) -> tuple[AtomicConstraint, ...]:
     return tuple(out)
 
 
+# declarations that list names, each into the TBA field of its name
+_LISTS = ("alphabet", "inputs", "outputs", "clocks")
+_FLAGS = ("initial", "accepting")
+
+
 def parse_tba(text: str, scale: int = 10) -> TBA:
-    """Parse the line-oriented automaton format.
-
-    One declaration per line; ``#`` starts a comment.  See the package
-    documentation for the grammar.  Raises :class:`TBAParseError` on the
-    first syntax error and :class:`TBAError` listing all semantic errors.
-    """
-    alphabet: list[str] = []
-    inputs: list[str] = []
-    outputs: list[str] = []
-    clocks: list[str] = []
-    locations: list[str] = []
-    initial: list[str] = []
-    accepting: list[str] = []
+    """Parse the line-oriented automaton format ("Automaton format" in
+    README.md).  Raises :class:`TBAParseError` on the first syntax error
+    and :class:`TBAError` listing all semantic errors."""
+    lists: dict[str, list[str]] = {
+        k: [] for k in (*_LISTS, "locations", *_FLAGS)}
     transitions: list[Transition] = []
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         words = line.split()
+        if not words:
+            continue
         kw = words[0]
-        if kw == "alphabet":
-            alphabet.extend(words[1:])
-        elif kw == "inputs":
-            inputs.extend(words[1:])
-        elif kw == "outputs":
-            outputs.extend(words[1:])
-        elif kw == "clocks":
-            clocks.extend(words[1:])
-        elif kw == "location":
-            if len(words) < 2:
-                raise TBAParseError("location needs a name", lineno)
-            name = words[1]
-            locations.append(name)
+        if kw in _LISTS:
+            lists[kw] += words[1:]
+        elif kw == "location" and len(words) > 1:
+            lists["locations"].append(words[1])
             for k, flag in enumerate(words[2:], start=2):
-                if flag == "initial":
-                    initial.append(name)
-                elif flag == "accepting":
-                    accepting.append(name)
-                else:
-                    raise TBAParseError(
-                        f"unknown location flag {flag!r}", lineno,
-                        _column(raw, k))
+                if flag not in _FLAGS:
+                    raise TBAParseError(f"unknown location flag {flag!r}",
+                                        lineno, _column(raw, k))
+                lists[flag].append(words[1])
+        elif kw == "location":
+            raise TBAParseError("location needs a name", lineno)
         elif kw == "edge":
             transitions.append(_parse_edge(raw, line, scale, lineno))
         else:
             raise TBAParseError(f"unknown declaration {kw!r}", lineno,
-                                raw.index(kw) + 1)
-
-    return TBA(
-        alphabet=frozenset(alphabet),
-        locations=frozenset(locations),
-        initial=frozenset(initial),
-        clocks=tuple(dict.fromkeys(clocks)),
-        transitions=tuple(transitions),
-        accepting=frozenset(accepting),
-        inputs=frozenset(inputs),
-        outputs=frozenset(outputs),
-    )
+                                _column(raw, 0))
+    clocks = tuple(dict.fromkeys(lists.pop("clocks")))
+    return TBA(clocks=clocks, transitions=tuple(transitions),
+               **{k: frozenset(v) for k, v in lists.items()})
 
 
 def _parse_edge(raw: str, line: str, scale: int, lineno: int) -> Transition:
-    body = line[len("edge"):].strip()
-    if "->" not in body:
+    """An ``edge SRC -> DST on SYMBOL`` head, then at most one ``when``
+    and one ``reset`` clause, in either order."""
+    head, arrow, rest = line.partition("->")
+    if not arrow:
         raise TBAParseError("edge needs 'src -> dst'", lineno)
-    src_part, _, rest = body.partition("->")
-    src = src_part.strip()
-    rest = rest.strip()
     words = rest.split()
     if len(words) < 3 or words[1] != "on":
         raise TBAParseError("edge needs 'on <symbol>'", lineno)
-    dst, label = words[0], words[2]
-    tail = " ".join(words[3:])
-    guard: tuple[AtomicConstraint, ...] = ()
-    resets: frozenset[str] = frozenset()
-    if tail:
-        when_part, reset_part = tail, ""
-        if " reset " in f" {tail} ":
-            idx = f" {tail} ".index(" reset ")
-            when_part = tail[: idx].strip() if idx > 0 else ""
-            reset_part = f" {tail} "[idx + len(" reset "):].strip()
-        if when_part:
-            try:
-                if not when_part.startswith("when"):
-                    raise ValueError(
-                        f"unexpected edge clause {when_part.split()[0]!r}")
-                guard = _parse_guard(when_part[len("when"):], scale)
-            except ValueError as e:
-                # after the arrow: dst, "on", the label, then the clause
-                raise TBAParseError(str(e), lineno, _column(
-                    raw, 3, raw.index("->") + 2)) from None
-        if reset_part:
-            resets = frozenset(reset_part.split())
-    if not src or not dst or not label:
+    src = head.split()[1:]
+    if len(src) != 1:
         raise TBAParseError("malformed edge", lineno)
-    return Transition(src, dst, label, resets, guard)
+
+    def error(message: str, k: int) -> TBAParseError:
+        # word k after the arrow: dst, "on", the label, then the clauses
+        return TBAParseError(message, lineno,
+                             _column(raw, k, raw.index("->") + 2))
+
+    clauses: dict[str, tuple[int, list[str]]] = {}
+    args = None
+    for k, w in enumerate(words[3:], start=3):
+        if w in ("when", "reset"):
+            if w in clauses:
+                raise error(f"duplicate edge clause {w!r}", k)
+            clauses[w] = (k, args := [])
+        elif args is None:
+            raise error(f"unexpected edge clause {w!r}", k)
+        else:
+            args.append(w)
+    guard: tuple[AtomicConstraint, ...] = ()
+    if "when" in clauses:
+        k, args = clauses["when"]
+        try:
+            guard = _parse_guard(" ".join(args), scale)
+        except ValueError as e:
+            raise error(str(e), k) from None
+    resets: list[str] = []
+    if "reset" in clauses:
+        k, resets = clauses["reset"]
+        if not resets:
+            raise error("reset needs a clock", k)
+    return Transition(src[0], words[0], words[2], frozenset(resets), guard)

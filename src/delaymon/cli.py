@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .automata import TBA, TBAError, parse_tba
-from .dbm import INF, Interval, ScaleError, format_scaled, parse_scaled
+from .dbm import (INF, Interval, ScaleError, _scale_digits, format_scaled,
+                  parse_scaled)
 from .liveness import LivenessError
 from .monitor import DelayBounds, Monitor, MonitorError, Verdict
 from .tester import IODelayBounds, Tester
@@ -208,9 +209,7 @@ def build_parser() -> _Parser:
     return p
 
 
-def _bounds_pair(args, prefix: str, scale: int) -> DelayBounds:
-    lat = getattr(args, f"{prefix}latency".replace("-", "_"))
-    jit = getattr(args, f"{prefix}jitter".replace("-", "_"))
+def _bounds_pair(lat: list | None, jit: str | None, scale: int) -> DelayBounds:
     lo, hi = 0, 0
     if lat:
         lo = parse_scaled(lat[0], scale, "latency")
@@ -315,15 +314,19 @@ class _CsvFile:
 
 def run_stream(args, out: TextIO) -> int:
     scale = args.scale
-    if 10 ** (len(str(scale)) - 1) != scale:
-        raise CliError("--scale must be a power of ten: 1, 10, 100, ...")
+    try:
+        _scale_digits(scale)
+    except ValueError:
+        raise CliError(
+            "--scale must be a power of ten: 1, 10, 100, ...") from None
     _check_mode_flags(args)
     spec = _load_tba(args.spec, scale)
     comp = _load_tba(args.complement, scale)
 
     if args.mode == "test":
-        io_bounds = IODelayBounds(_bounds_pair(args, "in_", scale),
-                                  _bounds_pair(args, "out_", scale))
+        io_bounds = IODelayBounds(
+            _bounds_pair(args.in_latency, args.in_jitter, scale),
+            _bounds_pair(args.out_latency, args.out_jitter, scale))
         engine = Tester(spec, comp, io_bounds)
         observe = engine.observe_io
         block = tester_block
@@ -331,7 +334,7 @@ def run_stream(args, out: TextIO) -> int:
         stimuli = spec.inputs
     else:
         bounds = (DelayBounds(0, 0, 0) if args.mode == "classic"
-                  else _bounds_pair(args, "", scale))
+                  else _bounds_pair(args.latency, args.jitter, scale))
         engine = Monitor(spec, comp, bounds)
         observe = engine.observe
         block = monitor_block

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
@@ -34,7 +33,8 @@ INF = 2 ** 62  # absorbing +infinity bound
 # the closure, so with this cap they stay far below the bound value of INF,
 # 2**61, and no finite bound can alias it.
 MAX_SCALED = 2 ** 50
-_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)", re.ASCII)
+# a plain decimal: sign, whole digits and fractional digits, not all empty
+_DECIMAL = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?", re.ASCII)
 
 
 def bound(value: int, strict: bool = False) -> int:
@@ -58,36 +58,41 @@ class ScaleError(ValueError):
     :data:`MAX_SCALED`."""
 
 
+def _scale_digits(scale: int) -> int:
+    """``log10(scale)``; a ValueError unless ``scale`` is a power of ten."""
+    digits = len(str(scale)) - 1
+    if 10 ** digits != scale:
+        raise ValueError(f"scale {scale} is not a power of ten")
+    return digits
+
+
 def parse_scaled(text: str, scale: int, what: str) -> int:
     """Parse a non-negative decimal as an integer number of ``1/scale``
     units; ``what`` names the value in the error message."""
-    # Plain decimals only: Fraction also takes exponents, and "1e999999999"
-    # would take minutes to expand.
-    if not _DECIMAL.fullmatch(text):
+    digits = _scale_digits(scale)
+    m = _DECIMAL.fullmatch(text)
+    if not m:
         raise ScaleError(f"{what}: not a number: {text!r}")
-    try:
-        f = Fraction(text) * scale
-    except ValueError:  # more digits than int() converts
-        raise ScaleError(f"{what}: not a number: {text!r}") from None
-    if f.denominator != 1:
+    sign, whole, frac = m.groups("")
+    if frac[digits:].strip("0"):
         raise ScaleError(
             f"{what}: {text!r} needs more precision than scale {scale}")
-    if f < 0:
+    units = (whole + frac[:digits].ljust(digits, "0")).lstrip("0")
+    if sign == "-" and units:
         raise ScaleError(f"{what}: {text!r} is negative")
-    if f >= MAX_SCALED:
+    value = int(units[:17] or 0)  # 17 digits are past MAX_SCALED already
+    if value >= MAX_SCALED:
         raise ScaleError(
             f"{what}: {text!r} is too large: scaled values must stay "
             f"below 2**50")
-    return int(f)
+    return value
 
 
 def format_scaled(value: int, scale: int) -> str:
     """Render ``value / scale`` as a plain decimal with no trailing zeros,
     or ``inf`` for :data:`INF`; the inverse of :func:`parse_scaled`.
     ``scale`` must be a power of ten."""
-    digits = len(str(scale)) - 1
-    if 10 ** digits != scale:
-        raise ValueError(f"scale {scale} is not a power of ten")
+    digits = _scale_digits(scale)
     sign = "-" if value < 0 else ""
     value = abs(value)
     if value == INF:

@@ -185,12 +185,6 @@ def _same_but_accepting(a: TBA, b: TBA) -> bool:
                if f.compare and f.name != "accepting")
 
 
-def _require_same_alphabet(spec: TBA, complement: TBA) -> None:
-    if spec.alphabet != complement.alphabet:
-        raise MonitorError(
-            "property and complement automata use different alphabets")
-
-
 def _measure(k: int, direction: str) -> Measure:
     """Channel ``k``'s latency: its clock minus ``time`` on output, ``time``
     minus its clock on input."""
@@ -267,6 +261,9 @@ class _Engine:
 
     def _start(self, spec: TBA, complement: TBA, channels: tuple[Channel, ...],
                extra_measures: tuple[Measure, ...] = ()) -> None:
+        if spec.alphabet != complement.alphabet:
+            raise MonitorError(
+                "property and complement automata use different alphabets")
         self.channels = channels
         self.measures = tuple(_measure(k, d) for k, (_, d)
                               in enumerate(channels)) + extra_measures
@@ -369,7 +366,6 @@ class Monitor(_Engine):
     """Monitor one stream; mutate via :meth:`observe` only."""
 
     def __init__(self, spec: TBA, complement: TBA, bounds: DelayBounds):
-        _require_same_alphabet(spec, complement)
         self.bounds = bounds
         self._start(spec, complement, ((bounds, OUTPUT),))
 

@@ -33,7 +33,6 @@ from .monitor import (
     Verdict,
     _Engine,
     _latencies,
-    _require_same_alphabet,
 )
 
 # The output channel's clock minus the input channel's, as offsets from time
@@ -80,7 +79,6 @@ class Tester(_Engine):
     """Drive one test run; mutate via :meth:`observe_io` only."""
 
     def __init__(self, spec: TBA, complement: TBA, bounds: IODelayBounds):
-        _require_same_alphabet(spec, complement)
         if not spec.has_io_partition or not complement.has_io_partition:
             raise MonitorError(
                 "testing requires an input/output partition on both automata")

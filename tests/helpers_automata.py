@@ -141,9 +141,11 @@ def max_constant(automaton: TBA, clock: str) -> int:
                 if g.clock == clock), default=0)
 
 
-def serialize_tba(automaton: TBA, scale: int = 10) -> str:
+def serialize_tba(automaton: TBA, scale: int = 10,
+                  clauses: tuple[str, str] = ("when", "reset")) -> str:
     """Inverse of :func:`delaymon.automata.parse_tba` (up to declaration
-    order)."""
+    order), writing each edge's ``when`` and ``reset`` clauses in the order
+    ``clauses`` names them."""
     lines = ["alphabet " + " ".join(sorted(automaton.alphabet))]
     if automaton.inputs:
         lines.append("inputs " + " ".join(sorted(automaton.inputs)))
@@ -160,14 +162,15 @@ def serialize_tba(automaton: TBA, scale: int = 10) -> str:
         lines.append(f"location {q}{flags}")
     for t in sorted(automaton.transitions,
                     key=lambda t: (t.src, t.label, t.dst)):
-        parts = [f"edge {t.src} -> {t.dst} on {t.label}"]
+        parts = {"when": "", "reset": ""}
         if t.guard:
-            parts.append("when " + " && ".join(
+            parts["when"] = " when " + " && ".join(
                 f"{g.clock}{g.relation}{format_scaled(g.constant, scale)}"
-                for g in t.guard))
+                for g in t.guard)
         if t.resets:
-            parts.append("reset " + " ".join(sorted(t.resets)))
-        lines.append(" ".join(parts))
+            parts["reset"] = " reset " + " ".join(sorted(t.resets))
+        lines.append(f"edge {t.src} -> {t.dst} on {t.label}"
+                     + "".join(parts[c] for c in clauses))
     return "\n".join(lines) + "\n"
 
 

@@ -35,6 +35,28 @@ from helpers_automata import (
     zero_zone,
 )
 
+ROOT = Path(__file__).parent.parent
+SHIPPED = sorted([*(ROOT / "tests" / "fixtures").glob("*_spec.txt"),
+                  *(ROOT / "tests" / "fixtures").glob("*_complement.txt"),
+                  *(ROOT / "perfbench" / "inputs").glob("*_spec.txt"),
+                  *(ROOT / "perfbench" / "inputs").glob("*_complement.txt")])
+
+# A line with a syntax error, the column of the word at fault, the message.
+ERROR_COLUMNS = [
+    ("location q q", 12, "unknown location flag 'q'"),
+    ("edge foo -> foo on a foo x<5", 22, "unexpected edge clause 'foo'"),
+    ("edge when -> when on a when x<=1.55", 24,
+     "guard constant: '1.55' needs more precision than scale 10"),
+    ("edge reset -> reset on a reset", 26, "reset needs a clock"),
+    ("edge reset -> reset on a reset # x", 26, "reset needs a clock"),
+    ("edge foo -> foo on a when x<5 when x<5", 31,
+     "duplicate edge clause 'when'"),
+    ("edge foo -> foo on a reset x reset x", 30,
+     "duplicate edge clause 'reset'"),
+    ("edge whenever -> whenever on a whenever x<5", 32,
+     "unexpected edge clause 'whenever'"),
+]
+
 EXAMPLE_TEXT = """\
 # an `a` within 10, no `b` within 20
 alphabet a b
@@ -108,16 +130,14 @@ class TestParsing:
             parse_tba("alphabet a\nstate q0\n")
         assert e.value.line == 2 and e.value.column == 1
 
-    @pytest.mark.parametrize("line, column", [
-        ("location q q", 12),
-        ("edge foo -> foo on a foo x<5", 22),
-        ("edge when -> when on a when x<=1.55", 24),
-    ])
-    def test_error_column_is_the_word_it_names(self, line, column):
+    @pytest.mark.parametrize("line, column, message", ERROR_COLUMNS,
+                             ids=[f"{line}-{col}" for line, col, _
+                                  in ERROR_COLUMNS])
+    def test_error_column_is_the_word_it_names(self, line, column, message):
         # The word the message names also occurs earlier on the line.
         with pytest.raises(TBAParseError) as e:
             parse_tba(f"alphabet a\nclocks x\nlocation foo initial\n{line}\n")
-        assert (e.value.line, e.value.column) == (4, column)
+        assert str(e.value) == f"line 4, column {column}: {message}"
 
     def test_semantic_errors_all_listed(self):
         text = ("alphabet a\nclocks x\nlocation q0 initial\n"
@@ -137,11 +157,24 @@ class TestParsing:
         a = parse_tba("# header\n\nalphabet a\nlocation q initial # trailing\n")
         assert a.locations == {"q"}
 
-    def test_reset_parses(self):
+    @pytest.mark.parametrize("arrow", [" -> ", "->"], ids=["spaced", "glued"])
+    @pytest.mark.parametrize("clauses", [
+        "when x<=3 reset x y", "reset x y when x<=3"],
+        ids=["when-first", "reset-first"])
+    def test_reset_parses(self, arrow, clauses):
         a = parse_tba("alphabet a\nclocks x y\nlocation q initial\n"
-                      "edge q -> q on a when x<=3 reset x y\n")
+                      f"edge q{arrow}q on a {clauses}\n")
         assert a.transitions[0].resets == {"x", "y"}
-        assert a.compiled[0].resets == (1, 2)
+        assert a.compiled == (Edge("q", "q", ((1, 0, bound(30)),), (1, 2)),)
+
+    @pytest.mark.parametrize("path", SHIPPED,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_shipped_file_roundtrip_reset_first(self, path):
+        a1 = parse_tba(path.read_text(), scale=100)
+        text = serialize_tba(a1, scale=100, clauses=("reset", "when"))
+        a2 = parse_tba(text.replace("\n", "  # trailing comment\n"),
+                       scale=100)
+        assert set(a2.transitions) == set(a1.transitions)
 
 
 # The zones of a monitor over eventually_then_safe_tba: its clock x, then

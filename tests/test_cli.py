@@ -627,6 +627,25 @@ class TestFailuresExitThree:
         assert code == 3
         assert "too large" in err
 
+    @pytest.mark.parametrize("clauses, column, message", [
+        ("reset", 21, "reset needs a clock"),
+        ("reset # x", 21, "reset needs a clock"),
+        ("when x<5 when x<9", 30, "duplicate edge clause 'when'"),
+        ("reset x reset x", 29, "duplicate edge clause 'reset'"),
+        ("whenever x<5", 21, "unexpected edge clause 'whenever'"),
+    ])
+    def test_malformed_edge_clause(self, capsys, tmp_path, clauses, column,
+                                   message):
+        spec = (FIXTURES / "deadline_spec.txt").read_text().replace(
+            "edge q0 -> bad on b\n", f"edge q0 -> bad on b {clauses}\n")
+        (tmp_path / "spec.txt").write_text(spec)
+        code, out, err = run(capsys, [
+            "--spec", str(tmp_path / "spec.txt"),
+            "--complement", str(FIXTURES / "deadline_complement.txt"),
+            "--scale", "1", "--trace", write_trace(tmp_path, "@173 a\n")])
+        assert code == 3 and out == ""
+        assert err == f"error: line 13, column {column}: {message}\n"
+
     @pytest.mark.parametrize("scale", ["3", "20"])
     def test_scale_not_a_power_of_ten(self, capsys, tmp_path, scale):
         trace = write_trace(tmp_path, "@10 a\n")

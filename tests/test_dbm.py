@@ -12,7 +12,7 @@ import random
 from typing import Iterable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaymon.dbm import (
@@ -20,11 +20,15 @@ from delaymon.dbm import (
     INF,
     Interval,
     LE_ZERO,
+    MAX_SCALED,
+    ScaleError,
     bound,
     bound_is_strict,
     bound_value,
+    format_scaled,
     included_in_union,
     merge_difference_bounds,
+    parse_scaled,
     reduce_union,
 )
 
@@ -69,6 +73,57 @@ constraint = st.tuples(
     st.integers(0, 2), st.integers(0, 2), st.integers(-4, 6), st.booleans()
 ).map(lambda t: (t[0], t[1], bound(t[2], strict=t[3])))
 constraints = st.lists(constraint, max_size=8)
+
+
+NAN, NEG, BIG = "not a number", "is negative", "is too large"
+PREC = "needs more precision"
+
+# Per decimal, its value or a fragment of its message at scales 1, 10 and
+# 100: the CLI fuzzer's FUZZ_NUMBERS, then edge cases of the grammar.
+DECIMALS = {
+    "0": (0, 0, 0),
+    "-1": (NEG, NEG, NEG),
+    "0.5": (PREC, 5, 50),
+    "1e3": (NAN, NAN, NAN),
+    "1/2": (NAN, NAN, NAN),
+    "inf": (NAN, NAN, NAN),
+    "1125899906842623": (2 ** 50 - 1, BIG, BIG),
+    "1125899906842624": (BIG, BIG, BIG),
+    "4611686018427387904": (BIG, BIG, BIG),
+    "9" * 40: (BIG, BIG, BIG),
+    "5.": (5, 50, 500),
+    ".5": (PREC, 5, 50),
+    "+5": (5, 50, 500),
+    "-0": (0, 0, 0),
+    "00.10": (PREC, 1, 10),
+    "-99999999999999999": (NEG, NEG, NEG),
+    "9" * 5000: (BIG, BIG, BIG),
+}
+
+
+class TestDecimals:
+    @pytest.mark.parametrize("text", DECIMALS, ids=lambda t: (
+        t if len(t) <= 40 else f"{len(t)}-digits"))
+    def test_value_or_message(self, text):
+        for scale, want in zip((1, 10, 100), DECIMALS[text]):
+            if isinstance(want, int):
+                assert parse_scaled(text, scale, "v") == want
+            else:
+                with pytest.raises(ScaleError, match=want):
+                    parse_scaled(text, scale, "v")
+
+    @given(st.integers(0, MAX_SCALED - 1), st.sampled_from([1, 10, 100, 1000]))
+    @example(MAX_SCALED - 1, 1)
+    @example(MAX_SCALED - 1, 1000)
+    def test_format_roundtrip(self, value, scale):
+        assert parse_scaled(format_scaled(value, scale), scale, "v") == value
+
+    @pytest.mark.parametrize("scale", [0, 3, 20, -10])
+    def test_scale_must_be_a_power_of_ten(self, scale):
+        with pytest.raises(ValueError, match="not a power of ten"):
+            parse_scaled("1", scale, "v")
+        with pytest.raises(ValueError, match="not a power of ten"):
+            format_scaled(1, scale)
 
 
 class TestEncoding:
