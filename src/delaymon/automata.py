@@ -16,9 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
-from .dbm import DBM, bound, parse_scaled, reduce_union
+from .dbm import DBM, _scale_digits, bound, parse_scaled, reduce_union
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -73,6 +73,10 @@ class TBA:
 
     ``inputs``/``outputs`` optionally partition the alphabet for testing.
     ``compiled`` holds one :class:`Edge` per transition, in transition order.
+    ``memo`` keeps what the engines derive from this automaton object alone
+    (its nonempty-language states, see :mod:`delaymon.monitor`): the first
+    engine built on it computes each entry, and every later one reads it.
+    An entry is never mutated, and ``memo`` is not part of the value.
     """
 
     alphabet: frozenset[str]
@@ -86,6 +90,8 @@ class TBA:
     compiled: tuple[Edge, ...] = field(init=False, compare=False, repr=False)
     _edges: dict[tuple[str, str], list[Edge]] = field(
         init=False, compare=False, repr=False)
+    memo: dict[str, Any] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         errors = self.validate()
@@ -144,12 +150,23 @@ class TBA:
                 errs.append("inputs/outputs do not cover the alphabet")
         return errs
 
+    def __deepcopy__(self, memo: dict) -> TBA:
+        # immutable: a copied engine shares its automaton and the memo
+        return self
+
     @property
     def has_io_partition(self) -> bool:
         return bool(self.inputs or self.outputs)
 
     def edges(self, src: str, label: str) -> Sequence[Edge]:
         return self._edges.get((src, label), ())
+
+    @cached_property
+    def io_product(self) -> TBA:
+        """:func:`io_alternation_product` of this automaton, built on first
+        use, so every tester on this automaton object shares it and its
+        analysis.  Do not mutate."""
+        return io_alternation_product(self)
 
     @cached_property
     def inactive_clocks(self) -> dict[str, int]:
@@ -284,45 +301,84 @@ def io_alternation_product(automaton: TBA) -> TBA:
 
 # -- text format -------------------------------------------------------------
 
-
-def _column(raw: str, k: int, start: int = 0) -> int:
-    """The 1-based column of word ``k`` of ``raw`` from offset ``start``."""
-    starts = [w.start() for w in re.finditer(r"\S+", raw[start:])]
-    return start + starts[k] + 1
-
-
-def _parse_guard(text: str, scale: int) -> tuple[AtomicConstraint, ...]:
-    """The conjuncts of a guard; a ValueError, such as a
-    :class:`~delaymon.dbm.ScaleError`, for a malformed one."""
-    out = []
-    for part in text.split("&&"):
-        part = part.strip()
-        for rel in ("<=", ">=", "<", ">", "="):
-            if rel in part:
-                clock, _, num = part.partition(rel)
-                clock, num = clock.strip(), num.strip()
-                if not clock or not num:
-                    raise ValueError(f"malformed guard atom {part!r}")
-                const = parse_scaled(num, scale, "guard constant")
-                out.append(AtomicConstraint(clock, rel, const))
-                break
-        else:
-            raise ValueError(f"malformed guard atom {part!r}")
-    return tuple(out)
-
+_RELATION = re.compile(r"[<>=]+")
 
 # declarations that list names, each into the TBA field of its name
 _LISTS = ("alphabet", "inputs", "outputs", "clocks")
 _FLAGS = ("initial", "accepting")
 
+# By the role of a name in an edge: the declaration list that must hold
+# it, and the message if none does.
+_ROLES = {
+    "src": ("locations", "unknown source location {!r}"),
+    "dst": ("locations", "unknown target location {!r}"),
+    "label": ("alphabet", "symbol {!r} not in alphabet"),
+    "guard": ("clocks", "guard on unknown clock {!r}"),
+    "reset": ("clocks", "reset of unknown clock {!r}"),
+}
+
+
+class _RelationError(ValueError):
+    """A guard relation that is none of :data:`RELATIONS`, at ``offset`` in
+    the guard's text."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.offset = offset
+
+
+def _column(line: str, k: int, start: int = 0) -> int:
+    """The 1-based column of word ``k`` of ``line`` from offset ``start``."""
+    starts = [w.start() for w in re.finditer(r"\S+", line[start:])]
+    return start + starts[k] + 1
+
+
+def _edge_column(line: str, k: int, offset: int = 0) -> int:
+    """The column of an edge line's character ``offset`` characters into
+    its words after the arrow from word ``k`` on, joined by single spaces;
+    word -1 is the source, the last word before the arrow."""
+    head, _, rest = line.partition("->")
+    if k < 0:
+        return _column(head, -1)
+    text = " ".join(rest.split()[k:])
+    return (_column(line, k + text.count(" ", 0, offset), len(head) + 2)
+            + offset - text.rfind(" ", 0, offset) - 1)
+
+
+def _parse_guard(text: str, scale: int) -> tuple[AtomicConstraint, ...]:
+    """The conjuncts of a guard; a ValueError, such as a
+    :class:`~delaymon.dbm.ScaleError`, for a malformed one.  The relation
+    is the run of ``<``, ``>`` and ``=`` after the clock; one that is none
+    of :data:`RELATIONS` is a :class:`_RelationError`."""
+    out = []
+    start = 0
+    for part in text.split("&&"):
+        m = _RELATION.search(part)
+        clock = part[:m.start()].strip() if m else ""
+        num = part[m.end():].strip() if m else ""
+        if not clock or not num:
+            raise ValueError(f"malformed guard atom {part.strip()!r}")
+        if m.group() not in RELATIONS:
+            raise _RelationError(f"unknown relation {m.group()!r}",
+                                 start + m.start())
+        out.append(AtomicConstraint(
+            clock, m.group(), parse_scaled(num, scale, "guard constant")))
+        start += len(part) + 2
+    return tuple(out)
+
 
 def parse_tba(text: str, scale: int = 10) -> TBA:
     """Parse the line-oriented automaton format ("Automaton format" in
-    README.md).  Raises :class:`TBAParseError` on the first syntax error
-    and :class:`TBAError` listing all semantic errors."""
+    README.md); ``scale`` must be a power of ten (a ValueError otherwise).
+    Raises :class:`TBAParseError` on the first syntax error, then on the
+    names that edges use and no declaration lists: at the first one's line
+    and column, with every other one's in the message.  Raises
+    :class:`TBAError` listing all other semantic errors."""
+    _scale_digits(scale)
     lists: dict[str, list[str]] = {
         k: [] for k in (*_LISTS, "locations", *_FLAGS)}
     transitions: list[Transition] = []
+    edges: list[tuple[int, str]] = []  # each edge's line number and text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         words = line.split()
@@ -336,23 +392,43 @@ def parse_tba(text: str, scale: int = 10) -> TBA:
             for k, flag in enumerate(words[2:], start=2):
                 if flag not in _FLAGS:
                     raise TBAParseError(f"unknown location flag {flag!r}",
-                                        lineno, _column(raw, k))
+                                        lineno, _column(line, k))
                 lists[flag].append(words[1])
         elif kw == "location":
             raise TBAParseError("location needs a name", lineno)
         elif kw == "edge":
-            transitions.append(_parse_edge(raw, line, scale, lineno))
+            transitions.append(_parse_edge(line, scale, lineno))
+            edges.append((lineno, line))
         else:
             raise TBAParseError(f"unknown declaration {kw!r}", lineno,
-                                _column(raw, 0))
-    clocks = tuple(dict.fromkeys(lists.pop("clocks")))
-    return TBA(clocks=clocks, transitions=tuple(transitions),
+                                _column(line, 0))
+    declared = {k: set(lists[k]) for k in ("locations", "alphabet", "clocks")}
+    locations, alphabet, clocks = declared.values()
+    unknown = []
+    for (lineno, line), t in zip(edges, transitions):
+        if (t.src in locations and t.dst in locations and t.label in alphabet
+                and t.resets <= clocks
+                and all(g.clock in clocks for g in t.guard)):
+            continue
+        unknown += ((lineno, _edge_column(line, k, offset),
+                     _ROLES[role][1].format(name))
+                    for k, offset, name, role in _edge_names(line, t)
+                    if name not in declared[_ROLES[role][0]])
+    if unknown:
+        (lineno, column, message), *rest = sorted(unknown)
+        raise TBAParseError("; ".join([message, *(
+            f"line {n}, column {c}: {m}" for n, c, m in rest)]),
+            lineno, column)
+    return TBA(clocks=tuple(dict.fromkeys(lists.pop("clocks"))),
+               transitions=tuple(transitions),
                **{k: frozenset(v) for k, v in lists.items()})
 
 
-def _parse_edge(raw: str, line: str, scale: int, lineno: int) -> Transition:
-    """An ``edge SRC -> DST on SYMBOL`` head, then at most one ``when``
-    and one ``reset`` clause, in either order."""
+def _edge_clauses(line: str, lineno: int
+                  ) -> tuple[str, list[str], dict[str, tuple[int, list[str]]]]:
+    """An edge line's source, its words after the arrow, and its clauses:
+    at most one ``when`` and one ``reset``, in either order, each with its
+    word after the arrow and its arguments."""
     head, arrow, rest = line.partition("->")
     if not arrow:
         raise TBAParseError("edge needs 'src -> dst'", lineno)
@@ -362,33 +438,61 @@ def _parse_edge(raw: str, line: str, scale: int, lineno: int) -> Transition:
     src = head.split()[1:]
     if len(src) != 1:
         raise TBAParseError("malformed edge", lineno)
-
-    def error(message: str, k: int) -> TBAParseError:
-        # word k after the arrow: dst, "on", the label, then the clauses
-        return TBAParseError(message, lineno,
-                             _column(raw, k, raw.index("->") + 2))
-
     clauses: dict[str, tuple[int, list[str]]] = {}
     args = None
     for k, w in enumerate(words[3:], start=3):
         if w in ("when", "reset"):
             if w in clauses:
-                raise error(f"duplicate edge clause {w!r}", k)
+                raise TBAParseError(f"duplicate edge clause {w!r}", lineno,
+                                    _edge_column(line, k))
             clauses[w] = (k, args := [])
         elif args is None:
-            raise error(f"unexpected edge clause {w!r}", k)
+            raise TBAParseError(f"unexpected edge clause {w!r}", lineno,
+                                _edge_column(line, k))
         else:
             args.append(w)
+    return src[0], words, clauses
+
+
+def _parse_edge(line: str, scale: int, lineno: int) -> Transition:
+    """An ``edge SRC -> DST on SYMBOL`` head, then at most one ``when``
+    and one ``reset`` clause, in either order."""
+    src, words, clauses = _edge_clauses(line, lineno)
     guard: tuple[AtomicConstraint, ...] = ()
     if "when" in clauses:
         k, args = clauses["when"]
         try:
             guard = _parse_guard(" ".join(args), scale)
+        except _RelationError as e:
+            raise TBAParseError(str(e), lineno,
+                                _edge_column(line, k + 1, e.offset)) from None
         except ValueError as e:
-            raise error(str(e), k) from None
+            raise TBAParseError(str(e), lineno, _edge_column(line, k)) from None
     resets: list[str] = []
     if "reset" in clauses:
         k, resets = clauses["reset"]
         if not resets:
-            raise error("reset needs a clock", k)
-    return Transition(src[0], words[0], words[2], frozenset(resets), guard)
+            raise TBAParseError("reset needs a clock", lineno,
+                                _edge_column(line, k))
+    return Transition(src, words[0], words[2], frozenset(resets), guard)
+
+
+def _edge_names(line: str, t: Transition) -> list[tuple[int, int, str, str]]:
+    """Each name that the edge on ``line``, parsed as ``t``, uses: where it
+    is, as the word after the arrow (-1 for the source) and the offset
+    that :func:`_edge_column` takes, then the name and its role.  The line
+    parsed once, so reading its clauses again raises no error."""
+    _, _, clauses = _edge_clauses(line, 0)
+    names = [(-1, 0, t.src, "src"), (0, 0, t.dst, "dst"),
+             (2, 0, t.label, "label")]
+    if "when" in clauses:
+        k, args = clauses["when"]
+        start = 0
+        for part, g in zip(" ".join(args).split("&&"), t.guard):
+            names.append((k + 1, start + part.index(g.clock), g.clock,
+                          "guard"))
+            start += len(part) + 2
+    if "reset" in clauses:
+        k, args = clauses["reset"]
+        names += ((k + 1 + i, 0, c, "reset") for i, c in enumerate(args))
+    return names

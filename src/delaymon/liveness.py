@@ -47,6 +47,10 @@ class NonEmptyMap:
     constraints: dict[str, tuple[tuple[tuple[int, int, int], ...], ...]] = (
         field(init=False, repr=False, compare=False))
 
+    def __deepcopy__(self, memo: dict) -> NonEmptyMap:
+        # never mutated: a copied engine shares its automaton's map
+        return self
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", {
             q: tuple(tuple(z.constraints()) for z in zs)

@@ -68,7 +68,9 @@ inactive clocks come from the edges alone.  Each polarity keeps its own
 nonempty-language states, which are all that the verdict probe and the
 latency unions read besides the reach set.  The engine decides this once, at
 set-up (for the tester, on the two I/O products); a complement that differs
-anywhere else gets its own reach set, stepped by the same loop.
+anywhere else gets its own reach set, stepped by the same loop.  The
+nonemptiness analysis is paid once per automaton object: every later engine
+built on it reads the map that the first one kept in ``TBA.memo``.
 
 :class:`Monitor` is one output channel (clock ``n + 2``) with latency
 ``δ ∈ [ℓ, u]`` plus a per-event jitter in ``[0, ε]``; delay-free (classic)
@@ -185,6 +187,17 @@ def _same_but_accepting(a: TBA, b: TBA) -> bool:
                if f.compare and f.name != "accepting")
 
 
+def _nonempty(automaton: TBA) -> NonEmptyMap:
+    """The nonempty-language states of ``automaton``, analysed by the first
+    engine built on this automaton object and kept in its ``memo`` for
+    every later one: the analysis is deterministic, and nothing mutates its
+    result."""
+    found = automaton.memo.get("nonempty")
+    if found is None:
+        found = automaton.memo["nonempty"] = nonempty_states(automaton)
+    return found
+
+
 def _measure(k: int, direction: str) -> Measure:
     """Channel ``k``'s latency: its clock minus ``time`` on output, ``time``
     minus its clock on input."""
@@ -271,8 +284,8 @@ class _Engine:
         neg = (pos if _same_but_accepting(spec, complement)
                else self._make_track(complement))
         self.tracks = (pos,) if neg is pos else (pos, neg)
-        self.pos = _Side(pos, nonempty_states(spec))
-        self.neg = _Side(neg, nonempty_states(complement))
+        self.pos = _Side(pos, _nonempty(spec))
+        self.neg = _Side(neg, _nonempty(complement))
         self.last_obs_time = 0
         self.observation_count = 0
         self._verdict = self._compute_verdict(0)

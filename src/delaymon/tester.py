@@ -7,7 +7,8 @@ receives outputs through an independent channel with latency
 taken when the tester emits the stimulus; output timestamps when the
 response arrives.  Specifications must carry an input/output partition and
 are restricted to strictly alternating input/output words via
-:func:`delaymon.automata.io_alternation_product`.
+:func:`delaymon.automata.io_alternation_product`, built once per automaton
+object (:attr:`delaymon.automata.TBA.io_product`).
 
 The engine is the core of :mod:`delaymon.monitor` with two channels, used
 alternately: for an automaton with ``n`` clocks, the input channel's clock
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import TBA, io_alternation_product
+from .automata import TBA
 from .dbm import Interval
 from .monitor import (
     INPUT,
@@ -90,7 +91,7 @@ class Tester(_Engine):
         self.bounds = bounds
         self.inputs = spec.inputs
         self._start(
-            io_alternation_product(spec), io_alternation_product(complement),
+            spec.io_product, complement.io_product,
             ((bounds.input, INPUT), (bounds.output, OUTPUT)), (ROUND_TRIP,))
 
     @property

@@ -57,6 +57,19 @@ ERROR_COLUMNS = [
      "unexpected edge clause 'whenever'"),
 ]
 
+# A line that uses a name no declaration lists, or a relation that is none
+# of <, <=, =, >=, >, with the column of the word at fault and the message.
+NAME_COLUMNS = [
+    ("edge x -> foo on a", 6, "unknown source location 'x'"),
+    ("edge foo -> x on a", 13, "unknown target location 'x'"),
+    ("edge foo -> foo on x", 20, "symbol 'x' not in alphabet"),
+    ("edge foo -> foo on a when a<5", 27, "guard on unknown clock 'a'"),
+    ("edge foo -> foo on a reset x foo", 30, "reset of unknown clock 'foo'"),
+    ("edge foo -> foo on a when x=<5", 28, "unknown relation '=<'"),
+    ("edge foo -> foo on a when x<5 && x<<3", 35, "unknown relation '<<'"),
+    ("edge foo -> foo on a when x < 5 &&x=>5", 36, "unknown relation '=>'"),
+]
+
 EXAMPLE_TEXT = """\
 # an `a` within 10, no `b` within 20
 alphabet a b
@@ -138,6 +151,42 @@ class TestParsing:
         with pytest.raises(TBAParseError) as e:
             parse_tba(f"alphabet a\nclocks x\nlocation foo initial\n{line}\n")
         assert str(e.value) == f"line 4, column {column}: {message}"
+
+    @pytest.mark.parametrize("line, column, message", NAME_COLUMNS,
+                             ids=[f"{line}-{col}" for line, col, _
+                                  in NAME_COLUMNS])
+    def test_name_error_column_is_the_word_it_names(self, line, column,
+                                                     message):
+        with pytest.raises(TBAParseError) as e:
+            parse_tba(f"alphabet a\nclocks x\nlocation foo initial\n{line}\n")
+        assert str(e.value) == f"line 4, column {column}: {message}"
+        assert (e.value.line, e.value.column) == (4, column)
+
+    def test_names_may_be_declared_after_their_use(self):
+        a = parse_tba("edge q -> r on a when x<5 reset x\nalphabet a\n"
+                      "clocks x\nlocation q initial\nlocation r\n")
+        assert a.compiled == (Edge("q", "r", ((1, 0, bound(50, True)),),
+                                   (1,)),)
+
+    def test_unknown_names_listed_in_file_order(self):
+        text = ("alphabet a\nclocks x\nlocation q0 initial\n"
+                "edge q0 -> q0 on a reset y when y<1\n"
+                "edge q0 -> nowhere on z\n")
+        with pytest.raises(TBAParseError) as e:
+            parse_tba(text)
+        assert str(e.value) == (
+            "line 4, column 26: reset of unknown clock 'y'; "
+            "line 4, column 33: guard on unknown clock 'y'; "
+            "line 5, column 12: unknown target location 'nowhere'; "
+            "line 5, column 23: symbol 'z' not in alphabet")
+        assert (e.value.line, e.value.column) == (4, 26)
+
+    @pytest.mark.parametrize("scale", [0, 3, 20, -10])
+    def test_scale_must_be_a_power_of_ten(self, scale):
+        # checked up front, not only by a guard constant
+        with pytest.raises(ValueError, match="not a power of ten"):
+            parse_tba("alphabet a\nlocation q initial\nedge q -> q on a\n",
+                      scale)
 
     def test_semantic_errors_all_listed(self):
         text = ("alphabet a\nclocks x\nlocation q0 initial\n"

@@ -7,12 +7,16 @@ oracle extended with the second channel.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from delaymon.automata import io_alternation_product
+import delaymon.automata as automata_module
+import delaymon.monitor as monitor_module
+from delaymon.automata import io_alternation_product, parse_tba
 from delaymon.dbm import INF, Interval
 from delaymon.monitor import (
     ComplementViolationError,
@@ -418,3 +422,82 @@ class TestInvariantProperties:
         assert t.verdict_at(10_000) is Verdict.INCONCLUSIVE
         rep = t.latency_report()
         assert rep.positive_combined[-1].hi == INF
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestOneAnalysisPerAutomaton:
+    """Every engine built on one parsed automaton reads the nonemptiness map
+    and the I/O product that the first engine on it computed."""
+
+    @staticmethod
+    def parse() -> tuple:
+        return tuple(parse_tba((FIXTURES / f"gear_{k}.txt").read_text(), 1)
+                     for k in ("spec", "complement"))
+
+    @staticmethod
+    def build(spec, comp) -> list:
+        """A classic, a monitor and a test engine."""
+        return [Monitor(spec, comp, DelayBounds(0, 0, 0)),
+                Monitor(spec, comp, DelayBounds(0, 100, 10)),
+                Tester(spec, comp, IODelayBounds(
+                    DelayBounds(10, 50, 10), DelayBounds(60, 100, 10)))]
+
+    def test_each_automaton_is_analysed_once(self, monkeypatch):
+        analysed, products = [], []
+        analyse = monitor_module.nonempty_states
+        product = automata_module.io_alternation_product
+
+        def counted_analyse(automaton):
+            analysed.append(automaton)
+            return analyse(automaton)
+
+        def counted_product(automaton):
+            products.append(automaton)
+            return product(automaton)
+        monkeypatch.setattr(monitor_module, "nonempty_states",
+                            counted_analyse)
+        monkeypatch.setattr(automata_module, "io_alternation_product",
+                            counted_product)
+        spec, comp = self.parse()
+        engines = self.build(spec, comp)
+        distinct = [spec, comp, spec.io_product, comp.io_product]
+        assert sorted(map(id, analysed)) == sorted(map(id, distinct))
+        assert [id(a) for a in products] == [id(spec), id(comp)]
+
+        again = self.build(spec, comp)
+        copies = copy.deepcopy(engines)
+        assert len(analysed) == 4 and len(products) == 2
+        for engine, first in [*zip(again, engines), *zip(copies, engines)]:
+            assert engine.pos.nonempty is first.pos.nonempty
+            assert engine.neg.nonempty is first.neg.nonempty
+
+    @pytest.mark.parametrize("mode", range(3),
+                             ids=["classic", "monitor", "test"])
+    def test_warm_engines_answer_as_fresh_ones(self, mode):
+        """After every event of the recorded narrow-channel gear session,
+        which each mode refutes, an engine on an automaton that earlier
+        engines analysed, a deep copy of one, and an engine on a fresh
+        parse give the same verdict and latency report."""
+        spec, comp = self.parse()
+        self.build(spec, comp)
+        template = self.build(spec, comp)[mode]
+        engines = [self.build(spec, comp)[mode], copy.deepcopy(template),
+                   self.build(*self.parse())[mode]]
+        events = [(sym, int(stamp[1:])) for stamp, sym in (
+            line.split() for line in
+            (FIXTURES / "gear_narrow_trace.txt").read_text().splitlines()
+            if line and not line.startswith("#"))]
+        verdicts = set()
+        for sym, tau in events:
+            answers = []
+            for e in engines:
+                observe = e.observe_io if isinstance(e, Tester) else e.observe
+                answers.append((observe(sym, tau), e.latency_report()))
+            assert answers[1:] == answers[:-1], (sym, tau)
+            verdicts.add(answers[0][0])
+        assert Verdict.FALSE in verdicts
+        # stepping the copy left the template's reach set as it was
+        assert (template.latency_report()
+                == self.build(spec, comp)[mode].latency_report())
