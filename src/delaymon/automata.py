@@ -201,8 +201,7 @@ class TBA:
         return {q: every & ~a for q, a in active.items() if a != every}
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolicState:
+class SymbolicState(NamedTuple):
     location: str
     zone: DBM
 

@@ -5,7 +5,8 @@ fixed clock vector whose index 0 is the constant-zero reference clock.  All
 constants are scaled integers; bounds are encoded in a single int as
 ``2*c | 1`` for a weak bound (<=) and ``2*c`` for a strict one (<), so that
 the natural int order coincides with bound tightness and the canonicalization
-loop stays branch-free.
+loop stays branch-free.  Two finite encoded bounds add as ``a + b - ((a | b)
+& 1)``: the values add, and the sum is weak iff both bounds are.
 
 A zone is refined by :meth:`DBM.and_constraints` (a meet, then optional
 clock resets), :meth:`DBM.elapse` (``up``, then a meet) and
@@ -14,16 +15,17 @@ meet its guard, then ``down``).  Each applies its whole chain of steps to
 one copy of the matrix, keeping it canonical in place through
 :func:`_tighten`, so a derived zone costs one copy and no closure (as in
 UPPAAL's DBM library: Behrmann et al., "UPPAAL implementation secrets",
-FTRTFT 2002).  A latency union is merged on the encoded bounds of the met
-zones by :func:`merge_difference_bounds`.
+FTRTFT 2002).  A meet whose first tightening constraint contradicts the
+zone makes no copy: that test reads the source matrix.  A latency union is
+merged on the encoded bounds of the met zones by
+:func:`merge_difference_bounds`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import ge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 INF = 2 ** 62  # absorbing +infinity bound
 
@@ -103,8 +105,7 @@ def format_scaled(value: int, scale: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Interval of scaled-integer values with per-endpoint strictness.
 
     ``lo = -INF`` / ``hi = INF`` denote unbounded endpoints (their strictness
@@ -141,8 +142,7 @@ def _tighten(m: list[list[int]], i: int, j: int, b: int) -> bool:
     empty."""
     mj = m[j]
     mji = mj[i]
-    if mji != INF and (
-            (((b >> 1) + (mji >> 1)) << 1) | (b & mji & 1)) < LE_ZERO:
+    if mji != INF and b + mji - ((b | mji) & 1) < LE_ZERO:
         return False
     # On a canonical matrix the new edge can only shorten m[p][q] where it
     # shortens both m[i][q] (the columns below) and m[p][j] (the row test).
@@ -150,16 +150,15 @@ def _tighten(m: list[list[int]], i: int, j: int, b: int) -> bool:
     cols = []
     for q, v in enumerate(mj):
         if v != INF:
-            c = (((b >> 1) + (v >> 1)) << 1) | (b & v & 1)
+            c = b + v - ((b | v) & 1)
             if c < mi[q]:
                 cols.append((q, c))
     for mp in m:
         a = mp[i]
-        if a == INF or (
-                (((a >> 1) + (b >> 1)) << 1) | (a & b & 1)) >= mp[j]:
+        if a == INF or a + b - ((a | b) & 1) >= mp[j]:
             continue
         for q, c in cols:
-            s = (((a >> 1) + (c >> 1)) << 1) | (a & c & 1)
+            s = a + c - ((a | c) & 1)
             if s < mp[q]:
                 mp[q] = s
     return True
@@ -206,7 +205,7 @@ class DBM:
         return d
 
     def copy_matrix(self) -> list[list[int]]:
-        return [row[:] for row in self.m]
+        return list(map(list.copy, self.m))
 
     def constraints(self) -> Iterator[tuple[int, int, int]]:
         """The finite off-diagonal entries, as ``(i, j, bound)``."""
@@ -229,7 +228,7 @@ class DBM:
                 for j in range(n):
                     if mk[j] == INF:
                         continue
-                    b = (((mik >> 1) + (mk[j] >> 1)) << 1) | (mik & mk[j] & 1)
+                    b = mik + mk[j] - ((mik | mk[j]) & 1)
                     if b < mi[j]:
                         mi[j] = b
         empty = False
@@ -279,7 +278,8 @@ class DBM:
                         resets: Sequence[int] = ()) -> "DBM":
         """Intersect with the encoded constraints ``cons``, then set each
         clock in ``resets`` to 0 and project its old value away: one copy,
-        and none when ``cons`` tightens nothing and ``resets`` is empty.
+        and none when ``cons`` tightens nothing and ``resets`` is empty, or
+        when the first constraint that tightens contradicts the zone.
 
         A reset copies row and column 0 into the clock's, which keeps a
         canonical matrix canonical."""
@@ -291,6 +291,10 @@ class DBM:
         for i, j, b in cons:
             if b < m[i][j]:
                 if m is self.m:
+                    # _tighten's first test, on the matrix not yet copied
+                    mji = m[j][i]
+                    if mji != INF and b + mji - ((b | mji) & 1) < LE_ZERO:
+                        return DBM._canonical(self.dim, m, empty=True)
                     m = self.copy_matrix()
                 if not _tighten(m, i, j, b):
                     return DBM._canonical(self.dim, m, empty=True)
@@ -339,7 +343,7 @@ class DBM:
             for k in range(1, dim):
                 a, c = low[k], m[k][i]
                 if a != INF and c != INF:
-                    s = (((a >> 1) + (c >> 1)) << 1) | (a & c & 1)
+                    s = a + c - ((a | c) & 1)
                     if s < best:
                         best = s
             row0[i] = best

@@ -33,7 +33,8 @@ touches, so meeting it commutes with both, and a nonempty zone has one
 canonical DBM.  So the window is met once per state, not once per
 successor.  Each derived zone is one matrix copy: up and the window are
 one (:meth:`delaymon.dbm.DBM.elapse`), each edge's guard and reset one more
-(none if the guard tightens nothing and the edge resets nothing), and so is
+(none if the guard tightens nothing and the edge resets nothing, nor if the
+guard's first constraint that tightens the zone contradicts it), and so is
 the verdict probe's advance of a state to the query time (none for a state
 already past the cutoff).  A latency report merges the encoded bounds of
 the met zones and builds an :class:`~delaymon.dbm.Interval` per merged
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .automata import TBA, SymbolicState, post, prune_subsumed
 from .dbm import DBM, INF, Interval, bound, merge_difference_bounds
@@ -149,8 +150,7 @@ Channel = tuple[DelayBounds, str]
 Measure = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LatencyReport:
+class LatencyReport(NamedTuple):
     positive: tuple[Interval, ...]
     negative: tuple[Interval, ...]
     jitter: int

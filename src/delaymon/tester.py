@@ -22,6 +22,7 @@ range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import TBA
 from .dbm import Interval
@@ -61,8 +62,7 @@ class IODelayBounds:
         return self.input.latency_low + self.output.latency_low
 
 
-@dataclass(frozen=True)
-class IOLatencyReport:
+class IOLatencyReport(NamedTuple):
     """Consistent-latency intervals per polarity: input channel, output
     channel, and the round-trip sum."""
 

@@ -141,6 +141,17 @@ class TestEncoding:
         b = bound(-3, strict=True)
         assert bound_value(b) == -3 and bound_is_strict(b)
 
+    @given(st.integers(-MAX_SCALED, MAX_SCALED), st.booleans(),
+           st.integers(-MAX_SCALED, MAX_SCALED), st.booleans())
+    @example(-1, True, -1, True)
+    @example(-1, False, 0, True)
+    def test_sum_is_one_expression(self, x, x_strict, y, y_strict):
+        # the kernel adds two finite encoded bounds as a + c - ((a | c) & 1)
+        a, c = bound(x, strict=x_strict), bound(y, strict=y_strict)
+        assert a + c - ((a | c) & 1) == bound(
+            bound_value(a) + bound_value(c),
+            strict=bound_is_strict(a) or bound_is_strict(c))
+
 
 class TestCanonicalization:
     def test_contradiction_is_empty(self):
@@ -249,6 +260,35 @@ class TestOperations:
     def test_reset_reference_clock_rejected(self):
         with pytest.raises(ValueError):
             DBM.universal(3).and_constraints((), [0])
+
+    def test_contradicted_meet_builds_one_empty_zone(self, monkeypatch):
+        # 1 <= x1 <= 3 met with x1 < 1: the first tightening constraint
+        # contradicts the zone, which is answered before any copy
+        z = zone_from([(1, 0, bound(3)), (0, 1, bound(-1))])
+        before = [row[:] for row in z.m]
+        built, copies = [], []
+        init, copy = DBM.__init__, DBM.copy_matrix
+
+        def counted(dbm, *args, **kwargs):
+            built.append(dbm)
+            init(dbm, *args, **kwargs)
+
+        def counted_copy(dbm):
+            copies.append(dbm)
+            return copy(dbm)
+        monkeypatch.setattr(DBM, "__init__", counted)
+        monkeypatch.setattr(DBM, "copy_matrix", counted_copy)
+        empty = z.and_constraints(((1, 0, bound(1, strict=True)),))
+        monkeypatch.undo()
+
+        assert built == [empty] and copies == []
+        assert empty.is_empty()
+        assert z.m == before and not z.is_empty()
+        assert empty == zone_from([(1, 0, bound(0, strict=True))])
+        assert empty.difference_bounds(1, 2).is_empty()
+        assert empty.subtract(z) == [] and z.subtract(empty) == [z]
+        assert z.includes(empty) and empty.includes(empty)
+        assert not empty.includes(z)
 
 
 class TestDifferenceBounds:

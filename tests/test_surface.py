@@ -1,8 +1,9 @@
-"""Every function, method and class in ``src/`` has a caller outside the
-tests.
+"""The shape of ``src/``: every function, method and class has a caller
+outside the tests, every module-level import is used, and the value types
+the engines build per event keep their contract.
 
-The scan is a floor, not a call graph: a whole-word mention anywhere in
-``src/`` or ``perfbench/`` other than a definition of the name counts,
+The caller scan is a floor, not a call graph: a whole-word mention anywhere
+in ``src/`` or ``perfbench/`` other than a definition of the name counts,
 a mention in a docstring or a comment included.  So it catches code that
 only tests reach, but not every dead name."""
 
@@ -11,6 +12,13 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+
+import pytest
+
+from delaymon.automata import SymbolicState
+from delaymon.dbm import DBM, Interval
+from delaymon.monitor import LatencyReport
+from delaymon.tester import IOLatencyReport
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "delaymon").glob("*.py"))
@@ -53,3 +61,55 @@ def test_every_name_has_a_caller_outside_the_tests():
 
 def test_every_exemption_is_still_defined():
     assert set(EXEMPT) <= set(definitions())
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).partition(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}"
+                       for name in names if name not in used]
+    assert unused == []
+
+
+IV = Interval(3, False, 5, True)
+
+# Per type: its fields in their documented order, and values for them.
+VALUE_TYPES = {
+    Interval: (("lo", "lo_strict", "hi", "hi_strict"), (3, False, 5, True)),
+    SymbolicState: (("location", "zone"), ("q0", DBM.universal(2))),
+    LatencyReport: (("positive", "negative", "jitter"), ((IV,), (), 2)),
+    IOLatencyReport: (
+        ("positive_input", "positive_output", "positive_combined",
+         "negative_input", "negative_output", "negative_combined",
+         "input_jitter", "output_jitter"),
+        ((IV,), (IV, IV), (), (), (IV,), (), 1, 2)),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
+def test_value_type_contract(cls):
+    names, values = VALUE_TYPES[cls]
+    v = cls(*values)
+    assert [getattr(v, n) for n in names] == list(values)
+    with pytest.raises(AttributeError):
+        setattr(v, names[0], values[0])
+    same = cls(*values)
+    assert v == same and hash(v) == hash(same)
+    other = cls(*values[:-1], "changed")
+    assert v != other
+
+
+def test_interval_repr():
+    assert repr(IV) == "Interval(lo=3, lo_strict=False, hi=5, hi_strict=True)"
