@@ -9,6 +9,9 @@ in every zone built for it, and the engines and the nonemptiness analysis
 append their auxiliary clocks after index ``n``.  Each transition is
 compiled once, when the automaton is built, into an :class:`Edge` whose
 guard and resets are already in that numbering.
+
+The text parser reads each edge line once, noting where each name it read
+stands, and computes a column only for a message.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .dbm import DBM, _scale_digits, bound, parse_scaled, reduce_union
+from .dbm import (DBM, ScaleError, _scale_digits, bound, parse_scaled,
+                  reduce_union)
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -300,7 +304,9 @@ def io_alternation_product(automaton: TBA) -> TBA:
 
 # -- text format -------------------------------------------------------------
 
-_RELATION = re.compile(r"[<>=]+")
+# a guard atom: its clock, its relation (the first run of ``<``, ``>`` and
+# ``=``) and its constant, each with the spaces around it left out
+_ATOM = re.compile(r" *(.*?) *([<>=]+) *(.*?) *")
 
 # declarations that list names, each into the TBA field of its name
 _LISTS = ("alphabet", "inputs", "outputs", "clocks")
@@ -315,15 +321,6 @@ _ROLES = {
     "guard": ("clocks", "guard on unknown clock {!r}"),
     "reset": ("clocks", "reset of unknown clock {!r}"),
 }
-
-
-class _RelationError(ValueError):
-    """A guard relation that is none of :data:`RELATIONS`, at ``offset`` in
-    the guard's text."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(message)
-        self.offset = offset
 
 
 def _column(line: str, k: int, start: int = 0) -> int:
@@ -344,40 +341,19 @@ def _edge_column(line: str, k: int, offset: int = 0) -> int:
             + offset - text.rfind(" ", 0, offset) - 1)
 
 
-def _parse_guard(text: str, scale: int) -> tuple[AtomicConstraint, ...]:
-    """The conjuncts of a guard; a ValueError, such as a
-    :class:`~delaymon.dbm.ScaleError`, for a malformed one.  The relation
-    is the run of ``<``, ``>`` and ``=`` after the clock; one that is none
-    of :data:`RELATIONS` is a :class:`_RelationError`."""
-    out = []
-    start = 0
-    for part in text.split("&&"):
-        m = _RELATION.search(part)
-        clock = part[:m.start()].strip() if m else ""
-        num = part[m.end():].strip() if m else ""
-        if not clock or not num:
-            raise ValueError(f"malformed guard atom {part.strip()!r}")
-        if m.group() not in RELATIONS:
-            raise _RelationError(f"unknown relation {m.group()!r}",
-                                 start + m.start())
-        out.append(AtomicConstraint(
-            clock, m.group(), parse_scaled(num, scale, "guard constant")))
-        start += len(part) + 2
-    return tuple(out)
-
-
 def parse_tba(text: str, scale: int = 10) -> TBA:
     """Parse the line-oriented automaton format ("Automaton format" in
     README.md); ``scale`` must be a power of ten (a ValueError otherwise).
-    Raises :class:`TBAParseError` on the first syntax error, then on the
-    names that edges use and no declaration lists: at the first one's line
-    and column, with every other one's in the message.  Raises
-    :class:`TBAError` listing all other semantic errors."""
+    Each edge line is read once, and a column is computed only for a
+    message.  Raises :class:`TBAParseError` on the first syntax error,
+    then on the names that edges use and no declaration lists: at the
+    first one's line and column, with every other one's in the message.
+    Raises :class:`TBAError` listing all other semantic errors."""
     _scale_digits(scale)
     lists: dict[str, list[str]] = {
         k: [] for k in (*_LISTS, "locations", *_FLAGS)}
     transitions: list[Transition] = []
-    edges: list[tuple[int, str]] = []  # each edge's line number and text
+    uses: list[tuple[int, str, list[tuple[int, int, str, str]]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         words = line.split()
@@ -396,25 +372,19 @@ def parse_tba(text: str, scale: int = 10) -> TBA:
         elif kw == "location":
             raise TBAParseError("location needs a name", lineno)
         elif kw == "edge":
-            transitions.append(_parse_edge(line, scale, lineno))
-            edges.append((lineno, line))
+            t, places = _parse_edge(line, scale, lineno)
+            transitions.append(t)
+            uses.append((lineno, line, places))
         else:
             raise TBAParseError(f"unknown declaration {kw!r}", lineno,
                                 _column(line, 0))
-    declared = {k: set(lists[k]) for k in ("locations", "alphabet", "clocks")}
-    locations, alphabet, clocks = declared.values()
-    unknown = []
-    for (lineno, line), t in zip(edges, transitions):
-        if (t.src in locations and t.dst in locations and t.label in alphabet
-                and t.resets <= clocks
-                and all(g.clock in clocks for g in t.guard)):
-            continue
-        unknown += ((lineno, _edge_column(line, k, offset),
-                     _ROLES[role][1].format(name))
-                    for k, offset, name, role in _edge_names(line, t)
-                    if name not in declared[_ROLES[role][0]])
+    declared = {role: set(lists[need]) for role, (need, _) in _ROLES.items()}
+    unknown = sorted(
+        (lineno, _edge_column(line, k, offset), _ROLES[role][1].format(name))
+        for lineno, line, places in uses
+        for k, offset, name, role in places if name not in declared[role])
     if unknown:
-        (lineno, column, message), *rest = sorted(unknown)
+        (lineno, column, message), *rest = unknown
         raise TBAParseError("; ".join([message, *(
             f"line {n}, column {c}: {m}" for n, c, m in rest)]),
             lineno, column)
@@ -423,11 +393,13 @@ def parse_tba(text: str, scale: int = 10) -> TBA:
                **{k: frozenset(v) for k, v in lists.items()})
 
 
-def _edge_clauses(line: str, lineno: int
-                  ) -> tuple[str, list[str], dict[str, tuple[int, list[str]]]]:
-    """An edge line's source, its words after the arrow, and its clauses:
-    at most one ``when`` and one ``reset``, in either order, each with its
-    word after the arrow and its arguments."""
+def _parse_edge(line: str, scale: int, lineno: int
+                ) -> tuple[Transition, list[tuple[int, int, str, str]]]:
+    """An ``edge SRC -> DST on SYMBOL`` head, then at most one ``when``
+    and one ``reset`` clause, in either order.  Returns the transition and
+    each name it uses: where it is, as the word after the arrow (-1 for
+    the source) and the offset that :func:`_edge_column` takes, then the
+    name and its role in :data:`_ROLES`."""
     head, arrow, rest = line.partition("->")
     if not arrow:
         raise TBAParseError("edge needs 'src -> dst'", lineno)
@@ -450,48 +422,37 @@ def _edge_clauses(line: str, lineno: int
                                 _edge_column(line, k))
         else:
             args.append(w)
-    return src[0], words, clauses
-
-
-def _parse_edge(line: str, scale: int, lineno: int) -> Transition:
-    """An ``edge SRC -> DST on SYMBOL`` head, then at most one ``when``
-    and one ``reset`` clause, in either order."""
-    src, words, clauses = _edge_clauses(line, lineno)
-    guard: tuple[AtomicConstraint, ...] = ()
+    places = [(-1, 0, src[0], "src"), (0, 0, words[0], "dst"),
+              (2, 0, words[2], "label")]
+    guard: list[AtomicConstraint] = []
     if "when" in clauses:
         k, args = clauses["when"]
-        try:
-            guard = _parse_guard(" ".join(args), scale)
-        except _RelationError as e:
-            raise TBAParseError(str(e), lineno,
-                                _edge_column(line, k + 1, e.offset)) from None
-        except ValueError as e:
-            raise TBAParseError(str(e), lineno, _edge_column(line, k)) from None
+        start = 0
+        for part in " ".join(args).split("&&"):
+            m = _ATOM.fullmatch(part)
+            if not (m and m[1] and m[3]):
+                raise TBAParseError(f"malformed guard atom {part.strip()!r}",
+                                    lineno, _edge_column(line, k))
+            clock, relation, num = m.groups()
+            if relation not in RELATIONS:
+                raise TBAParseError(
+                    f"unknown relation {relation!r}", lineno,
+                    _edge_column(line, k + 1, start + m.start(2)))
+            try:
+                constant = parse_scaled(num, scale, "guard constant")
+            except ScaleError as e:
+                raise TBAParseError(str(e), lineno,
+                                    _edge_column(line, k)) from None
+            guard.append(AtomicConstraint(clock, relation, constant))
+            places.append((k + 1, start + m.start(1), clock, "guard"))
+            start += len(part) + 2
     resets: list[str] = []
     if "reset" in clauses:
         k, resets = clauses["reset"]
         if not resets:
             raise TBAParseError("reset needs a clock", lineno,
                                 _edge_column(line, k))
-    return Transition(src, words[0], words[2], frozenset(resets), guard)
-
-
-def _edge_names(line: str, t: Transition) -> list[tuple[int, int, str, str]]:
-    """Each name that the edge on ``line``, parsed as ``t``, uses: where it
-    is, as the word after the arrow (-1 for the source) and the offset
-    that :func:`_edge_column` takes, then the name and its role.  The line
-    parsed once, so reading its clauses again raises no error."""
-    _, _, clauses = _edge_clauses(line, 0)
-    names = [(-1, 0, t.src, "src"), (0, 0, t.dst, "dst"),
-             (2, 0, t.label, "label")]
-    if "when" in clauses:
-        k, args = clauses["when"]
-        start = 0
-        for part, g in zip(" ".join(args).split("&&"), t.guard):
-            names.append((k + 1, start + part.index(g.clock), g.clock,
-                          "guard"))
-            start += len(part) + 2
-    if "reset" in clauses:
-        k, args = clauses["reset"]
-        names += ((k + 1 + i, 0, c, "reset") for i, c in enumerate(args))
-    return names
+        for i, c in enumerate(resets, start=k + 1):
+            places.append((i, 0, c, "reset"))
+    return (Transition(src[0], words[0], words[2], frozenset(resets),
+                       tuple(guard)), places)

@@ -234,20 +234,24 @@ def _check_mode_flags(args) -> None:
 
 
 def _parse_inject(text: str, scale: int) -> tuple[dict[str, int], int]:
+    """The latencies and the seed (0 if not given) of an ``--inject``
+    schedule; a key given twice is an error."""
     vals: dict[str, int] = {}
-    seed = 0
     for part in text.split(","):
         key, _, val = part.partition(":")
-        key = key.strip()
+        key, val = key.strip(), val.strip()
+        if key in vals:
+            raise CliError(f"--inject: {key} given twice")
         if key == "seed":
-            try:
-                seed = int(val)
-            except ValueError:
-                raise CliError(f"--inject: bad seed {val!r}") from None
+            digits = val[1:] if val.startswith(("+", "-")) else val
+            if not (digits.isascii() and digits.isdigit()):
+                raise CliError(f"--inject: bad seed {val!r}")
+            vals[key] = int(val)
         elif key in ("din", "dout"):
-            vals[key] = parse_scaled(val.strip(), scale, f"--inject {key}")
+            vals[key] = parse_scaled(val, scale, f"--inject {key}")
         else:
             raise CliError(f"--inject: unknown key {key!r}")
+    seed = vals.pop("seed", 0)
     return vals, seed
 
 

@@ -163,7 +163,6 @@ class _Track:
 
     automaton: TBA
     time: int  # DBM index of time; channel k's clock is time + 1 + k
-    inactive: dict[str, int]  # automaton.inactive_clocks, read at set-up
     reach: list[SymbolicState]
 
 
@@ -216,7 +215,7 @@ def _step(track: _Track, symbol: str, ci: int, lo: int, hi: int
           ) -> list[SymbolicState]:
     window = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
     return prune_subsumed(post(track.reach, symbol, track.automaton, window),
-                          track.inactive)
+                          track.automaton.inactive_clocks)
 
 
 def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
@@ -307,7 +306,7 @@ class _Engine:
         dim = time + 1 + len(self.channels)
         z0 = DBM.universal(dim, set(range(1, dim)) - signed).and_constraints(
             cons)
-        return _Track(automaton, time, automaton.inactive_clocks,
+        return _Track(automaton, time,
                       [SymbolicState(q, z0) for q in automaton.initial])
 
     # -- queries -------------------------------------------------------------

@@ -55,6 +55,8 @@ ERROR_COLUMNS = [
      "duplicate edge clause 'reset'"),
     ("edge whenever -> whenever on a whenever x<5", 32,
      "unexpected edge clause 'whenever'"),
+    ("edge foo  ->  foo on a when x<5 when x<5", 33,
+     "duplicate edge clause 'when'"),
 ]
 
 # A line that uses a name no declaration lists, or a relation that is none
@@ -68,6 +70,14 @@ NAME_COLUMNS = [
     ("edge foo -> foo on a when x=<5", 28, "unknown relation '=<'"),
     ("edge foo -> foo on a when x<5 && x<<3", 35, "unknown relation '<<'"),
     ("edge foo -> foo on a when x < 5 &&x=>5", 36, "unknown relation '=>'"),
+    # whitespace, tabs included, and a touching arrow or ``&&``
+    ("edge foo->x on a", 11, "unknown target location 'x'"),
+    ("edge foo -> foo on a when x<5&&a<3", 32, "guard on unknown clock 'a'"),
+    ("edge\tfoo -> foo on a when  x  <  5 &&\ta < 3", 39,
+     "guard on unknown clock 'a'"),
+    ("edge foo -> foo on a when x<5 &&x=<3", 34, "unknown relation '=<'"),
+    ("edge foo -> foo\ton a reset\tx  foo", 31,
+     "reset of unknown clock 'foo'"),
 ]
 
 EXAMPLE_TEXT = """\

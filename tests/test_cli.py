@@ -309,6 +309,31 @@ class TestInjectReplay:
         assert code == 3
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("schedule, message", [
+        ("din:20,dout:70,dout:80", "dout given twice"),
+        ("din:20,seed:1,dout:70,seed:2", "seed given twice"),
+        ("din:20,dout:70,seed:1_0", "bad seed '1_0'"),
+        ("din:20,dout:70,seed:\u0663", "bad seed '\u0663'"),
+        ("din:20,dout:70,seed:+-3", "bad seed '+-3'"),
+        ("din:20,dout:70,seed:", "bad seed ''"),
+    ])
+    def test_malformed_schedule_refused(self, capsys, tmp_path, schedule,
+                                        message):
+        trace = write_trace(tmp_path, self.GROUND)
+        code, out, err = run(capsys, GEAR_ARGS + [
+            "--trace", trace, "--inject", schedule])
+        assert (code, out, err) == (3, "", f"error: --inject: {message}\n")
+
+    @pytest.mark.parametrize("seed", [" 7", "+7", "7 "])
+    def test_seed_is_stripped_and_may_be_signed(self, capsys, tmp_path,
+                                                seed):
+        trace = write_trace(tmp_path, self.GROUND)
+        expected = run(capsys, GEAR_ARGS + [
+            "--trace", trace, "--inject", "din:20,dout:70,seed:7"])
+        assert run(capsys, GEAR_ARGS + [
+            "--trace", trace, "--inject", f"din:20,dout:70,seed:{seed}"]
+        ) == expected
+
 
 class TestTesterBlock:
     def test_block_shape(self, capsys, tmp_path):

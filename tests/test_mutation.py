@@ -6,10 +6,13 @@ Each mutant goes through the CLI.  It must run, or end with exit 3 and one
 ``error:`` line; a traceback fails the test.  A malformed file must never
 end in a verdict's exit code (0, 1 or 2): an automaton the parser refuses
 ends in exit 3 with the parser's located message, and a trace line or a
-schedule that is malformed by the format's own grammar ends in exit 3."""
+schedule that is malformed by the format's own grammar ends in exit 3.
+Further automaton mutants go to the parser alone, to check that each
+located message is at the word it quotes."""
 
 from __future__ import annotations
 
+import ast
 import io
 import random
 import re
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from delaymon.automata import TBAError, parse_tba
+from delaymon.automata import TBAError, TBAParseError, parse_tba
 from delaymon.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +32,7 @@ PAIRS = sorted((path.parent, path.name.removesuffix("_spec.txt"))
                for path in d.glob("*_spec.txt"))
 UNIT_SCALE = {"gear", "deadline"}  # the other pairs are at scale 10
 MUTANTS = 20                       # per automaton file
+PARSER_MUTANTS = 150               # per automaton file, parsed directly
 FORMAT_MUTANTS = 60                # per trace and schedule format
 
 # What a mutation writes in place of a word, or before it: the formats'
@@ -114,6 +118,57 @@ def test_automaton_mutants(tmp_path, directory, stem, side):
             refused += 1
             assert (code, message) == (3, f"error: {e}\n"), text
     assert refused  # the mutations reach the parser's errors
+
+
+# A located parser message that quotes the word at its position: a name, a
+# relation or a clause word.  Each item of a message is ``line N, column C:
+# MESSAGE``, the items joined by ``; ``.
+QUOTING = re.compile(
+    r"(?:unknown (?:location flag|declaration|relation|source location"
+    r"|target location)|(?:duplicate|unexpected) edge clause"
+    r"|(?:guard on|reset of) unknown clock) (.+)|symbol (.+) not in alphabet")
+ITEM = re.compile(r"line (\d+), column (\d+): (.*?)(?=; line \d+, |$)")
+
+
+def located_items(text: str) -> list[tuple[int, int, str]]:
+    """Each item of the located error that parsing ``text`` at scale 10
+    ends in, as its line, column and message; none for any other end."""
+    try:
+        parse_tba(text, 10)
+    except TBAParseError as e:
+        items = [(int(n), int(c), m) for n, c, m in ITEM.findall(str(e))]
+        assert items[0][:2] == (e.line, e.column)
+        return items
+    except TBAError:
+        pass
+    return []
+
+
+def test_located_messages_point_at_the_word_they_quote():
+    """Over 1-3-word mutants of every shipped automaton file, with words
+    inserted after a space, a tab or nothing, each located message that
+    quotes a word has its column at that word.  A guard's clock may be
+    several words, quoted with single spaces, so the line is compared with
+    its whitespace collapsed."""
+    rng = random.Random("columns")
+    kinds = set()
+    for directory, stem in PAIRS:
+        for side in ("spec", "complement"):
+            original = (directory / f"{stem}_{side}.txt").read_text()
+            for _ in range(PARSER_MUTANTS):
+                text = original
+                for _ in range(rng.randint(1, 3)):
+                    text = mutate(text, rng, sep=rng.choice([" ", "\t", ""]))
+                lines = text.splitlines()
+                for n, c, message in located_items(text):
+                    m = QUOTING.fullmatch(message)
+                    if m:
+                        quoted = m.group(1) or m.group(2)
+                        at = " ".join(lines[n - 1][c - 1:].split())
+                        assert at.startswith(ast.literal_eval(quoted)), (
+                            text, message)
+                        kinds.add(message.replace(quoted, "{}"))
+    assert len(kinds) == 10, kinds  # every kind of quoting message
 
 
 def stamp_is_malformed(line: str) -> bool:
