@@ -135,18 +135,21 @@ class TBA:
         )
         clockset = set(self.clocks)
         for t in self.transitions:
-            where = f"edge {t.src}->{t.dst} on {t.label}"
+            bad: list[str] = []
             if t.src not in self.locations:
-                errs.append(f"{where}: unknown source location {t.src!r}")
+                bad.append(f"unknown source location {t.src!r}")
             if t.dst not in self.locations:
-                errs.append(f"{where}: unknown target location {t.dst!r}")
+                bad.append(f"unknown target location {t.dst!r}")
             if t.label not in self.alphabet:
-                errs.append(f"{where}: symbol {t.label!r} not in alphabet")
+                bad.append(f"symbol {t.label!r} not in alphabet")
             for c in t.resets - clockset:
-                errs.append(f"{where}: reset of unknown clock {c!r}")
+                bad.append(f"reset of unknown clock {c!r}")
             for g in t.guard:
                 if g.clock not in clockset:
-                    errs.append(f"{where}: guard on unknown clock {g.clock!r}")
+                    bad.append(f"guard on unknown clock {g.clock!r}")
+            if bad:  # the edge is named only in a message
+                where = f"edge {t.src}->{t.dst} on {t.label}"
+                errs.extend(f"{where}: {b}" for b in bad)
         if self.inputs or self.outputs:
             if self.inputs & self.outputs:
                 errs.append("inputs and outputs overlap")

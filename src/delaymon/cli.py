@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import random
 import sys
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .automata import TBA, TBAError, parse_tba
-from .dbm import (INF, Interval, ScaleError, _scale_digits, format_scaled,
-                  parse_scaled)
+from .dbm import INF, ScaleError, _scale_digits, format_scaled, parse_scaled
 from .liveness import LivenessError
 from .monitor import DelayBounds, Monitor, MonitorError, Verdict
 from .tester import IODelayBounds, Tester
@@ -54,18 +54,30 @@ class TraceEvent:
     symbol: str
 
 
-# -- interval formatting -----------------------------------------------------
+# -- report formatting -------------------------------------------------------
+
+# An interval as text: (lo, lo_strict, hi, hi_strict), endpoints as decimals
+IntervalText = tuple[str, bool, str, bool]
 
 
-def fmt_interval(iv: Interval, scale: int) -> str:
-    lo = "(" if iv.lo_strict else "["
-    hi = ")" if iv.hi_strict else "]"
-    return (f"{lo}{format_scaled(iv.lo, scale)},"
-            f"{format_scaled(iv.hi, scale)}{hi}")
+@functools.lru_cache(maxsize=1)
+def _report_texts(report: tuple, scale: int) -> tuple:
+    """Each field of a latency report as text, in field order: a union as
+    one :data:`IntervalText` per interval, a jitter bound as its decimal.
+    The one slot holds the last report, which the verdict block and the CSV
+    row of an observation both render, as do the events after a conclusive
+    verdict, whose report stays the same."""
+    return tuple(
+        format_scaled(field, scale) if isinstance(field, int) else tuple(
+            (format_scaled(iv.lo, scale), iv.lo_strict,
+             format_scaled(iv.hi, scale), iv.hi_strict) for iv in field)
+        for field in report)
 
 
-def fmt_union(ivs: Iterable[Interval], scale: int) -> str:
-    return "{" + ",".join(fmt_interval(iv, scale) for iv in ivs) + "}"
+def fmt_union(ivs: tuple[IntervalText, ...]) -> str:
+    return "{" + ",".join(
+        f"{'(' if lo_strict else '['}{lo},{hi}{')' if hi_strict else ']'}"
+        for lo, lo_strict, hi, hi_strict in ivs) + "}"
 
 
 # -- trace handling ----------------------------------------------------------
@@ -120,40 +132,31 @@ def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
 # -- output blocks -----------------------------------------------------------
 
 
-def monitor_block(m: Monitor, verdict: Verdict, scale: int) -> list[str]:
-    rep = m.latency_report()
-    jit = format_scaled(m.bounds.jitter, scale)
-    return [
-        f"Verdict: {verdict.value}",
-        "Positive:",
-        f"Consistent latencies: {fmt_union(rep.positive, scale)}",
-        f"Jitter bound: {jit}",
-        "Negative:",
-        f"Consistent latencies: {fmt_union(rep.negative, scale)}",
-        f"Jitter bound: {jit}",
-    ]
+def monitor_block(m: Monitor, verdict: Verdict, scale: int) -> str:
+    positive, negative, jitter = _report_texts(m.latency_report(), scale)
+    return (f"Verdict: {verdict.value}\n"
+            "Positive:\n"
+            f"Consistent latencies: {fmt_union(positive)}\n"
+            f"Jitter bound: {jitter}\n"
+            "Negative:\n"
+            f"Consistent latencies: {fmt_union(negative)}\n"
+            f"Jitter bound: {jitter}\n")
 
 
-def tester_block(t: Tester, verdict: Verdict, scale: int) -> list[str]:
-    rep = t.latency_report()
-    lines = [f"Verdict: {verdict.value}"]
-    for label, in_u, out_u, sum_u in (
-        ("Positive:", rep.positive_input, rep.positive_output,
-         rep.positive_combined),
-        ("Negative:", rep.negative_input, rep.negative_output,
-         rep.negative_combined),
-    ):
-        lines += [
-            label,
-            f"Consistent input latencies: {fmt_union(in_u, scale)}",
-            f"Consistent output latencies: {fmt_union(out_u, scale)}",
-            f"Consistent combined latencies: {fmt_union(sum_u, scale)}",
-        ]
-    lines.append(f"Input jitter bound: "
-                 f"{format_scaled(t.bounds.input.jitter, scale)}")
-    lines.append(f"Output jitter bound: "
-                 f"{format_scaled(t.bounds.output.jitter, scale)}")
-    return lines
+def tester_block(t: Tester, verdict: Verdict, scale: int) -> str:
+    (pin, pout, psum, nin, nout, nsum, in_jitter,
+     out_jitter) = _report_texts(t.latency_report(), scale)
+    return (f"Verdict: {verdict.value}\n"
+            "Positive:\n"
+            f"Consistent input latencies: {fmt_union(pin)}\n"
+            f"Consistent output latencies: {fmt_union(pout)}\n"
+            f"Consistent combined latencies: {fmt_union(psum)}\n"
+            "Negative:\n"
+            f"Consistent input latencies: {fmt_union(nin)}\n"
+            f"Consistent output latencies: {fmt_union(nout)}\n"
+            f"Consistent combined latencies: {fmt_union(nsum)}\n"
+            f"Input jitter bound: {in_jitter}\n"
+            f"Output jitter bound: {out_jitter}\n")
 
 
 CSV_HEADER = ("obs,pos_in_low,pos_in_high,pos_out_low,pos_out_high,"
@@ -162,20 +165,18 @@ CSV_HEADER = ("obs,pos_in_low,pos_in_high,pos_out_low,pos_out_high,"
 
 
 def csv_row(engine, obs_index: int, scale: int) -> str:
-    rep = engine.latency_report()
+    texts = _report_texts(engine.latency_report(), scale)
     if isinstance(engine, Tester):
-        cols = [rep.positive_input, rep.positive_output,
-                rep.positive_combined, rep.negative_input,
-                rep.negative_output, rep.negative_combined]
+        cols = texts[:6]
     else:
-        empty: tuple[Interval, ...] = ()
-        cols = [empty, rep.positive, empty, empty, rep.negative, empty]
+        positive, negative, _ = texts
+        cols = ((), positive, (), (), negative, ())
     cells = [str(obs_index)]
     for ivs in cols:
-        cells.append(";".join(format_scaled(iv.lo, scale)
-                              + ("s" if iv.lo_strict else "") for iv in ivs))
-        cells.append(";".join(format_scaled(iv.hi, scale)
-                              + ("s" if iv.hi_strict else "") for iv in ivs))
+        cells.append(";".join(lo + "s" if lo_strict else lo
+                              for lo, lo_strict, _, _ in ivs))
+        cells.append(";".join(hi + "s" if hi_strict else hi
+                              for _, _, hi, hi_strict in ivs))
     return ",".join(cells)
 
 
@@ -395,17 +396,14 @@ def run_stream(args, out: TextIO) -> int:
             count += 1
             max_states = max(
                 max_states, len(engine.pos.reach) + len(engine.neg.reach))
-            for line in block(engine, verdict, scale):
-                out.write(line + "\n")
-            out.write("\n")
+            out.write(block(engine, verdict, scale) + "\n")
             if csv is not None:
                 csv.write(csv_row(engine, count, scale))
             if verdict.conclusive and not args.keep_going:
                 break
 
     if count == 0:
-        for line in block(engine, verdict, scale):
-            out.write(line + "\n")
+        out.write(block(engine, verdict, scale))
 
     if args.benchmark and count:
         out.write(f"Events: {count}\n")

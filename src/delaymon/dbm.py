@@ -23,6 +23,7 @@ merged on the encoded bounds of the met zones by
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import ge
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -60,8 +61,12 @@ class ScaleError(ValueError):
     :data:`MAX_SCALED`."""
 
 
+@functools.cache
 def _scale_digits(scale: int) -> int:
-    """``log10(scale)``; a ValueError unless ``scale`` is a power of ten."""
+    """``log10(scale)``; a ValueError unless ``scale`` is a power of ten.
+    Worked out once per scale: a parse asks once per guard constant or
+    trace line, and a render once per endpoint.  A bad scale raises on
+    every call, as ``functools.cache`` keeps no exception."""
     digits = len(str(scale)) - 1
     if 10 ** digits != scale:
         raise ValueError(f"scale {scale} is not a power of ten")

@@ -38,7 +38,10 @@ guard's first constraint that tightens the zone contradicts it), and so is
 the verdict probe's advance of a state to the query time (none for a state
 already past the cutoff).  A latency report merges the encoded bounds of
 the met zones and builds an :class:`~delaymon.dbm.Interval` per merged
-piece only.
+piece only.  It is computed once per observation, on the first
+``latency_report()`` after it, and returned as is until the next one; past
+a conclusive verdict the reach sets stay as they are, so it is never
+computed again.
 
 Verdicts are three-valued: a polarity becomes impossible exactly when its
 reach-set stops intersecting the corresponding nonempty-language states.
@@ -277,6 +280,7 @@ class _Engine:
             raise MonitorError(
                 "property and complement automata use different alphabets")
         self.channels = channels
+        self._jitters = tuple(b.jitter for b, _ in channels)
         self.measures = tuple(_measure(k, d) for k, (_, d)
                               in enumerate(channels)) + extra_measures
         pos = self._make_track(spec)
@@ -287,6 +291,7 @@ class _Engine:
         self.neg = _Side(neg, _nonempty(complement))
         self.last_obs_time = 0
         self.observation_count = 0
+        self._report = None
         self._verdict = self._compute_verdict(0)
 
     def _make_track(self, automaton: TBA) -> _Track:
@@ -326,6 +331,17 @@ class _Engine:
 
     # -- internals -----------------------------------------------------------
 
+    def _report_once(self):
+        """The current observation's latency report, built on the first call
+        after a step of the reach sets and returned as is by every later
+        one.  Its fields are, in order: per polarity, one union per entry of
+        ``measures``, then one jitter bound per channel."""
+        if self._report is None:
+            self._report = self._report_type(
+                *_latencies(self.pos, self.measures),
+                *_latencies(self.neg, self.measures), *self._jitters)
+        return self._report
+
     def _next_slot(self) -> int:
         """Position of the next event's channel in the table."""
         return self.observation_count % len(self.channels)
@@ -349,6 +365,7 @@ class _Engine:
             lo, hi = _window(self.channels[k], tau)
             for track in self.tracks:
                 track.reach = _step(track, symbol, track.time + 1 + k, lo, hi)
+            self._report = None
             self._verdict = self._compute_verdict(tau)
         return self._verdict
 
@@ -377,15 +394,14 @@ class _Engine:
 class Monitor(_Engine):
     """Monitor one stream; mutate via :meth:`observe` only."""
 
+    _report_type = LatencyReport
+
     def __init__(self, spec: TBA, complement: TBA, bounds: DelayBounds):
         self.bounds = bounds
         self._start(spec, complement, ((bounds, OUTPUT),))
 
     def latency_report(self) -> LatencyReport:
-        (positive,) = _latencies(self.pos, self.measures)
-        (negative,) = _latencies(self.neg, self.measures)
-        return LatencyReport(positive=positive, negative=negative,
-                             jitter=self.bounds.jitter)
+        return self._report_once()
 
     def observe(self, symbol: str, tau: int) -> Verdict:
         self._check(symbol, tau)

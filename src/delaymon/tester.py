@@ -34,7 +34,6 @@ from .monitor import (
     MonitorError,
     Verdict,
     _Engine,
-    _latencies,
 )
 
 # The output channel's clock minus the input channel's, as offsets from time
@@ -79,6 +78,8 @@ class IOLatencyReport(NamedTuple):
 class Tester(_Engine):
     """Drive one test run; mutate via :meth:`observe_io` only."""
 
+    _report_type = IOLatencyReport
+
     def __init__(self, spec: TBA, complement: TBA, bounds: IODelayBounds):
         if not spec.has_io_partition or not complement.has_io_partition:
             raise MonitorError(
@@ -99,14 +100,7 @@ class Tester(_Engine):
         return self.observation_count % 2 == 0
 
     def latency_report(self) -> IOLatencyReport:
-        pin, pout, pcomb = _latencies(self.pos, self.measures)
-        nin, nout, ncomb = _latencies(self.neg, self.measures)
-        return IOLatencyReport(
-            positive_input=pin, positive_output=pout, positive_combined=pcomb,
-            negative_input=nin, negative_output=nout, negative_combined=ncomb,
-            input_jitter=self.bounds.input.jitter,
-            output_jitter=self.bounds.output.jitter,
-        )
+        return self._report_once()
 
     def observe_io(self, symbol: str, tau: int) -> Verdict:
         self._check(symbol, tau)

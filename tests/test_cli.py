@@ -8,7 +8,9 @@ delay-injection replay mode.
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delaymon.monitor as monitor_module
 from delaymon.automata import parse_tba
 from delaymon.cli import main
 from delaymon.dbm import INF, parse_scaled
@@ -355,6 +358,56 @@ class TestTesterBlock:
         code, _, err = run(capsys, GEAR_ARGS + ["--trace", trace])
         assert code == 3
         assert "input" in err
+
+
+class TestOneReportPerObservation:
+    """The verdict block and the CSV row of an observation render one
+    latency report, and a run computes none past a conclusive verdict; the
+    output stays byte for byte what the benchmark recorded."""
+
+    FIXTURE = FIXTURES / "gear_narrow_trace.txt"  # refuted at observation 22
+    AFTER = ["@9000 ReqNewGear", "@9800 NewGear"]
+
+    def session(self, capsys, monkeypatch, tmp_path, trace, flags):
+        """Exit code, stdout, CSV bytes and the number of polarities whose
+        latency unions were computed."""
+        sides = []
+        compute = monitor_module._latencies
+
+        def counted(side, measures):
+            sides.append(side)
+            return compute(side, measures)
+        monkeypatch.setattr(monitor_module, "_latencies", counted)
+        csv_path = tmp_path / "bounds.csv"
+        code, out, _ = run(capsys, GEAR_ARGS + flags + [
+            "--trace", trace, "--csv", str(csv_path)])
+        return code, out, csv_path.read_bytes(), len(sides)
+
+    def test_gear_session(self, capsys, monkeypatch, tmp_path):
+        code, out, csv, computed = self.session(
+            capsys, monkeypatch, tmp_path, str(self.FIXTURE), [])
+        assert code == 1
+        assert computed == 2 * 22  # one per polarity per observation
+        # perfbench/reference.json digests this session as cli/narrow
+        reference = json.loads(
+            (SRC.parent / "perfbench" / "reference.json").read_text())
+        digest = hashlib.blake2b(out.encode() + b"\0" + csv + b"\0" + b"1",
+                                 digest_size=8).hexdigest()
+        assert digest == reference["cli-sessions"]["any"]["cli/narrow"]
+
+        trace = write_trace(tmp_path, self.FIXTURE.read_text()
+                            + "".join(f"{line}\n" for line in self.AFTER))
+        code, kept, kept_csv, computed = self.session(
+            capsys, monkeypatch, tmp_path, trace, ["--keep-going"])
+        assert code == 1
+        assert computed == 2 * 22  # none past the verdict
+        # each later event reprints the last block and row
+        block = out[out.rindex("Verdict: "):]
+        assert kept == out + "".join(
+            f"Input: {line}\n\n{block}" for line in self.AFTER)
+        row = csv.splitlines(keepends=True)[-1].partition(b",")[2]
+        assert kept_csv == csv + b"".join(
+            b"%d,%s" % (k, row) for k in range(23, 23 + len(self.AFTER)))
 
 
 class TestStreamControl:

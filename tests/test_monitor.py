@@ -3,10 +3,12 @@ randomized structural invariants at desk scale."""
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 
+import delaymon.monitor as monitor_module
 from delaymon.automata import TBA, Transition
 from delaymon.dbm import INF, Interval
 from delaymon.monitor import (
@@ -47,6 +49,84 @@ def within(intervals, lo: int, hi: int) -> bool:
     INF."""
     return all(lo <= iv.lo and (hi == INF or iv.hi <= hi)
                for iv in intervals)
+
+
+class ReportMemoChecks:
+    """The latency report is computed once per observation.  A subclass
+    gives ``make()``, ``observe(engine, symbol, tau)`` and a ``TRACE`` whose
+    observation ``CONCLUSIVE`` (counted from 1) is the first with a
+    conclusive verdict, followed by at least one more."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch) -> list:
+        """Every polarity whose latency unions are computed, in call
+        order."""
+        sides = []
+        compute = monitor_module._latencies
+
+        def counted(side, measures):
+            sides.append(side)
+            return compute(side, measures)
+        monkeypatch.setattr(monitor_module, "_latencies", counted)
+        return sides
+
+    def replayed(self, k: int):
+        """A fresh engine fed the first ``k`` observations."""
+        engine = self.make()
+        for sym, tau in self.TRACE[:k]:
+            self.observe(engine, sym, tau)
+        return engine
+
+    def test_second_call_returns_the_same_report(self, computed):
+        engine = self.make()
+        for sym, tau in self.TRACE[:self.CONCLUSIVE]:
+            computed.clear()
+            report = engine.latency_report()
+            assert engine.latency_report() is report
+            assert len(computed) == 2  # one per polarity
+            self.observe(engine, sym, tau)
+
+    def test_report_after_observe_equals_a_fresh_engines(self):
+        engine = self.make()
+        engine.latency_report()  # held when the first observation comes
+        for k, (sym, tau) in enumerate(self.TRACE, 1):
+            self.observe(engine, sym, tau)
+            assert engine.latency_report() == self.replayed(k).latency_report()
+
+    def test_nothing_computed_past_a_conclusive_verdict(self, computed):
+        engine = self.replayed(self.CONCLUSIVE)
+        verdict = engine.verdict
+        assert verdict.conclusive
+        report = engine.latency_report()
+        computed.clear()
+        for sym, tau in self.TRACE[self.CONCLUSIVE:]:
+            assert self.observe(engine, sym, tau) is verdict
+            assert engine.latency_report() is report
+        assert computed == []
+
+    def test_deep_copy_reports_equal(self):
+        engine = self.replayed(1)
+        report = engine.latency_report()
+        twin = copy.deepcopy(engine)
+        assert twin.latency_report() == report
+        # each copy keeps its own report: stepping one leaves the other's
+        self.observe(twin, *self.TRACE[1])
+        assert engine.latency_report() is report
+        assert twin.latency_report() == self.replayed(2).latency_report()
+
+
+class TestReportMemo(ReportMemoChecks):
+    TRACE = [("a", 173), ("a", 180), ("a", 190), ("b", 200), ("a", 300),
+             ("b", 400)]
+    CONCLUSIVE = 4
+
+    @staticmethod
+    def make() -> Monitor:
+        return make_monitor(0, 100, 2)
+
+    @staticmethod
+    def observe(engine: Monitor, sym: str, tau: int) -> Verdict:
+        return engine.observe(sym, tau)
 
 
 class TestWorkedExample:

@@ -42,7 +42,7 @@ from helpers_oracle import (
     oracle_io_verdict,
 )
 from helpers_regions import RegionGraph
-from test_monitor import within
+from test_monitor import ReportMemoChecks, within
 
 
 def gear_pair(lo: int = 15, hi: int = 25):
@@ -51,6 +51,20 @@ def gear_pair(lo: int = 15, hi: int = 25):
 
 
 BOUNDS = IODelayBounds(DelayBounds(2, 4, 0), DelayBounds(5, 7, 0))
+
+
+class TestReportMemo(ReportMemoChecks):
+    TRACE = [("req", 10), ("resp", 33), ("req", 40), ("resp", 60),
+             ("req", 70), ("resp", 80)]
+    CONCLUSIVE = 4
+
+    @staticmethod
+    def make() -> Tester:
+        return Tester(*gear_pair(), BOUNDS)
+
+    @staticmethod
+    def observe(engine: Tester, sym: str, tau: int) -> Verdict:
+        return engine.observe_io(sym, tau)
 
 
 class TestWorkedSession:
