@@ -77,6 +77,9 @@ class TBA:
 
     ``inputs``/``outputs`` optionally partition the alphabet for testing.
     ``compiled`` holds one :class:`Edge` per transition, in transition order.
+    An edge's guard holds the tightest bound on each difference it
+    constrains, in ``(i, j)`` order, so two guards that state the same
+    bounds (``x=5`` and ``x>=5 && x<=5``) compile to the same edge.
     ``memo`` keeps what the engines derive from this automaton object alone
     (its nonempty-language states, see :mod:`delaymon.monitor`): the first
     engine built on it computes each entry, and every later one reads it.
@@ -112,6 +115,11 @@ class TBA:
                     guard.append((i, 0, bound(c, strict=g.relation == "<")))
                 if g.relation in (">", ">=", "="):
                     guard.append((0, i, bound(-c, strict=g.relation == ">")))
+            if len(guard) > 1:
+                # in (i, j) order, the tightest bound of each pair only
+                guard.sort()
+                guard = [g for k, g in enumerate(guard)
+                         if not k or g[:2] != guard[k - 1][:2]]
             e = Edge(t.src, t.dst, tuple(guard),
                      tuple(sorted(index[c] for c in t.resets)))
             compiled.append(e)
@@ -133,23 +141,31 @@ class TBA:
             f"accepting location {q!r} undeclared"
             for q in sorted(self.accepting - self.locations)
         )
-        clockset = set(self.clocks)
+        locations, alphabet, clockset = (self.locations, self.alphabet,
+                                         set(self.clocks))
         for t in self.transitions:
+            # a well-formed edge costs membership tests only
+            if (t.src in locations and t.dst in locations
+                    and t.label in alphabet and t.resets <= clockset):
+                for g in t.guard:
+                    if g.clock not in clockset:
+                        break
+                else:
+                    continue
             bad: list[str] = []
-            if t.src not in self.locations:
+            if t.src not in locations:
                 bad.append(f"unknown source location {t.src!r}")
-            if t.dst not in self.locations:
+            if t.dst not in locations:
                 bad.append(f"unknown target location {t.dst!r}")
-            if t.label not in self.alphabet:
+            if t.label not in alphabet:
                 bad.append(f"symbol {t.label!r} not in alphabet")
             for c in t.resets - clockset:
                 bad.append(f"reset of unknown clock {c!r}")
             for g in t.guard:
                 if g.clock not in clockset:
                     bad.append(f"guard on unknown clock {g.clock!r}")
-            if bad:  # the edge is named only in a message
-                where = f"edge {t.src}->{t.dst} on {t.label}"
-                errs.extend(f"{where}: {b}" for b in bad)
+            where = f"edge {t.src}->{t.dst} on {t.label}"
+            errs.extend(f"{where}: {b}" for b in bad)
         if self.inputs or self.outputs:
             if self.inputs & self.outputs:
                 errs.append("inputs and outputs overlap")

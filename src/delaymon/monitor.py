@@ -67,14 +67,18 @@ This loses no answer:
 
 A complement is usually the property with another accepting set.  Then one
 reach set serves both polarities, stepped (and pruned) once per event: the
-reach set depends on every field of the automaton but ``accepting``, and the
-inactive clocks come from the edges alone.  Each polarity keeps its own
-nonempty-language states, which are all that the verdict probe and the
-latency unions read besides the reach set.  The engine decides this once, at
-set-up (for the tester, on the two I/O products); a complement that differs
-anywhere else gets its own reach set, stepped by the same loop.  The
-nonemptiness analysis is paid once per automaton object: every later engine
-built on it reads the map that the first one kept in ``TBA.memo``.
+reach set reads the alphabet, the locations, the initial set, the clock
+list and the compiled edges, never ``accepting`` or the transitions as
+written, and the inactive clocks come from the locations and edges alone.
+So the engine compares those five: two guards written differently that
+compile to the same constraints (``x=5`` and ``x>=5 && x<=5``) share a
+reach set.  Each polarity keeps its own nonempty-language states, which are
+all that the verdict probe and the latency unions read besides the reach
+set.  The engine decides this once, at set-up (for the tester, on the two
+I/O products); a complement that differs in any of the five gets its own
+reach set, stepped by the same loop.  The nonemptiness analysis is paid
+once per automaton object: every later engine built on it reads the map
+that the first one kept in ``TBA.memo``.
 
 :class:`Monitor` is one output channel (clock ``n + 2``) with latency
 ``δ ∈ [ℓ, u]`` plus a per-event jitter in ``[0, ε]``; delay-free (classic)
@@ -84,7 +88,7 @@ monitoring is the case ``DelayBounds(0, 0, 0)``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .automata import TBA, SymbolicState, post, prune_subsumed
@@ -183,10 +187,13 @@ class _Side:
 
 
 def _same_but_accepting(a: TBA, b: TBA) -> bool:
-    """Whether ``a`` and ``b`` differ at most in their accepting sets, so
-    that they have the same reach sets on every trace."""
-    return all(getattr(a, f.name) == getattr(b, f.name) for f in fields(TBA)
-               if f.compare and f.name != "accepting")
+    """Whether ``a`` and ``b`` agree on all that the reach set reads (the
+    alphabet, the locations, the initial set, the clock list and the
+    compiled edges), so that they have the same reach sets on every trace;
+    they may differ in the accepting set, and in how a guard is written."""
+    return (a.alphabet == b.alphabet and a.locations == b.locations
+            and a.initial == b.initial and a.clocks == b.clocks
+            and a._edges == b._edges)
 
 
 def _nonempty(automaton: TBA) -> NonEmptyMap:

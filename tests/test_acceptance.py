@@ -908,6 +908,83 @@ class TestOneReachSetForBothPolarities:
         assert outcomes == [Verdict.INCONCLUSIVE, ComplementViolationError]
 
 
+# A deterministic, complete pair over inputs a and outputs b; the property
+# accepts in q0 and q1, its complement in bad.
+SHARING_PAIR = """
+alphabet a b
+inputs a
+outputs b
+clocks x y
+location q0 initial {ok}
+location q1 {ok}
+location bad {bad}
+edge q0 -> q1 on a when x>=1 reset y
+edge q0 -> bad on a when x<1
+edge q0 -> bad on b
+edge q1 -> q0 on b when y>=2 && y<=5 reset x
+edge q1 -> bad on b when y<2
+edge q1 -> bad on b when y>5
+edge q1 -> q1 on a when y=0
+edge q1 -> bad on a when y>0
+edge bad -> bad on a
+edge bad -> bad on b
+"""
+
+# Per complement variant: the edit to the complement's text, and whether
+# the engines step one reach set for both polarities.
+SHARING_VARIANTS = {
+    "accepting only": ("", ""),
+    "equality as two bounds": ("y=0", "y>=0 && y<=0"),
+    "bounds reordered": ("y>=2 && y<=5", "y<=5 && y>=2"),
+    "redundant bound": ("y>=2 && y<=5", "y>=2 && y<=5 && y<=7"),
+    "guard constant": ("y>=2 && y<=5", "y>=2 && y<=6"),
+    "reset": ("y<=5 reset x", "y<=5 reset x y"),
+    "label": ("bad -> bad on a", "bad -> bad on b"),
+    "initial set": ("location q1", "location q1 initial"),
+    "clock list": ("clocks x y", "clocks y x"),
+}
+SHARED = {"accepting only", "equality as two bounds", "bounds reordered",
+          "redundant bound"}
+
+
+class TestReachSetSharingTable:
+    """One reach set serves both polarities iff the complement differs from
+    the property only in its accepting set or in how a guard is written;
+    either way every verdict and latency report is that of an engine that
+    never shares."""
+
+    @pytest.mark.parametrize("variant", SHARING_VARIANTS)
+    def test_variant(self, variant):
+        old, new = SHARING_VARIANTS[variant]
+        spec = parse_tba(SHARING_PAIR.format(ok="accepting", bad=""), 10)
+        text = SHARING_PAIR.format(ok="", bad="accepting")
+        assert old in text
+        comp = parse_tba(text.replace(old, new, 1), 10)
+        runs = engine_runs(spec, comp, seed=12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monitor_module, "_same_but_accepting",
+                       lambda a, b: False)
+            refs = engine_runs(spec, comp, seed=12)
+        inconclusive = 0
+        for (engine, observe, events), (ref, _, ref_events) in zip(runs,
+                                                                   refs):
+            assert events == ref_events and len(events) >= 20
+            assert len(engine.tracks) == (1 if variant in SHARED else 2)
+            assert len(ref.tracks) == 2
+            inconclusive += sum(
+                got is Verdict.INCONCLUSIVE
+                for got in lockstep(engine, ref, observe, events))
+        assert inconclusive >= 60
+
+    def test_equal_bounds_compile_alike(self):
+        texts = {SHARING_PAIR.replace(old, new, 1)
+                 for variant, (old, new) in SHARING_VARIANTS.items()
+                 if variant in SHARED}
+        compiled = {parse_tba(t.format(ok="", bad="accepting"), 10).compiled
+                    for t in texts}
+        assert len(texts) == 4 and len(compiled) == 1
+
+
 class TestNoPruneInVerdict:
     """The verdict only asks whether some advanced reach state meets the
     nonempty zones, so it probes the advanced states lazily and never

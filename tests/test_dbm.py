@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import delaymon.dbm as dbm_module
 from delaymon.dbm import (
     DBM,
     INF,
@@ -155,6 +156,25 @@ class TestEncoding:
             strict=bound_is_strict(a) or bound_is_strict(c))
 
 
+# Zones with their constants in thirds of a unit and every clock in
+# [0, 6]: each region of such a zone holds a point with coordinates in
+# thirds (two clocks need no finer fractions), so the grid of thirds
+# decides inclusion in a union exactly.
+THIRDS = range(0, 19)
+
+
+def boxed_zone(cons: list[tuple[int, int, int]]) -> DBM:
+    """The zone of ``cons`` in thirds, within the box [0, 6] per clock."""
+    box = [(1, 0, bound(18)), (2, 0, bound(18))]
+    return zone_from([(i, j, bound(3 * bound_value(b), bound_is_strict(b)))
+                      for i, j, b in cons] + box)
+
+
+def thirds_of(z: DBM) -> set[tuple[int, ...]]:
+    return {v for v in itertools.product([0], THIRDS, THIRDS)
+            if zone_contains(z, v)}
+
+
 class TestCanonicalization:
     def test_contradiction_is_empty(self):
         z = zone_from([(1, 0, bound(2)), (0, 1, bound(-3))])  # x<=2 and x>=3
@@ -244,12 +264,12 @@ class TestOperations:
             covered |= pts
         assert covered == points_of(a) - points_of(b)
 
-    @given(constraints, constraints)
-    @settings(max_examples=60, deadline=None)
-    def test_included_in_union_exact_on_grid(self, c1, c2):
-        a, b = zone_from(c1), zone_from(c2)
-        if included_in_union(a, [b]):
-            assert points_of(a) <= points_of(b)
+    @given(constraints, st.lists(constraints, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_included_in_union_exact_on_grid(self, c, cs):
+        a, zs = boxed_zone(c), [boxed_zone(x) for x in cs]
+        union = set().union(*map(thirds_of, zs))
+        assert included_in_union(a, zs) == (thirds_of(a) <= union)
 
     def test_restrict_projects_submatrix(self):
         z = zone_from([(1, 0, bound(4)), (2, 1, bound(1)), (0, 2, bound(0))])
@@ -441,6 +461,53 @@ class TestUnionHelpers:
         highhalf = zone_from([(0, 1, bound(-3))])
         assert not included_in_union(whole, [lowhalf])
         assert included_in_union(whole, [lowhalf, highhalf])
+
+    def test_empty_zone_is_covered_by_every_union(self):
+        empty = DBM.universal(2).and_constraints(
+            [(1, 0, bound(0, strict=True))])
+        assert empty.is_empty()
+        assert included_in_union(empty, [])
+        assert included_in_union(empty, [DBM.universal(2)])
+
+    def test_every_union_branch_exact_on_grid(self, monkeypatch):
+        """Seeded unions of up to three zones, each answered as the grid of
+        thirds answers it.  Every branch is taken: a member includes the
+        zone, every member is shown disjoint, one member is left, or several
+        are and only then does subtraction run."""
+        subtracted = []
+        subtract = DBM.subtract
+
+        def counted_subtract(zone, other):
+            subtracted.append(1)
+            return subtract(zone, other)
+
+        monkeypatch.setattr(DBM, "subtract", counted_subtract)
+        rng = random.Random(11)
+        taken: dict[str, int] = {}
+        for _ in range(600):
+            a = boxed_zone(random_constraints(rng, 3, rng.randint(1, 4)))
+            if a.is_empty():
+                continue
+            zs = [boxed_zone(random_constraints(rng, 3, rng.randint(1, 3)))
+                  for _ in range(rng.randint(1, 3))]
+            union = set().union(*map(thirds_of, zs))
+            subtracted.clear()
+            assert included_in_union(a, zs) == (thirds_of(a) <= union)
+            branch = union_branch(a, zs)
+            assert bool(subtracted) == (branch == "subtract"), branch
+            taken[branch] = taken.get(branch, 0) + 1
+        assert set(taken) == {"includes", "disjoint", "one left",
+                              "subtract"}, taken
+
+
+def union_branch(zone: DBM, zones: list[DBM]) -> str:
+    """Which of its branches :func:`included_in_union` takes for a nonempty
+    ``zone``."""
+    zs = [z for z in zones if not z.is_empty()]
+    if any(z.includes(zone) for z in zs):
+        return "includes"
+    near = [z for z in zs if not dbm_module._apart(z.m, zone.m)]
+    return {0: "disjoint", 1: "one left"}.get(len(near), "subtract")
 
 
 # -- the incremental kernel against the full closure ---------------------------

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
 
+import delaymon.liveness as liveness
 from delaymon.automata import (
     AtomicConstraint,
     SymbolicState,
@@ -17,7 +19,8 @@ from delaymon.automata import (
     parse_tba,
 )
 from delaymon.dbm import DBM, bound, included_in_union
-from delaymon.liveness import intersects_nonempty, nonempty_states
+from delaymon.liveness import (LivenessError, intersects_nonempty,
+                               nonempty_states)
 
 from helpers_automata import (
     eventually_then_safe_tba,
@@ -28,6 +31,7 @@ from helpers_automata import (
     textbook_free,
     with_io,
 )
+from helpers_oracle import complement_pair
 from helpers_regions import RegionGraph
 
 
@@ -218,6 +222,131 @@ class TestNonEmptyIsClosedBackward:
                 checked += nonempty_is_closed_backward(
                     io_alternation_product(a))
         assert len(SHIPPED) >= 16 and checked > 0
+
+
+# -- the analysis against a reference loop without shortcuts ----------------
+#
+# The reference takes a preimage through every edge, also into a location
+# whose zones already hold every valuation, and tests union inclusion by
+# subtraction alone.  The analysis must give the same map zone for zone.
+
+
+def reference_included_in_union(zone: DBM, zones) -> bool:
+    assert not zone.is_empty()  # the analysis asks for nonempty zones only
+    remains = [zone]
+    for z in zones:
+        nxt: list[DBM] = []
+        for r in remains:
+            nxt.extend(r.subtract(z))
+        remains = nxt
+        if not remains:
+            return True
+    return not remains
+
+
+def reference_backward_reach(automaton: TBA, targets, counts: list[int]):
+    """The backward reach with no skip; appends its insertion count to
+    ``counts``."""
+    by_dst: dict = {}
+    for e in automaton.compiled:
+        by_dst.setdefault(e.dst, []).append(e)
+    result: dict[str, list[DBM]] = {}
+    queue = deque((q, z) for q, zs in targets.items() for z in zs)
+    inserted = 0
+    while queue:
+        loc, zone = queue.popleft()
+        for e in by_dst.get(loc, ()):
+            p = zone.pre(e.guard, e.resets)
+            if p.is_empty():
+                continue
+            have = result.setdefault(e.src, [])
+            if reference_included_in_union(p, have):
+                continue
+            have[:] = [z for z in have if not p.includes(z)]
+            have.append(p)
+            queue.append((e.src, p))
+            inserted += 1
+    counts.append(inserted)
+    return result
+
+
+def reference_map(a: TBA) -> tuple[liveness.NonEmptyMap, int]:
+    """The reference analysis of ``a`` and the most zones one of its
+    backward reaches inserted."""
+    counts: list[int] = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liveness, "_backward_reach",
+                   lambda a, targets: reference_backward_reach(
+                       a, targets, counts))
+        mp.setattr(liveness, "included_in_union",
+                   reference_included_in_union)
+        return nonempty_states(a), max(counts)
+
+
+def assert_same_as_reference(a: TBA) -> int:
+    """Check the analysis of ``a`` against the reference: the same
+    locations in the same order, and per location the same matrices in the
+    same order.  Also check that the insertion budget runs out at the same
+    count.  Returns how many zones the map holds."""
+    want, most = reference_map(a)
+    got = nonempty_states(a)
+    assert list(got.zones) == list(want.zones)
+    for q, zs in want.zones.items():
+        assert [(z.dim, z.m) for z in got.zones[q]] == [
+            (z.dim, z.m) for z in zs], q
+    with pytest.MonkeyPatch.context() as mp:
+        if most:
+            mp.setattr(liveness, "MAX_INSERTIONS", most - 1)
+            with pytest.raises(LivenessError, match="iteration budget"):
+                nonempty_states(a)
+        mp.setattr(liveness, "MAX_INSERTIONS", most)
+        nonempty_states(a)
+    return sum(map(len, want.zones.values()))
+
+
+def shipped_and_products() -> list[TBA]:
+    out = []
+    for path in SHIPPED:
+        a = parse_tba(path.read_text(), 10)
+        out.append(a)
+        if a.has_io_partition:
+            out.append(io_alternation_product(a))
+    return out
+
+
+class TestMatchesReferenceLoop:
+    def test_shipped_automata_and_io_products(self):
+        zones = [assert_same_as_reference(a) for a in shipped_and_products()]
+        assert len(zones) >= 30 and sum(zones) > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random(self, seed):
+        rng = random.Random(5000 + seed)
+        for _ in range(10):
+            a = random_tba(rng, n_clocks=rng.choice([1, 2, 3]), max_const=3,
+                           guard_ratio=0.4)
+            assert_same_as_reference(a)
+            assert_same_as_reference(io_alternation_product(with_io(a)))
+            for b in complement_pair(rng, n_clocks=rng.choice([1, 2])):
+                assert_same_as_reference(b)
+
+    def test_full_location_takes_no_preimage(self, monkeypatch):
+        """On ladder_2's complement I/O product most preimages land in a
+        location that already holds every valuation (176 without the
+        skip)."""
+        comp = parse_tba((Path(__file__).parent.parent / "perfbench" / "inputs"
+                          / "ladder_2_complement.txt").read_text(), 10)
+        product = io_alternation_product(comp)
+        calls = []
+        pre = DBM.pre
+
+        def counted_pre(zone, guard, resets):
+            calls.append(1)
+            return pre(zone, guard, resets)
+
+        monkeypatch.setattr(DBM, "pre", counted_pre)
+        nonempty_states(product)
+        assert 0 < len(calls) <= 40
 
 
 # A monitor's zones over eventually_then_safe_tba: x, then time and etime.
