@@ -1,17 +1,17 @@
 """Timed Büchi automata: data model, text format, symbolic successors.
 
 Guards are conjunctions of atomic constraints ``x ~ n`` against single
-clocks (no clock differences).  All constants are stored as scaled
-integers; the parser owns the decimal-to-integer scaling.
+clocks (no clock differences).  All constants are scaled integers below
+``MAX_SCALED``; the parser owns the decimal-to-integer scaling.
 
 The automaton numbers its own clocks: ``clocks[k]`` is DBM index ``k + 1``
 in every zone built for it, and the engines and the nonemptiness analysis
 append their auxiliary clocks after index ``n``.  Each transition is
-compiled once, when the automaton is built, into an :class:`Edge` whose
-guard and resets are already in that numbering.
-
-The text parser reads each edge line once, noting where each name it read
-stands, and computes a column only for a message.
+compiled once into an :class:`Edge` in that numbering.  :meth:`TBA.validate`
+is the one check of the names that edges use: the parser reads each edge
+line once and computes a column only for a name it reports.  The I/O
+product renames its base's compiled edges, sharing their guard and resets
+tuples, so it checks and compiles no edge again.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .dbm import (DBM, ScaleError, _scale_digits, bound, parse_scaled,
-                  reduce_union)
+from .dbm import (DBM, MAX_SCALED, ScaleError, _scale_digits, bound,
+                  parse_scaled, reduce_union)
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -44,17 +44,19 @@ class AtomicConstraint:
 
     clock: str
     relation: str
-    constant: int  # scaled, non-negative
+    constant: int  # scaled, in [0, MAX_SCALED): no bound aliases INF
 
     def __post_init__(self) -> None:
         if self.relation not in RELATIONS:
             raise TBAError(f"unknown relation {self.relation!r}")
         if self.constant < 0:
             raise TBAError("guard constants must be non-negative")
+        if self.constant >= MAX_SCALED:
+            raise TBAError(f"guard constant {self.constant} is too large: "
+                           f"scaled values must stay below 2**50")
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(NamedTuple):
     src: str
     dst: str
     label: str
@@ -95,21 +97,21 @@ class TBA:
     inputs: frozenset[str] = frozenset()
     outputs: frozenset[str] = frozenset()
     compiled: tuple[Edge, ...] = field(init=False, compare=False, repr=False)
-    _edges: dict[tuple[str, str], list[Edge]] = field(
-        init=False, compare=False, repr=False)
     memo: dict[str, Any] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        errors = self.validate()
-        if errors:
-            raise TBAError("; ".join(errors))
+        errs, _ = self.validate()
+        if errs:
+            raise TBAError("; ".join(errs))
+        self._compile()
+
+    def _compile(self) -> None:
         index = {c: i for i, c in enumerate(self.clocks, start=1)}
         compiled: list[Edge] = []
-        by_key: dict[tuple[str, str], list[Edge]] = {}
-        for t in self.transitions:
+        for src, dst, _, resets, atoms in self.transitions:
             guard = []
-            for g in t.guard:
+            for g in atoms:
                 i, c = index[g.clock], g.constant
                 if g.relation in ("<", "<=", "="):
                     guard.append((i, 0, bound(c, strict=g.relation == "<")))
@@ -120,58 +122,48 @@ class TBA:
                 guard.sort()
                 guard = [g for k, g in enumerate(guard)
                          if not k or g[:2] != guard[k - 1][:2]]
-            e = Edge(t.src, t.dst, tuple(guard),
-                     tuple(sorted(index[c] for c in t.resets)))
-            compiled.append(e)
-            by_key.setdefault((t.src, t.label), []).append(e)
-        object.__setattr__(self, "compiled", tuple(compiled))
-        object.__setattr__(self, "_edges", by_key)
+            compiled.append(Edge(src, dst, tuple(guard), tuple(
+                sorted([index[c] for c in resets])) if resets else ()))
+        self.__dict__["compiled"] = tuple(compiled)
 
-    def validate(self) -> list[str]:
+    def validate(self) -> tuple[list[str], list[tuple[int, str, str]]]:
+        """Every problem, as a message; and each name that an edge uses and
+        no declaration lists, as ``(edge index, role in _ROLES, name)``."""
         errs: list[str] = []
         if not self.locations:
             errs.append("automaton has no locations")
         if not self.initial:
             errs.append("automaton has no initial location")
-        errs.extend(
-            f"initial location {q!r} undeclared"
-            for q in sorted(self.initial - self.locations)
-        )
-        errs.extend(
-            f"accepting location {q!r} undeclared"
-            for q in sorted(self.accepting - self.locations)
-        )
+        errs.extend(f"initial location {q!r} undeclared"
+                    for q in sorted(self.initial - self.locations))
+        errs.extend(f"accepting location {q!r} undeclared"
+                    for q in sorted(self.accepting - self.locations))
         locations, alphabet, clockset = (self.locations, self.alphabet,
                                          set(self.clocks))
-        for t in self.transitions:
+        names: list[tuple[int, str, str]] = []
+        for k, (src, dst, sym, resets, guard) in enumerate(self.transitions):
             # a well-formed edge costs membership tests only
-            if (t.src in locations and t.dst in locations
-                    and t.label in alphabet and t.resets <= clockset):
-                for g in t.guard:
+            if (src in locations and dst in locations and sym in alphabet
+                    and resets <= clockset):
+                for g in guard:
                     if g.clock not in clockset:
                         break
                 else:
                     continue
-            bad: list[str] = []
-            if t.src not in locations:
-                bad.append(f"unknown source location {t.src!r}")
-            if t.dst not in locations:
-                bad.append(f"unknown target location {t.dst!r}")
-            if t.label not in alphabet:
-                bad.append(f"symbol {t.label!r} not in alphabet")
-            for c in t.resets - clockset:
-                bad.append(f"reset of unknown clock {c!r}")
-            for g in t.guard:
-                if g.clock not in clockset:
-                    bad.append(f"guard on unknown clock {g.clock!r}")
-            where = f"edge {t.src}->{t.dst} on {t.label}"
-            errs.extend(f"{where}: {b}" for b in bad)
+            bad = [(role, name) for role, name in (
+                ("src", src), ("dst", dst), ("label", sym),
+                *(("reset", c) for c in resets - clockset),
+                *(("guard", g.clock) for g in guard))
+                if name not in getattr(self, _ROLES[role][0])]
+            errs += [f"edge {src}->{dst} on {sym}: {_ROLES[r][1].format(n)}"
+                     for r, n in bad]
+            names += [(k, r, n) for r, n in bad]
         if self.inputs or self.outputs:
             if self.inputs & self.outputs:
                 errs.append("inputs and outputs overlap")
             if self.inputs | self.outputs != self.alphabet:
                 errs.append("inputs/outputs do not cover the alphabet")
-        return errs
+        return errs, names
 
     def __deepcopy__(self, memo: dict) -> TBA:
         # immutable: a copied engine shares its automaton and the memo
@@ -183,6 +175,13 @@ class TBA:
 
     def edges(self, src: str, label: str) -> Sequence[Edge]:
         return self._edges.get((src, label), ())
+
+    @cached_property
+    def _edges(self) -> dict[tuple[str, str], list[Edge]]:
+        by_key: dict[tuple[str, str], list[Edge]] = {}
+        for t, e in zip(self.transitions, self.compiled):
+            by_key.setdefault((t.src, t.label), []).append(e)
+        return by_key
 
     @cached_property
     def io_product(self) -> TBA:
@@ -263,17 +262,9 @@ def prune_subsumed(states: Iterable[SymbolicState], inactive: dict[str, int]
     """Drop empty states and states whose zone, with the location's inactive
     clocks (``inactive``, as from :attr:`TBA.inactive_clocks`) left out, is
     included in a sibling's at the same location.  The kept states' zones
-    are returned as given.  An empty map prunes on whole zones.
-
-    This changes none of the engines' answers (Daws & Yovine, RTSS 1996):
-
-    - an inactive clock is reset on every path before it is read, so two
-      states that agree on the other clocks have successors that agree too;
-    - only automaton clocks are ever left out, and ``up`` and the engines'
-      channel and cutoff constraints touch none of them;
-    - the nonempty-language set at a location is a cylinder in its
-      inactive clocks, so the verdict and the latencies read the same
-      projection."""
+    are returned as given.  An empty map prunes on whole zones.  This
+    changes none of the engines' answers: :mod:`delaymon.monitor` says why
+    (Daws & Yovine, RTSS 1996)."""
     by_loc: dict[str, list[DBM]] = {}
     for s in states:
         by_loc.setdefault(s.location, []).append(s.zone)
@@ -287,6 +278,14 @@ INPUT_PHASE = "?i"
 OUTPUT_PHASE = "?o"
 
 
+def _assemble(**fields: Any) -> TBA:
+    """The automaton of these fields, neither validated nor compiled: the
+    parser does both, and the I/O product gives edges renamed from its base."""
+    automaton = object.__new__(TBA)
+    automaton.__dict__.update(fields, memo={})
+    return automaton
+
+
 def io_alternation_product(automaton: TBA) -> TBA:
     """Restrict the language to strictly IO-alternating words.
 
@@ -295,30 +294,22 @@ def io_alternation_product(automaton: TBA) -> TBA:
     """
     if not automaton.has_io_partition:
         raise TBAError("io_alternation_product requires an input/output partition")
-    locs: set[str] = set()
     trans: list[Transition] = []
-    for q in automaton.locations:
-        locs.add(q + INPUT_PHASE)
-        locs.add(q + OUTPUT_PHASE)
-    for t in automaton.transitions:
-        if t.label in automaton.inputs:
-            trans.append(Transition(t.src + INPUT_PHASE, t.dst + OUTPUT_PHASE,
-                                    t.label, t.resets, t.guard))
-        else:
-            trans.append(Transition(t.src + OUTPUT_PHASE, t.dst + INPUT_PHASE,
-                                    t.label, t.resets, t.guard))
-    accepting = {q + p for q in automaton.accepting
-                 for p in (INPUT_PHASE, OUTPUT_PHASE)}
-    return TBA(
-        alphabet=automaton.alphabet,
-        locations=frozenset(locs),
+    edges: list[Edge] = []
+    for t, e in zip(automaton.transitions, automaton.compiled):
+        src, dst = ((t.src + INPUT_PHASE, t.dst + OUTPUT_PHASE)
+                    if t.label in automaton.inputs
+                    else (t.src + OUTPUT_PHASE, t.dst + INPUT_PHASE))
+        trans.append(Transition(src, dst, t.label, t.resets, t.guard))
+        edges.append(Edge(src, dst, e.guard, e.resets))
+    ph = (INPUT_PHASE, OUTPUT_PHASE)
+    return _assemble(
+        alphabet=automaton.alphabet, clocks=automaton.clocks,
+        inputs=automaton.inputs, outputs=automaton.outputs,
+        locations=frozenset({q + p for q in automaton.locations for p in ph}),
         initial=frozenset(q + INPUT_PHASE for q in automaton.initial),
-        clocks=automaton.clocks,
-        transitions=tuple(trans),
-        accepting=frozenset(accepting),
-        inputs=automaton.inputs,
-        outputs=automaton.outputs,
-    )
+        accepting=frozenset({q + p for q in automaton.accepting for p in ph}),
+        transitions=tuple(trans), compiled=tuple(edges))
 
 
 # -- text format -------------------------------------------------------------
@@ -363,23 +354,26 @@ def _edge_column(line: str, k: int, offset: int = 0) -> int:
 def parse_tba(text: str, scale: int = 10) -> TBA:
     """Parse the line-oriented automaton format ("Automaton format" in
     README.md); ``scale`` must be a power of ten (a ValueError otherwise).
-    Each edge line is read once, and a column is computed only for a
-    message.  Raises :class:`TBAParseError` on the first syntax error,
-    then on the names that edges use and no declaration lists: at the
-    first one's line and column, with every other one's in the message.
-    Raises :class:`TBAError` listing all other semantic errors."""
+    Raises :class:`TBAParseError` on the first syntax error, then on the
+    names that edges use and no declaration lists: at the first one's line
+    and column, with every other one's in the message.  Raises
+    :class:`TBAError` listing all other semantic errors."""
     _scale_digits(scale)
     lists: dict[str, list[str]] = {
         k: [] for k in (*_LISTS, "locations", *_FLAGS)}
-    transitions: list[Transition] = []
-    uses: list[tuple[int, str, list[tuple[int, int, str, str]]]] = []
+    # per edge: its line number, its line, its transition and its places
+    uses: list[tuple[int, str, Transition, list[Any]]] = []
+    seen: dict[Any, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         words = line.split()
         if not words:
             continue
         kw = words[0]
-        if kw in _LISTS:
+        if kw == "edge":
+            uses.append((lineno, line,
+                         *_parse_edge(line, scale, lineno, seen)))
+        elif kw in _LISTS:
             lists[kw] += words[1:]
         elif kw == "location" and len(words) > 1:
             lists["locations"].append(words[1])
@@ -390,59 +384,64 @@ def parse_tba(text: str, scale: int = 10) -> TBA:
                 lists[flag].append(words[1])
         elif kw == "location":
             raise TBAParseError("location needs a name", lineno)
-        elif kw == "edge":
-            t, places = _parse_edge(line, scale, lineno)
-            transitions.append(t)
-            uses.append((lineno, line, places))
         else:
             raise TBAParseError(f"unknown declaration {kw!r}", lineno,
                                 _column(line, 0))
-    declared = {role: set(lists[need]) for role, (need, _) in _ROLES.items()}
-    unknown = sorted(
-        (lineno, _edge_column(line, k, offset), _ROLES[role][1].format(name))
-        for lineno, line, places in uses
-        for k, offset, name, role in places if name not in declared[role])
-    if unknown:
-        (lineno, column, message), *rest = unknown
+    automaton = _assemble(clocks=tuple(dict.fromkeys(lists.pop("clocks"))),
+                          transitions=tuple(u[2] for u in uses),
+                          **{k: frozenset(v) for k, v in lists.items()})
+    errs, names = automaton.validate()
+    if names:
+        (lineno, column, message), *rest = sorted(
+            (lineno, _edge_column(line, k, offset),
+             _ROLES[role][1].format(name))
+            for i, (lineno, line, t, places) in enumerate(uses)
+            for k, offset, name, role in [
+                (-1, 0, t.src, "src"), (0, 0, t.dst, "dst"),
+                (2, 0, t.label, "label"), *places]
+            if (i, role, name) in names)
         raise TBAParseError("; ".join([message, *(
             f"line {n}, column {c}: {m}" for n, c, m in rest)]),
             lineno, column)
-    return TBA(clocks=tuple(dict.fromkeys(lists.pop("clocks"))),
-               transitions=tuple(transitions),
-               **{k: frozenset(v) for k, v in lists.items()})
+    if errs:
+        raise TBAError("; ".join(errs))
+    automaton._compile()
+    return automaton
 
 
-def _parse_edge(line: str, scale: int, lineno: int
+def _parse_edge(line: str, scale: int, lineno: int, seen: dict[Any, Any]
                 ) -> tuple[Transition, list[tuple[int, int, str, str]]]:
     """An ``edge SRC -> DST on SYMBOL`` head, then at most one ``when``
     and one ``reset`` clause, in either order.  Returns the transition and
-    each name it uses: where it is, as the word after the arrow (-1 for
-    the source) and the offset that :func:`_edge_column` takes, then the
-    name and its role in :data:`_ROLES`."""
+    each name its clauses use: where it is, as the word after the arrow and
+    the offset that :func:`_edge_column` takes, then the name and its role
+    in :data:`_ROLES`.  ``seen`` keeps each run of clause words and each
+    guard constant that this parse has read, so each is read once."""
     head, arrow, rest = line.partition("->")
     if not arrow:
         raise TBAParseError("edge needs 'src -> dst'", lineno)
     words = rest.split()
     if len(words) < 3 or words[1] != "on":
         raise TBAParseError("edge needs 'on <symbol>'", lineno)
-    src = head.split()[1:]
-    if len(src) != 1:
+    src = head.split()
+    if len(src) != 2:
         raise TBAParseError("malformed edge", lineno)
+    tail = tuple(words[3:])
+    found = seen.get(tail)
+    if found:
+        return Transition(src[1], words[0], words[2], *found[0]), found[1]
+    # each clause runs from its keyword to the next one
+    starts = [k for k in range(3, len(words)) if words[k] in ("when", "reset")]
+    if len(words) > 3 and starts[:1] != [3]:
+        raise TBAParseError(f"unexpected edge clause {words[3]!r}", lineno,
+                            _edge_column(line, 3))
     clauses: dict[str, tuple[int, list[str]]] = {}
-    args = None
-    for k, w in enumerate(words[3:], start=3):
-        if w in ("when", "reset"):
-            if w in clauses:
-                raise TBAParseError(f"duplicate edge clause {w!r}", lineno,
-                                    _edge_column(line, k))
-            clauses[w] = (k, args := [])
-        elif args is None:
-            raise TBAParseError(f"unexpected edge clause {w!r}", lineno,
-                                _edge_column(line, k))
-        else:
-            args.append(w)
-    places = [(-1, 0, src[0], "src"), (0, 0, words[0], "dst"),
-              (2, 0, words[2], "label")]
+    for k, end in zip(starts, [*starts[1:], len(words)]):
+        if words[k] in clauses:
+            raise TBAParseError(f"duplicate edge clause {words[k]!r}",
+                                lineno, _edge_column(line, k))
+        clauses[words[k]] = (k, words[k + 1:end])
+    places: list[tuple[int, int, str, str]] = []
     guard: list[AtomicConstraint] = []
     if "when" in clauses:
         k, args = clauses["when"]
@@ -457,12 +456,13 @@ def _parse_edge(line: str, scale: int, lineno: int
                 raise TBAParseError(
                     f"unknown relation {relation!r}", lineno,
                     _edge_column(line, k + 1, start + m.start(2)))
-            try:
-                constant = parse_scaled(num, scale, "guard constant")
-            except ScaleError as e:
-                raise TBAParseError(str(e), lineno,
-                                    _edge_column(line, k)) from None
-            guard.append(AtomicConstraint(clock, relation, constant))
+            if num not in seen:
+                try:
+                    seen[num] = parse_scaled(num, scale, "guard constant")
+                except ScaleError as e:
+                    raise TBAParseError(str(e), lineno,
+                                        _edge_column(line, k)) from None
+            guard.append(AtomicConstraint(clock, relation, seen[num]))
             places.append((k + 1, start + m.start(1), clock, "guard"))
             start += len(part) + 2
     resets: list[str] = []
@@ -471,7 +471,6 @@ def _parse_edge(line: str, scale: int, lineno: int
         if not resets:
             raise TBAParseError("reset needs a clock", lineno,
                                 _edge_column(line, k))
-        for i, c in enumerate(resets, start=k + 1):
-            places.append((i, 0, c, "reset"))
-    return (Transition(src[0], words[0], words[2], frozenset(resets),
-                       tuple(guard)), places)
+        places += [(i, 0, c, "reset") for i, c in enumerate(resets, k + 1)]
+    seen[tail] = (frozenset(resets), tuple(guard)), places
+    return Transition(src[1], words[0], words[2], *seen[tail][0]), places

@@ -31,25 +31,17 @@ This gives the same canonical zones as meeting the window after the reset:
 the window bounds only the channel clock, which no guard reads and no reset
 touches, so meeting it commutes with both, and a nonempty zone has one
 canonical DBM.  So the window is met once per state, not once per
-successor.  Each derived zone is one matrix copy: up and the window are
-one (:meth:`delaymon.dbm.DBM.elapse`), each edge's guard and reset one more
-(none if the guard tightens nothing and the edge resets nothing, nor if the
-guard's first constraint that tightens the zone contradicts it), and so is
-the verdict probe's advance of a state to the query time (none for a state
-already past the cutoff).  A latency report merges the encoded bounds of
+successor; :func:`~delaymon.automata.post` and :func:`_advance` say which
+steps copy a matrix.  A latency report merges the encoded bounds of
 the met zones and builds an :class:`~delaymon.dbm.Interval` per merged
-piece only.  It is computed once per observation, on the first
-``latency_report()`` after it, and returned as is until the next one; past
-a conclusive verdict the reach sets stay as they are, so it is never
+piece only, once per observation (:meth:`_Engine._report_once`); past a
+conclusive verdict the reach sets stay as they are, so it is never
 computed again.
 
 Verdicts are three-valued: a polarity becomes impossible exactly when its
 reach-set stops intersecting the corresponding nonempty-language states.
-The verdict probes this lazily, one zone per reach state: a state whose
-next channel clock is already at least the cutoff (the least value it can
-take when nothing has arrived by the query time) is read as it is, any
-other is advanced until its clock reaches the cutoff, and the probe stops
-at the first zone that meets a nonempty zone.
+The verdict probes this lazily, one zone per reach state (see
+:func:`_advance`), and stops at the first zone that meets a nonempty zone.
 
 Each observation prunes the reach-set modulo inactive clocks (Daws & Yovine,
 "Reducing the number of clock variables of timed automata", RTSS 1996): a
@@ -92,7 +84,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .automata import TBA, SymbolicState, post, prune_subsumed
-from .dbm import DBM, INF, Interval, bound, merge_difference_bounds
+from .dbm import DBM, INF, MAX_SCALED, Interval, bound, merge_difference_bounds
 from .liveness import NonEmptyMap, intersects_nonempty, nonempty_states
 
 OUTPUT = "output"
@@ -138,7 +130,7 @@ class ComplementViolationError(MonitorError):
 @dataclass(frozen=True)
 class DelayBounds:
     """Channel model: latency in [latency_low, latency_high], jitter in
-    [0, jitter].  ``latency_high`` may be :data:`delaymon.dbm.INF`."""
+    [0, jitter], each below ``MAX_SCALED``; ``latency_high`` may be ``INF``."""
 
     latency_low: int
     latency_high: int
@@ -149,6 +141,9 @@ class DelayBounds:
             raise ValueError("delay bounds must be non-negative")
         if self.latency_high != INF and self.latency_high < self.latency_low:
             raise ValueError("latency_high must be at least latency_low")
+        high = 0 if self.latency_high == INF else self.latency_high
+        if max(self.latency_low, self.jitter, high) >= MAX_SCALED:
+            raise ValueError("delay bounds must stay below 2**50")
 
 
 # (latency bounds, OUTPUT or INPUT)
@@ -332,6 +327,9 @@ class _Engine:
             raise OrderingError(
                 "query time {} precedes last observation {}", t,
                 self.last_obs_time)
+        if t >= MAX_SCALED:
+            raise MonitorError("query time {} is too large: scaled values "
+                               "must stay below 2**50", t)
         if self._verdict.conclusive:
             return self._verdict
         return self._compute_verdict(t)
@@ -359,6 +357,9 @@ class _Engine:
         if tau < self.last_obs_time:
             raise OrderingError("observation at {} precedes {}", tau,
                                 self.last_obs_time)
+        if tau >= MAX_SCALED:
+            raise MonitorError("observation at {} is too large: scaled "
+                               "values must stay below 2**50", tau)
         if symbol not in self.pos.track.automaton.alphabet:
             raise MonitorError(f"symbol {symbol!r} not in alphabet")
 

@@ -6,9 +6,9 @@ receives outputs through an independent channel with latency
 ``δ_O ∈ [ℓ_O, u_O]`` plus jitter in ``[0, ε_O]``.  Input timestamps are
 taken when the tester emits the stimulus; output timestamps when the
 response arrives.  Specifications must carry an input/output partition and
-are restricted to strictly alternating input/output words via
-:func:`delaymon.automata.io_alternation_product`, built once per automaton
-object (:attr:`delaymon.automata.TBA.io_product`).
+are restricted to strictly alternating input/output words by their
+:attr:`~delaymon.automata.TBA.io_product`, built once per automaton object
+by renaming its compiled edges, with no edge checked or compiled again.
 
 The engine is the core of :mod:`delaymon.monitor` with two channels, used
 alternately: for an automaton with ``n`` clocks, the input channel's clock

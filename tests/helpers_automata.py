@@ -292,9 +292,10 @@ def rename_clock(automaton: TBA, old: str, new: str) -> TBA:
         automaton,
         clocks=tuple(map(name, automaton.clocks)),
         transitions=tuple(
-            replace(t, resets=frozenset(map(name, t.resets)),
-                    guard=tuple(replace(g, clock=name(g.clock))
-                                for g in t.guard))
+            t._replace(resets=frozenset(map(name, t.resets)),
+                       guard=tuple(AtomicConstraint(name(g.clock),
+                                                    g.relation, g.constant)
+                                   for g in t.guard))
             for t in automaton.transitions))
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from delaymon.automata import (
+    INPUT_PHASE,
+    OUTPUT_PHASE,
     TBA,
     AtomicConstraint,
     Edge,
@@ -21,7 +23,8 @@ from delaymon.automata import (
     post,
     prune_subsumed,
 )
-from delaymon.dbm import DBM, bound
+from delaymon.dbm import DBM, MAX_SCALED, bound
+from delaymon.liveness import nonempty_states
 
 from helpers_automata import (
     ConcreteState,
@@ -32,6 +35,7 @@ from helpers_automata import (
     random_tba,
     serialize_tba,
     succ,
+    with_io,
     zero_zone,
 )
 
@@ -190,6 +194,18 @@ class TestParsing:
             "line 5, column 12: unknown target location 'nowhere'; "
             "line 5, column 23: symbol 'z' not in alphabet")
         assert (e.value.line, e.value.column) == (4, 26)
+
+    def test_each_use_of_a_repeated_unknown_name_is_located(self):
+        # the second line's clauses repeat the first's, read once
+        edge = "edge q0 -> q0 on a when y<1 && y>3 reset y y\n"
+        with pytest.raises(TBAParseError) as e:
+            parse_tba("alphabet a\nclocks x\nlocation q0 initial\n"
+                      + edge + edge)
+        assert str(e.value) == "; ".join(
+            f"line {n}, column {c}: {m} unknown clock 'y'"
+            for n in (4, 5) for c, m in ((25, "guard on"), (32, "guard on"),
+                                         (42, "reset of"), (44, "reset of")))
+        assert (e.value.line, e.value.column) == (4, 25)
 
     @pytest.mark.parametrize("scale", [0, 3, 20, -10])
     def test_scale_must_be_a_power_of_ten(self, scale):
@@ -459,7 +475,193 @@ class TestModelValidation:
         with pytest.raises(TBAError, match="non-negative"):
             AtomicConstraint("x", "<=", -1)
 
+    @pytest.mark.parametrize("constant", [MAX_SCALED, 2 ** 61, 2 ** 62])
+    def test_guard_constant_that_could_alias_inf_rejected(self, constant):
+        # the parser refuses these already; the library now does too
+        with pytest.raises(TBAError) as e:
+            AtomicConstraint("x", "<=", constant)
+        assert str(e.value) == (f"guard constant {constant} is too large: "
+                                "scaled values must stay below 2**50")
+        assert AtomicConstraint("x", "<=", MAX_SCALED - 1).constant == (
+            MAX_SCALED - 1)
+
     def test_max_constant(self):
         a = eventually_then_safe_tba(accept_good=True)
         assert max_constant(a, "x") == 200
         assert max_constant(a, "nosuch") == 0
+
+
+def reference_product(automaton: TBA) -> TBA:
+    """The I/O product built as before: a fresh :class:`Transition` per
+    edge, through the public constructor, which validates and compiles
+    every edge again."""
+    locs: set[str] = set()
+    for q in automaton.locations:
+        locs.add(q + INPUT_PHASE)
+        locs.add(q + OUTPUT_PHASE)
+    trans = []
+    for t in automaton.transitions:
+        if t.label in automaton.inputs:
+            trans.append(Transition(t.src + INPUT_PHASE, t.dst + OUTPUT_PHASE,
+                                    t.label, t.resets, t.guard))
+        else:
+            trans.append(Transition(t.src + OUTPUT_PHASE, t.dst + INPUT_PHASE,
+                                    t.label, t.resets, t.guard))
+    accepting = {q + p for q in automaton.accepting
+                 for p in (INPUT_PHASE, OUTPUT_PHASE)}
+    return TBA(alphabet=automaton.alphabet, locations=frozenset(locs),
+               initial=frozenset(q + INPUT_PHASE for q in automaton.initial),
+               clocks=automaton.clocks, transitions=tuple(trans),
+               accepting=frozenset(accepting), inputs=automaton.inputs,
+               outputs=automaton.outputs)
+
+
+def assert_same_automaton(got: TBA, want: TBA) -> None:
+    """Equal field by field, edge by edge and in every derived table; the
+    reprs also pin each set's iteration order, which the analyses follow."""
+    assert got == want and repr(got) == repr(want)
+    assert got.compiled == want.compiled
+    for q in want.locations:
+        for a in want.alphabet:
+            assert got.edges(q, a) == want.edges(q, a), (q, a)
+    assert got.inactive_clocks == want.inactive_clocks
+    g, w = nonempty_states(got), nonempty_states(want)
+    assert list(g.zones) == list(w.zones)
+    for q, zones in w.zones.items():
+        assert [z.m for z in g.zones[q]] == [z.m for z in zones], q
+
+
+def shipped_io_automata() -> list[TBA]:
+    out = [parse_tba(path.read_text(), 10) for path in SHIPPED]
+    return [a for a in out if a.has_io_partition]
+
+
+class TestProductFromCompiledEdges:
+    """The I/O product renames its base's compiled edges; it must equal the
+    product built through ``TBA(...)``."""
+
+    def test_shipped_automata(self):
+        bases = shipped_io_automata()
+        assert len(bases) >= 10
+        for base in bases:
+            assert_same_automaton(io_alternation_product(base),
+                                  reference_product(base))
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_random(self, chunk):
+        for seed in range(50 * chunk, 50 * chunk + 50):
+            rng = random.Random(21_000 + seed)
+            base = with_io(random_tba(
+                rng, n_clocks=rng.choice([1, 2, 3]), n_locs=rng.choice([2, 3]),
+                max_const=3, guard_ratio=0.5))
+            assert_same_automaton(io_alternation_product(base),
+                                  reference_product(base))
+
+    def test_shares_the_base_guard_and_resets(self):
+        base = parse_tba(LADDER_2.read_text(), 10)
+        product = io_alternation_product(base)
+        assert all(p.guard is b.guard and p.resets is b.resets
+                   for p, b in zip(product.compiled, base.compiled))
+        assert len(product.compiled) == len(base.compiled) > 80
+
+
+LADDER_2 = ROOT / "perfbench" / "inputs" / "ladder_2_spec.txt"
+
+# An automaton over ``a`` with one location ``q`` and one clock ``x``, and
+# edges given per test.
+ONE_LOCATION = dict(alphabet=frozenset({"a"}), locations=frozenset({"q"}),
+                    initial=frozenset({"q"}), clocks=("x",),
+                    accepting=frozenset({"q"}))
+
+
+class TestDirectConstructorMessages:
+    """``TBA(...)`` without the parser validates with the one name check
+    and lists every problem in the same text as before, joined by
+    ``"; "``."""
+
+    @pytest.mark.parametrize("transition, message", [
+        (Transition("p", "q", "a"),
+         "edge p->q on a: unknown source location 'p'"),
+        (Transition("q", "p", "a"),
+         "edge q->p on a: unknown target location 'p'"),
+        (Transition("q", "q", "b"),
+         "edge q->q on b: symbol 'b' not in alphabet"),
+        (Transition("q", "q", "a", guard=(AtomicConstraint("y", "<", 1),)),
+         "edge q->q on a: guard on unknown clock 'y'"),
+        (Transition("q", "q", "a", resets=frozenset({"y"})),
+         "edge q->q on a: reset of unknown clock 'y'"),
+    ], ids=["src", "dst", "label", "guard", "reset"])
+    def test_each_role(self, transition, message):
+        with pytest.raises(TBAError) as e:
+            TBA(transitions=(Transition("q", "q", "a"), transition),
+                **ONE_LOCATION)
+        assert type(e.value) is TBAError and str(e.value) == message
+
+    def test_several_at_once(self):
+        g = AtomicConstraint
+        fields = dict(ONE_LOCATION, alphabet=frozenset({"a", "c"}),
+                      accepting=frozenset({"q", "gone"}),
+                      inputs=frozenset({"a"}))
+        with pytest.raises(TBAError) as e:
+            TBA(transitions=(
+                Transition("p", "r", "b", frozenset({"x", "y"}),
+                           (g("z", "<", 1), g("x", "<", 1), g("z", ">", 2))),
+                Transition("q", "q", "a"),
+                Transition("q", "s", "a", guard=(g("w", "=", 3),))),
+                **fields)
+        assert type(e.value) is TBAError
+        assert str(e.value) == "; ".join([
+            "accepting location 'gone' undeclared",
+            "edge p->r on b: unknown source location 'p'",
+            "edge p->r on b: unknown target location 'r'",
+            "edge p->r on b: symbol 'b' not in alphabet",
+            "edge p->r on b: reset of unknown clock 'y'",
+            "edge p->r on b: guard on unknown clock 'z'",
+            "edge p->r on b: guard on unknown clock 'z'",
+            "edge q->s on a: unknown target location 's'",
+            "edge q->s on a: guard on unknown clock 'w'",
+            "inputs/outputs do not cover the alphabet"])
+
+    @pytest.mark.parametrize("path", SHIPPED,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_parse_equals_the_direct_constructor(self, path):
+        parsed = parse_tba(path.read_text(), 10)
+        built = TBA(**{f.name: getattr(parsed, f.name)
+                       for f in dataclasses.fields(TBA) if f.init})
+        assert_same_automaton(parsed, built)
+
+
+class TestSetUpRunsEachStepOnce:
+    """The parser validates and compiles once; the I/O product does
+    neither."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict[str, int]:
+        counts = {"validate": 0, "_compile": 0}
+        for name in counts:
+            method = getattr(TBA, name)
+
+            def counted(self, method=method, name=name):
+                counts[name] += 1
+                return method(self)
+            monkeypatch.setattr(TBA, name, counted)
+        return counts
+
+    def test_parse_checks_and_compiles_once(self, calls):
+        parse_tba(LADDER_2.read_text(), 10)
+        assert calls == {"validate": 1, "_compile": 1}
+
+    def test_product_neither_checks_nor_compiles(self, calls):
+        base = parse_tba(LADDER_2.read_text(), 10)
+        calls.update(validate=0, _compile=0)
+        product = base.io_product
+        assert product.compiled and product.inactive_clocks
+        assert nonempty_states(product).zones
+        assert calls == {"validate": 0, "_compile": 0}
+
+    def test_direct_constructor_checks_and_compiles(self, calls):
+        base = parse_tba(LADDER_2.read_text(), 10)
+        calls.update(validate=0, _compile=0)
+        rebuilt = dataclasses.replace(base, accepting=frozenset())
+        assert calls == {"validate": 1, "_compile": 1}
+        assert rebuilt.compiled == base.compiled

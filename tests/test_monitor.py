@@ -9,8 +9,8 @@ import random
 import pytest
 
 import delaymon.monitor as monitor_module
-from delaymon.automata import TBA, Transition
-from delaymon.dbm import INF, Interval
+from delaymon.automata import TBA, AtomicConstraint, TBAError, Transition
+from delaymon.dbm import INF, MAX_SCALED, Interval
 from delaymon.monitor import (
     ComplementViolationError,
     DelayBounds,
@@ -289,6 +289,78 @@ class TestErrors:
             DelayBounds(10, 5, 0)
         with pytest.raises(ValueError):
             DelayBounds(-1, 5, 0)
+
+
+def loop_pair(c: int) -> tuple[TBA, TBA]:
+    """One clock: ``q`` loops on ``a`` while ``x<=c``, otherwise goes to
+    ``bad``; the property accepts ``q``, its complement ``bad``."""
+    def tba(accepting: str) -> TBA:
+        return TBA(alphabet=frozenset({"a"}),
+                   locations=frozenset({"q", "bad"}),
+                   initial=frozenset({"q"}), clocks=("x",),
+                   transitions=(
+                       Transition("q", "q", "a",
+                                  guard=(AtomicConstraint("x", "<=", c),)),
+                       Transition("q", "bad", "a",
+                                  guard=(AtomicConstraint("x", ">", c),)),
+                       Transition("bad", "bad", "a")),
+                   accepting=frozenset({accepting}))
+    return tba("q"), tba("bad")
+
+
+class TestNoValueAliasesInfinity:
+    """Every scaled value the library takes stays below ``MAX_SCALED``, as
+    the parsers' values do, so that no bound the engines derive from it
+    reaches the encoding of ``INF``.  Before, a guard ``x<=2**61`` and an
+    observation at ``2**61 + 7`` gave INCONCLUSIVE where the answer is
+    FALSE."""
+
+    @pytest.mark.parametrize("c", [MAX_SCALED, 2 ** 61])
+    def test_guard_constant_refused(self, c):
+        with pytest.raises(TBAError, match="too large"):
+            loop_pair(c)
+
+    def test_largest_guard_constant_taken(self):
+        spec, comp = loop_pair(MAX_SCALED - 1)
+        assert spec.compiled[0].guard == ((1, 0, 2 * (MAX_SCALED - 1) + 1),)
+
+    @pytest.mark.parametrize("bounds", [
+        (MAX_SCALED, INF, 0), (0, MAX_SCALED, 0), (0, 5, MAX_SCALED),
+        (0, INF + 1, 0)])
+    def test_delay_bound_refused(self, bounds):
+        with pytest.raises(ValueError, match="below 2\\*\\*50"):
+            DelayBounds(*bounds)
+
+    def test_largest_delay_bounds_taken(self):
+        top = MAX_SCALED - 1
+        DelayBounds(top, top, top)
+        DelayBounds(top, INF, top)
+
+    @pytest.mark.parametrize("tau", [MAX_SCALED, 2 ** 61 + 7])
+    def test_stamp_refused(self, tau):
+        m = make_monitor(0, 100, 2)
+        with pytest.raises(MonitorError, match="too large") as e:
+            m.observe("a", tau)
+        assert type(e.value) is MonitorError and e.value.times == (tau,)
+        with pytest.raises(MonitorError, match="too large"):
+            m.verdict_at(tau)
+        assert m.observation_count == 0 and m.verdict is Verdict.INCONCLUSIVE
+
+    def test_stamp_refused_past_a_conclusive_verdict(self):
+        # the loop pair's property needs x<=10 forever: FALSE at once
+        m = Monitor(*loop_pair(10), DelayBounds(0, 0, 0))
+        assert m.verdict is Verdict.FALSE
+        with pytest.raises(MonitorError, match="too large"):
+            m.observe("a", MAX_SCALED)
+        with pytest.raises(MonitorError, match="too large"):
+            m.verdict_at(MAX_SCALED)
+        assert m.observe("a", MAX_SCALED - 1) is Verdict.FALSE
+        assert m.verdict_at(MAX_SCALED - 1) is Verdict.FALSE
+
+    def test_largest_stamp_taken(self):
+        m = make_monitor(0, 100, 2)
+        m.observe("a", MAX_SCALED - 1)
+        assert m.verdict_at(MAX_SCALED - 1) is Verdict.FALSE
 
 
 DENOM = 4  # quarter-unit scaling for oracle comparisons

@@ -17,7 +17,7 @@ import pytest
 import delaymon.automata as automata_module
 import delaymon.monitor as monitor_module
 from delaymon.automata import io_alternation_product, parse_tba
-from delaymon.dbm import INF, Interval
+from delaymon.dbm import INF, MAX_SCALED, Interval
 from delaymon.monitor import (
     ComplementViolationError,
     DelayBounds,
@@ -179,6 +179,19 @@ class TestErrors:
         with pytest.raises(OrderingError):  # still checked, never stepped
             t.observe_io("req", 5)
         assert t.verdict_at(1000) is Verdict.FALSE
+
+    @pytest.mark.parametrize("tau", [MAX_SCALED, 2 ** 61 + 7])
+    def test_stamp_at_or_above_max_scaled(self, tau):
+        t = Tester(*gear_pair(), BOUNDS)
+        with pytest.raises(MonitorError, match="too large") as e:
+            t.observe_io("req", tau)
+        assert type(e.value) is MonitorError and t.observation_count == 0
+        t.observe_io("req", 10)
+        with pytest.raises(MonitorError, match="too large"):
+            t.observe_io("resp", tau)
+        with pytest.raises(MonitorError, match="too large"):
+            t.verdict_at(tau)
+        assert t.observation_count == 1
 
 
 class TestRoundTripFromChannelRanges:
