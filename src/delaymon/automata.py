@@ -159,9 +159,12 @@ class TBA:
                      for r, n in bad]
             names += [(k, r, n) for r, n in bad]
         if self.inputs or self.outputs:
+            errs += [f"{r} {a!r} not in alphabet" for r, syms in (
+                ("input", self.inputs), ("output", self.outputs))
+                for a in sorted(syms - alphabet)]
             if self.inputs & self.outputs:
                 errs.append("inputs and outputs overlap")
-            if self.inputs | self.outputs != self.alphabet:
+            if not alphabet <= self.inputs | self.outputs:
                 errs.append("inputs/outputs do not cover the alphabet")
         return errs, names
 

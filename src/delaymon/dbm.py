@@ -383,19 +383,6 @@ class DBM:
         m = [[self.m[i][j] for j in idx] for i in idx]
         return DBM._canonical(len(idx), m, empty=self.is_empty())
 
-    def embed(self, extra: int) -> "DBM":
-        """Lift to ``extra`` more trailing, fully unconstrained clocks (no
-        sign assumption; the intersecting zone supplies it).  The block
-        matrix of a canonical zone and free clocks is canonical."""
-        n = self.dim + extra
-        pad = [INF] * extra
-        m = [row + pad for row in self.m]
-        for k in range(self.dim, n):
-            row = [INF] * n
-            row[k] = LE_ZERO
-            m.append(row)
-        return DBM._canonical(n, m, empty=self.is_empty())
-
     def subtract(self, other: "DBM") -> list["DBM"]:
         """Zone difference self \\ other as a list of disjoint zones."""
         if self.is_empty():

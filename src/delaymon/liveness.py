@@ -4,12 +4,18 @@ accepting run exist?
 The computation is the nested Büchi fixpoint over federations (per-location
 zone lists): each round takes the backward reach of the accepting "core"
 states with at least one time unit elapsing (tracked with an auxiliary
-clock), and the next core is its accepting part at zero elapsed time.  The
-rounds shrink the core to the states that admit infinitely many productive
-revisits, and the last round's backward reach, with the auxiliary clock
-projected away, is every state that can reach that core.  Backward
-preimages are exact — no extrapolation — which is what the monitor's
-verdicts rely on.
+divergence clock ``z``), and the next core is its accepting part at zero
+elapsed time.  The rounds shrink the core to the states that admit
+infinitely many productive revisits, and the last round's backward reach,
+with ``z`` projected away, is every state that can reach that core.
+Backward preimages are exact — no extrapolation — which is what the
+monitor's verdicts rely on.
+
+All zones lie in one clock space, the automaton's clocks ``1..n`` and then
+``z``, which the map projects away once, at the end.  A core zone leaves
+``z`` free but ``>= 0`` (a cylinder in ``z``, so it compares as its
+projection does): the refresh pins ``z`` to 0 and clears its row, which
+keeps the zone canonical, as in :meth:`DBM.pre`.
 
 A location whose zone list takes the universal zone (every clock,
 the divergence clock included, at least 0) is *full*, and the backward
@@ -20,6 +26,13 @@ lower bound only to ``>= 0``), so each skipped preimage is included in the
 universal zone, and the loop would have built it and dropped it.  The
 result, its key order, every zone and the count of insertions towards
 :data:`MAX_INSERTIONS` are the same as without the skip.
+
+One budget, :data:`MAX_INSERTIONS` zones inserted by all backward reaches
+of one analysis, bounds it.  A round whose reach inserts nothing leaves an
+empty core, on which the next round ends, so an analysis that inserts
+``k`` zones runs at most ``k + 2`` rounds.  Rounds grow with the guard
+constants in scaled units, as ``z`` gains 1 per lap: a loop guarded by
+``x<=c`` takes about ``c`` rounds.
 """
 
 from __future__ import annotations
@@ -29,16 +42,15 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import TBA, Edge, SymbolicState
-from .dbm import DBM, LE_ZERO, bound, included_in_union, reduce_union
+from .dbm import DBM, INF, LE_ZERO, bound, included_in_union, reduce_union
 
-# The analysis budget: zones inserted by one backward reach, and rounds of
-# the recurrence fixpoint.
 MAX_INSERTIONS = 200_000
-MAX_ROUNDS = 1_000
 
 
 class LivenessError(RuntimeError):
-    """The analysis exceeded its iteration budget or did not stabilize."""
+    """The analysis inserted more than :data:`MAX_INSERTIONS` zones: the
+    automaton's guard constants, in scaled units, may be too large for its
+    exact analysis."""
 
 
 @dataclass(frozen=True)
@@ -67,17 +79,15 @@ class NonEmptyMap:
             for q, zs in self.zones.items()})
 
 
-def _backward_reach(automaton: TBA, targets: dict[str, list[DBM]]
-                    ) -> dict[str, list[DBM]]:
-    by_dst: dict[str, list[Edge]] = {}
-    for e in automaton.compiled:
-        by_dst.setdefault(e.dst, []).append(e)
-    universal = DBM.universal(len(automaton.clocks) + 2)
+def _backward_reach(by_dst: dict[str, list[Edge]], universal: DBM,
+                    targets: dict[str, list[DBM]], inserted: int
+                    ) -> tuple[dict[str, list[DBM]], int]:
+    """The backward reach of ``targets`` through the edges ``by_dst`` (by
+    target location), and ``inserted`` plus the zones it inserted."""
     full: set[str] = set()  # locations whose zones hold every valuation
     result: dict[str, list[DBM]] = {}
     queue: deque[tuple[str, DBM]] = deque(
         (q, z) for q, zs in targets.items() for z in zs)
-    inserted = 0
     while queue:
         loc, zone = queue.popleft()
         for e in by_dst.get(loc, ()):
@@ -97,10 +107,10 @@ def _backward_reach(automaton: TBA, targets: dict[str, list[DBM]]
             inserted += 1
             if inserted > MAX_INSERTIONS:
                 raise LivenessError(
-                    "backward reachability exceeded the iteration budget; "
-                    "the automaton's constants may be too large for exact "
-                    "analysis")
-    return result
+                    "nonemptiness analysis exceeded the iteration budget "
+                    f"of {MAX_INSERTIONS} zones; the automaton's constants "
+                    "may be too large for exact analysis")
+    return result, inserted
 
 
 def nonempty_states(automaton: TBA) -> NonEmptyMap:
@@ -119,33 +129,30 @@ def nonempty_states(automaton: TBA) -> NonEmptyMap:
     state shares the lap of the core state it delays into, so it is itself
     in the core.
     """
-    n_c = len(automaton.clocks)
-    zi = n_c + 1  # the divergence clock, after the automaton's
-    one = 1  # the divergence clock counts raw scaled units
+    zi = len(automaton.clocks) + 1  # the divergence clock, after the rest
+    by_dst: dict[str, list[Edge]] = {}
+    for e in automaton.compiled:
+        by_dst.setdefault(e.dst, []).append(e)
+    universal = DBM.universal(zi + 1)
+    lap = [(0, zi, bound(-1))]  # z >= 1, in raw scaled units
+    pin = [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)]  # z = 0
 
     # greatest fixpoint: accepting states allowing one more productive lap
-    core: dict[str, list[DBM]] = {
-        q: [DBM.universal(1 + n_c)] for q in automaton.accepting}
-    for _ in range(MAX_ROUNDS):
-        targets = {
-            q: [
-                z.embed(1).and_constraints([(0, zi, bound(-one))])
-                for z in zs
-            ]
-            for q, zs in core.items()
-        }
-        targets = {q: [z for z in zs if not z.is_empty()]
-                   for q, zs in targets.items()}
-        back = _backward_reach(automaton, targets)
+    core: dict[str, list[DBM]] = {q: [universal] for q in automaton.accepting}
+    inserted = 0
+    while True:
+        back, inserted = _backward_reach(by_dst, universal, {
+            q: [z.and_constraints(lap) for z in zs]
+            for q, zs in core.items()}, inserted)
         refreshed: dict[str, list[DBM]] = {}
         for q in automaton.accepting:
             zs = []
-            for z in back.get(q, []):
-                pinned = z.and_constraints(
-                    [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)])
-                if pinned.is_empty():
-                    continue
-                zs.append(pinned.restrict(range(1, 1 + n_c)))
+            for z in back.get(q, ()):
+                pinned = z.and_constraints(pin)
+                if not pinned.is_empty():
+                    # free z again: its row goes, its column is column 0
+                    zs.append(DBM._canonical(
+                        zi + 1, pinned.m[:zi] + [[INF] * zi + [LE_ZERO]]))
             zs = reduce_union(zs)
             if zs:
                 refreshed[q] = zs
@@ -153,12 +160,10 @@ def nonempty_states(automaton: TBA) -> NonEmptyMap:
                for q, zs in core.items() for z in zs):
             break
         core = refreshed
-    else:
-        raise LivenessError("recurrence fixpoint did not stabilize")
 
     # every state with a path into the core, divergence clock projected away
     return NonEmptyMap(zones={
-        q: tuple(reduce_union(z.restrict(range(1, 1 + n_c)) for z in zs))
+        q: tuple(reduce_union(z.restrict(range(1, zi)) for z in zs))
         for q, zs in back.items()})
 
 

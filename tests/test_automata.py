@@ -622,6 +622,32 @@ class TestDirectConstructorMessages:
             "edge q->s on a: guard on unknown clock 'w'",
             "inputs/outputs do not cover the alphabet"])
 
+    @pytest.mark.parametrize("inputs, outputs, message", [
+        ("a z", "b", "input 'z' not in alphabet"),
+        ("a", "b z", "output 'z' not in alphabet"),
+        ("a y", "b x w",
+         "input 'y' not in alphabet; output 'w' not in alphabet; "
+         "output 'x' not in alphabet"),
+        ("z", "b",
+         "input 'z' not in alphabet; "
+         "inputs/outputs do not cover the alphabet"),
+    ], ids=["input", "output", "both", "and-a-gap"])
+    def test_partition_symbol_outside_the_alphabet(self, inputs, outputs,
+                                                   message):
+        """Each stray symbol is named; the gap message is kept for a
+        symbol of the alphabet that neither list holds."""
+        text = (f"alphabet a b\ninputs {inputs}\noutputs {outputs}\n"
+                "clocks x\nlocation q initial accepting\nedge q -> q on a\n")
+        with pytest.raises(TBAError) as e:
+            parse_tba(text, 1)
+        assert type(e.value) is TBAError and str(e.value) == message
+        with pytest.raises(TBAError) as e:
+            TBA(transitions=(Transition("q", "q", "a"),),
+                **dict(ONE_LOCATION, alphabet=frozenset({"a", "b"}),
+                       inputs=frozenset(inputs.split()),
+                       outputs=frozenset(outputs.split())))
+        assert type(e.value) is TBAError and str(e.value) == message
+
     @pytest.mark.parametrize("path", SHIPPED,
                              ids=lambda p: f"{p.parent.name}/{p.name}")
     def test_parse_equals_the_direct_constructor(self, path):

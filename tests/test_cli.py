@@ -670,20 +670,14 @@ class TestFailuresExitThree:
         assert trace in [f.name for f in opened]
         assert all(f.closed for f in opened)
 
-    @pytest.mark.parametrize("budget, message", [
-        ({"MAX_INSERTIONS": 0}, "budget"),
-        ({"MAX_ROUNDS": 0}, "did not stabilize"),
-    ])
-    def test_liveness_failure(self, capsys, tmp_path, monkeypatch, budget,
-                              message):
+    def test_liveness_failure(self, capsys, tmp_path, monkeypatch):
         import delaymon.liveness
 
-        for name, value in budget.items():
-            monkeypatch.setattr(delaymon.liveness, name, value)
+        monkeypatch.setattr(delaymon.liveness, "MAX_INSERTIONS", 0)
         trace = write_trace(tmp_path, "@173 a\n")
         code, _, err = run(capsys, DEADLINE_ARGS + ["--trace", trace])
         assert code == 3
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and "budget" in err
 
     def test_timestamp_at_inf_rejected(self, capsys, tmp_path):
         # 2**62 used to alias INF: echoed as "@inf" with verdict FALSE

@@ -527,15 +527,12 @@ def random_constraints(rng: random.Random, dim: int, k: int
             for _ in range(k)]
 
 
-def random_zones(dim: int, unsigned: bool = True
-                 ) -> Iterable[tuple[random.Random, DBM]]:
-    """Seeded nonempty canonical zones; with ``unsigned`` a few clocks may
-    go negative."""
+def random_zones(dim: int) -> Iterable[tuple[random.Random, DBM]]:
+    """Seeded nonempty canonical zones; a few clocks may go negative."""
     rng = random.Random(dim)
     made = 0
     while made < ZONES_PER_DIM:
-        nonneg = [c for c in range(1, dim)
-                  if not unsigned or rng.random() < 0.8]
+        nonneg = [c for c in range(1, dim) if rng.random() < 0.8]
         base = DBM.universal(dim, nonneg=nonneg)
         z = textbook_meet(
             base, random_constraints(rng, dim, rng.randint(0, dim)))
@@ -636,14 +633,6 @@ class TestKernelMatchesClosure:
                 emptied["pin" if pinned.is_empty() else
                         "guard" if ref.is_empty() else "none"] += 1
         assert all(emptied.values()), emptied
-
-    def test_embed(self, dim):
-        # the embedded zones are over automaton clocks, all non-negative
-        for rng, z in random_zones(dim, unsigned=False):
-            extra = rng.randint(1, 2)
-            base = DBM.universal(dim + extra, nonneg=range(1, dim))
-            assert_same(z.embed(extra),
-                        textbook_meet(base, entries(z)))
 
     def test_intersects(self, dim):
         # meeting two zones by tightening one with the other's entries, as

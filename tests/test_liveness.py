@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import deque
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from delaymon.automata import (
     io_alternation_product,
     parse_tba,
 )
-from delaymon.dbm import DBM, bound, included_in_union
+from delaymon.cli import main as cli_main
+from delaymon.dbm import (DBM, LE_ZERO, bound, included_in_union,
+                          reduce_union)
 from delaymon.liveness import (LivenessError, intersects_nonempty,
                                nonempty_states)
 
@@ -29,10 +32,12 @@ from helpers_automata import (
     scale_tba,
     textbook_down,
     textbook_free,
+    textbook_meet,
     with_io,
 )
 from helpers_oracle import complement_pair
 from helpers_regions import RegionGraph
+from test_monitor import loop_pair
 
 
 def zone_x_le(c: int) -> DBM:
@@ -224,11 +229,16 @@ class TestNonEmptyIsClosedBackward:
         assert len(SHIPPED) >= 16 and checked > 0
 
 
-# -- the analysis against a reference loop without shortcuts ----------------
+# -- the analysis against a two-space reference loop ------------------------
 #
-# The reference takes a preimage through every edge, also into a location
-# whose zones already hold every valuation, and tests union inclusion by
-# subtraction alone.  The analysis must give the same map zone for zone.
+# The reference keeps each core zone over the automaton clocks alone: every
+# round lifts it to one more clock, unconstrained even in sign (a textbook
+# meet with a universal zone one clock larger), meets z >= 1, and projects z
+# away from every refreshed zone.  Its backward reach takes a preimage
+# through every edge, also into a location whose zones already hold every
+# valuation, and it tests union inclusion by subtraction alone.  The
+# analysis must give the same map zone for zone, and its one budget must
+# run out at the count of zones that all the reference's reaches inserted.
 
 
 def reference_included_in_union(zone: DBM, zones) -> bool:
@@ -244,9 +254,9 @@ def reference_included_in_union(zone: DBM, zones) -> bool:
     return not remains
 
 
-def reference_backward_reach(automaton: TBA, targets, counts: list[int]):
-    """The backward reach with no skip; appends its insertion count to
-    ``counts``."""
+def reference_backward_reach(automaton: TBA, targets
+                             ) -> tuple[dict[str, list[DBM]], int]:
+    """The backward reach with no skip, and how many zones it inserted."""
     by_dst: dict = {}
     for e in automaton.compiled:
         by_dst.setdefault(e.dst, []).append(e)
@@ -266,42 +276,64 @@ def reference_backward_reach(automaton: TBA, targets, counts: list[int]):
             have.append(p)
             queue.append((e.src, p))
             inserted += 1
-    counts.append(inserted)
-    return result
+    return result, inserted
 
 
-def reference_map(a: TBA) -> tuple[liveness.NonEmptyMap, int]:
-    """The reference analysis of ``a`` and the most zones one of its
+def reference_embed(z: DBM) -> DBM:
+    """``z`` with one more trailing clock that nothing constrains."""
+    return textbook_meet(DBM.universal(z.dim + 1, nonneg=range(1, z.dim)),
+                         z.constraints())
+
+
+def reference_map(a: TBA) -> tuple[dict[str, list[DBM]], int]:
+    """The two-space reference analysis of ``a`` and the zones that all its
     backward reaches inserted."""
-    counts: list[int] = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(liveness, "_backward_reach",
-                   lambda a, targets: reference_backward_reach(
-                       a, targets, counts))
-        mp.setattr(liveness, "included_in_union",
-                   reference_included_in_union)
-        return nonempty_states(a), max(counts)
+    zi = len(a.clocks) + 1
+    own = range(1, zi)  # the automaton's clocks
+    core = {q: [DBM.universal(zi)] for q in a.accepting}
+    inserted = 0
+    while True:
+        back, n = reference_backward_reach(a, {
+            q: [textbook_meet(reference_embed(z), [(0, zi, bound(-1))])
+                for z in zs]
+            for q, zs in core.items()})
+        inserted += n
+        refreshed = {}
+        for q in a.accepting:
+            zs = reduce_union(
+                textbook_meet(z, [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)]
+                              ).restrict(own)
+                for z in back.get(q, ()))
+            if zs:
+                refreshed[q] = zs
+        if all(reference_included_in_union(z, refreshed.get(q, ()))
+               for q, zs in core.items() for z in zs):
+            break
+        core = refreshed
+    return ({q: reduce_union(z.restrict(own) for z in zs)
+             for q, zs in back.items()}, inserted)
 
 
 def assert_same_as_reference(a: TBA) -> int:
     """Check the analysis of ``a`` against the reference: the same
     locations in the same order, and per location the same matrices in the
-    same order.  Also check that the insertion budget runs out at the same
-    count.  Returns how many zones the map holds."""
-    want, most = reference_map(a)
+    same order.  Also check that the insertion budget runs out at the
+    reference's count for the whole analysis.  Returns how many zones the
+    map holds."""
+    want, inserted = reference_map(a)
     got = nonempty_states(a)
-    assert list(got.zones) == list(want.zones)
-    for q, zs in want.zones.items():
+    assert list(got.zones) == list(want)
+    for q, zs in want.items():
         assert [(z.dim, z.m) for z in got.zones[q]] == [
             (z.dim, z.m) for z in zs], q
     with pytest.MonkeyPatch.context() as mp:
-        if most:
-            mp.setattr(liveness, "MAX_INSERTIONS", most - 1)
+        if inserted:
+            mp.setattr(liveness, "MAX_INSERTIONS", inserted - 1)
             with pytest.raises(LivenessError, match="iteration budget"):
                 nonempty_states(a)
-        mp.setattr(liveness, "MAX_INSERTIONS", most)
+        mp.setattr(liveness, "MAX_INSERTIONS", inserted)
         nonempty_states(a)
-    return sum(map(len, want.zones.values()))
+    return sum(map(len, want.values()))
 
 
 def shipped_and_products() -> list[TBA]:
@@ -319,10 +351,10 @@ class TestMatchesReferenceLoop:
         zones = [assert_same_as_reference(a) for a in shipped_and_products()]
         assert len(zones) >= 30 and sum(zones) > 0
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(20))
     def test_random(self, seed):
         rng = random.Random(5000 + seed)
-        for _ in range(10):
+        for _ in range(20):
             a = random_tba(rng, n_clocks=rng.choice([1, 2, 3]), max_const=3,
                            guard_ratio=0.4)
             assert_same_as_reference(a)
@@ -347,6 +379,63 @@ class TestMatchesReferenceLoop:
         monkeypatch.setattr(DBM, "pre", counted_pre)
         nonempty_states(product)
         assert 0 < len(calls) <= 40
+
+
+class TestOneBudget:
+    """One budget, the zones inserted by all backward reaches of one
+    analysis, bounds the rounds too.  A loop guarded by ``x<=c`` takes
+    about ``c`` rounds (``z`` gains 1 per lap), so ``x<=100`` at scale 10
+    takes about 1,000."""
+
+    @staticmethod
+    def count_rounds(monkeypatch) -> list[int]:
+        """Patch the backward reach to record the running insertion count
+        after each round; one entry per round."""
+        totals: list[int] = []
+        reach = liveness._backward_reach
+
+        def counted(*args):
+            back, inserted = reach(*args)
+            totals.append(inserted)
+            return back, inserted
+        monkeypatch.setattr(liveness, "_backward_reach", counted)
+        return totals
+
+    def test_large_constant_is_analysed(self):
+        spec, comp = loop_pair(1000)
+        assert nonempty_states(spec).zones == {}  # x<=1000 cannot diverge
+        assert set(nonempty_states(comp).zones) == {"q", "bad"}
+
+    def test_rounds_stay_within_insertions(self, monkeypatch):
+        totals = self.count_rounds(monkeypatch)
+        nonempty_states(loop_pair(500)[0])
+        assert 500 <= len(totals) <= totals[-1] + 2
+
+    def test_budget_ends_a_long_fixpoint(self, monkeypatch):
+        totals = self.count_rounds(monkeypatch)
+        monkeypatch.setattr(liveness, "MAX_INSERTIONS", 2_000)
+        start = time.thread_time()
+        with pytest.raises(LivenessError, match="iteration budget"):
+            nonempty_states(loop_pair(2 ** 49)[0])
+        assert time.thread_time() - start < 1.0
+        assert len(totals) <= 2_000 + 2
+
+    def test_cli_takes_a_loop_bound_of_100_at_scale_10(self, capsys,
+                                                       tmp_path):
+        header = ("alphabet a\nclocks x\nlocation q initial{}\n"
+                  "location bad{}\nedge q -> q on a when x<=100\n"
+                  "edge q -> bad on a when x>100\nedge bad -> bad on a\n")
+        spec, comp, trace = (tmp_path / name for name in (
+            "spec.txt", "complement.txt", "trace.txt"))
+        spec.write_text(header.format(" accepting", ""))
+        comp.write_text(header.format("", " accepting"))
+        trace.write_text("@5 a\n@99.5 a\n")
+        code = cli_main(["--spec", str(spec), "--complement", str(comp),
+                         "--scale", "10", "--latency", "0", "1",
+                         "--trace", str(trace)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), err
+        assert err == "" and "Verdict:" in out
 
 
 # A monitor's zones over eventually_then_safe_tba: x, then time and etime.

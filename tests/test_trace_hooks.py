@@ -1,15 +1,19 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) wraps delaymon's
-callables by name.  A rename or a move in ``src/`` must not crash it, nor
-silently leave a counted callable unwrapped."""
+callables by name.  A rename or a move in ``src/`` must not crash it,
+silently leave a counted callable unwrapped, or call past a wrapped one."""
 
 from __future__ import annotations
 
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import delaymon.cli
 from delaymon.dbm import DBM
 
 import test_acceptance
+import test_cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -66,3 +70,37 @@ def test_recorder_counts_the_pinned_allocations():
     finally:
         recorder.uninstall()
     assert per_event == list(gear.ALLOCS_PER_EVENT)
+
+
+def test_every_installed_span_opens_in_cli_sessions(tmp_path):
+    """Wrapping a name counts nothing unless the program still calls
+    through it: an analysis that bypassed ``delaymon.monitor.
+    nonempty_states`` would read 0 in every ``setup.liveness`` metric.  A
+    monitor-mode and a test-mode CLI session, each with CSV output, must
+    open a span for every installed target but ``dbm.subtract``: these
+    sessions subtract no zone."""
+    trace = tmp_path / "trace.txt"
+    trace.write_text("@173 a\n@271 b\n")
+    sessions = [
+        test_cli.DEADLINE_ARGS + ["--mode", "monitor", "--latency", "0", "100",
+                                  "--jitter", "2", "--trace", str(trace)],
+        test_cli.GEAR_ARGS + [
+            "--trace", str(test_cli.FIXTURES / "gear_narrow_trace.txt")],
+    ]
+    spans = load_spans()
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        recorder.set_phase("cli")
+        with redirect_stdout(io.StringIO()):
+            codes = [
+                delaymon.cli.main(argv + ["--csv", str(tmp_path / f"{k}.csv")])
+                for k, argv in enumerate(sessions)]
+    finally:
+        recorder.uninstall()
+    assert codes == [1, 1]  # both refuted
+    installed = {name for module, path, name in spans.SPAN_TARGETS
+                 if f"{module}.{path}" not in recorder.missing}
+    opened = {recorder.names[i] for i in recorder.name}
+    assert "liveness.nonempty_states" in installed
+    assert installed - opened - {"dbm.subtract"} == set()
