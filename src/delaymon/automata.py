@@ -193,6 +193,33 @@ class TBA:
         analysis.  Do not mutate."""
         return io_alternation_product(self)
 
+    @property
+    def reachable(self) -> TBA:
+        """The part that runs enter from the initial locations through the
+        edges, guards ignored: those locations, the edges from them and the
+        accepting ones among them; ``self`` if that is all.  Do not mutate."""
+        return self._reachable or self
+
+    @cached_property
+    def _reachable(self) -> TBA | None:
+        # None for self, which cached on itself would be a cycle for the GC
+        succ: dict[str, set[str]] = {}
+        for e in self.compiled:
+            succ.setdefault(e.src, set()).add(e.dst)
+        seen, work = set(self.initial), list(self.initial)
+        while work:
+            new = succ.get(work.pop(), set()) - seen
+            seen |= new
+            work += new
+        if len(seen) == len(self.locations):
+            return None
+        kept = [k for k, e in enumerate(self.compiled) if e.src in seen]
+        return _assemble(**{f: getattr(self, f) for f in (
+            "alphabet", "initial", "clocks", "inputs", "outputs")},
+            locations=frozenset(seen), accepting=self.accepting & seen,
+            transitions=tuple(self.transitions[k] for k in kept),
+            compiled=tuple(self.compiled[k] for k in kept))
+
     @cached_property
     def inactive_clocks(self) -> dict[str, int]:
         """Per location, the clocks that every path resets before it reads
@@ -283,7 +310,7 @@ OUTPUT_PHASE = "?o"
 
 def _assemble(**fields: Any) -> TBA:
     """The automaton of these fields, neither validated nor compiled: the
-    parser does both, and the I/O product gives edges renamed from its base."""
+    parser does both, and the product and the reachable part reuse edges."""
     automaton = object.__new__(TBA)
     automaton.__dict__.update(fields, memo={})
     return automaton

@@ -9,7 +9,9 @@ elapsed time.  The rounds shrink the core to the states that admit
 infinitely many productive revisits, and the last round's backward reach,
 with ``z`` projected away, is every state that can reach that core.
 Backward preimages are exact — no extrapolation — which is what the
-monitor's verdicts rely on.
+monitor's verdicts rely on.  The engines analyse only the part that runs
+can enter, :attr:`~delaymon.automata.TBA.reachable`: it is closed under
+edges, so its locations have the same nonempty states as in the whole.
 
 All zones lie in one clock space, the automaton's clocks ``1..n`` and then
 ``z``, which the map projects away once, at the end.  A core zone leaves
@@ -101,7 +103,7 @@ def _backward_reach(by_dst: dict[str, list[Edge]], universal: DBM,
                 continue
             have[:] = [z for z in have if not p.includes(z)]
             have.append(p)
-            if p == universal:
+            if p.m == universal.m:
                 full.add(e.src)
             queue.append((e.src, p))
             inserted += 1

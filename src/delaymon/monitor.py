@@ -69,8 +69,8 @@ all that the verdict probe and the latency unions read besides the reach
 set.  The engine decides this once, at set-up (for the tester, on the two
 I/O products); a complement that differs in any of the five gets its own
 reach set, stepped by the same loop.  The nonemptiness analysis is paid
-once per automaton object: every later engine built on it reads the map
-that the first one kept in ``TBA.memo``.
+once per automaton object, on the part that runs can enter: every later
+engine built on it reads the map that the first one kept in ``TBA.memo``.
 
 :class:`Monitor` is one output channel (clock ``n + 2``) with latency
 ``δ ∈ [ℓ, u]`` plus a per-event jitter in ``[0, ε]``; delay-free (classic)
@@ -195,10 +195,13 @@ def _nonempty(automaton: TBA) -> NonEmptyMap:
     """The nonempty-language states of ``automaton``, analysed by the first
     engine built on this automaton object and kept in its ``memo`` for
     every later one: the analysis is deterministic, and nothing mutates its
-    result."""
+    result.  It analyses :attr:`TBA.reachable`, which reach states never
+    leave: an I/O product's copies that no alternating word enters are
+    never analysed."""
     found = automaton.memo.get("nonempty")
     if found is None:
-        found = automaton.memo["nonempty"] = nonempty_states(automaton)
+        found = automaton.memo["nonempty"] = nonempty_states(
+            automaton.reachable)
     return found
 
 

@@ -284,6 +284,32 @@ def with_unreached_location(automaton: TBA) -> TBA:
                    locations=automaton.locations | {"unreached"})
 
 
+def with_islands(automaton: TBA, rng: random.Random) -> TBA:
+    """The automaton plus one to three locations ``i0``, ``i1``, ... that
+    no run can enter: no edge of the automaton goes to one, and each has
+    one or two edges per symbol, into an island or into the automaton,
+    with random guards and resets, placed among the automaton's edges.
+    Each island accepts with probability 1/2."""
+    islands = [f"i{k}" for k in range(rng.randint(1, 3))]
+    targets = sorted(automaton.locations) + islands
+    trans = list(automaton.transitions)
+    for src in islands:
+        for sym in sorted(automaton.alphabet):
+            for _ in range(rng.randint(1, 2)):
+                guard = tuple(
+                    AtomicConstraint(c, rng.choice(["<", "<=", ">", ">="]),
+                                     rng.randint(0, 3))
+                    for c in automaton.clocks if rng.random() < 0.4)
+                resets = frozenset(
+                    c for c in automaton.clocks if rng.random() < 0.4)
+                trans.insert(rng.randint(0, len(trans)), Transition(
+                    src, rng.choice(targets), sym, resets, guard))
+    return replace(
+        automaton, locations=automaton.locations | set(islands),
+        transitions=tuple(trans), accepting=automaton.accepting | {
+            q for q in islands if rng.random() < 0.5})
+
+
 def rename_clock(automaton: TBA, old: str, new: str) -> TBA:
     """The automaton with clock ``old`` called ``new`` everywhere."""
     def name(c: str) -> str:

@@ -46,10 +46,11 @@ from helpers_automata import (
     rename_clock,
     request_response_tba,
     with_io,
+    with_islands,
     with_unreached_location,
 )
-from helpers_oracle import IOOracleBounds, OracleBounds, oracle_io_verdict, \
-    oracle_verdict
+from helpers_oracle import IOOracleBounds, OracleBounds, complement_pair, \
+    oracle_io_verdict, oracle_verdict
 from helpers_regions import RegionGraph
 from test_monitor import DENOM, ETIME, X, make_monitor, random_setup, spans
 from test_tester import random_io_setup
@@ -906,6 +907,58 @@ class TestOneReachSetForBothPolarities:
         outcomes = list(lockstep(shared, two, "observe_io",
                                  [("req", 10), ("resp", 31)]))
         assert outcomes == [Verdict.INCONCLUSIVE, ComplementViolationError]
+
+
+class TestEnginesReadOnlyTheReachablePart:
+    """Engines analyse only the part of each automaton that a run can
+    enter.  Along seeded walks in classic, monitor and test mode, every
+    reach state sits at a location of that part, and each engine agrees
+    after every event, on the verdict and on every latency union, with one
+    that analysed the whole automaton."""
+
+    @staticmethod
+    def compare(spec: TBA, comp: TBA, seed: int) -> int:
+        """Events compared over the three modes; 0 when the pair is not
+        complementary enough to build its engines."""
+        try:
+            runs = engine_runs(spec, comp, seed)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(monitor_module, "_nonempty", nonempty_states)
+                refs = engine_runs(spec, comp, seed)
+        except ComplementViolationError:
+            return 0
+        compared = 0
+        for (engine, observe, events), (ref, _, ref_events) in zip(runs,
+                                                                   refs):
+            assert events == ref_events
+            parts = [t.automaton.reachable.locations for t in engine.tracks]
+            for _ in lockstep(engine, ref, observe, events):
+                compared += 1
+                for track, locations in zip(engine.tracks, parts):
+                    assert {s.location for s in track.reach} <= locations
+        return compared
+
+    @pytest.mark.parametrize("spec,comp", [
+        pytest.param(spec, comp, id=name)
+        for name, spec, comp in shipped_pairs()])
+    def test_shipped_pairs(self, spec, comp):
+        assert self.compare(spec, comp, seed=13) >= 3
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_pairs_with_islands(self, seed):
+        """A complement pair and a random automaton against its other
+        locations, each with locations that no run enters."""
+        rng = random.Random(f"islands/{seed}")
+        spec, comp = complement_pair(rng, n_clocks=rng.choice([1, 2]))
+        spec_i = with_islands(spec, rng)
+        islands = spec_i.locations - spec.locations
+        pairs = [(spec_i, dataclasses.replace(
+            spec_i, accepting=comp.accepting | (islands - spec_i.accepting)))]
+        a = with_islands(random_tba(rng, n_clocks=3, guard_ratio=0.25), rng)
+        pairs.append((a, dataclasses.replace(
+            a, accepting=a.locations - a.accepting)))
+        assert all(p.reachable is not p for pair in pairs for p in pair)
+        assert sum(self.compare(*pair, seed) for pair in pairs) >= 3
 
 
 # A deterministic, complete pair over inputs a and outputs b; the property

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from helpers_automata import (
     serialize_tba,
     succ,
     with_io,
+    with_islands,
     zero_zone,
 )
 
@@ -567,6 +570,80 @@ class TestProductFromCompiledEdges:
 
 LADDER_2 = ROOT / "perfbench" / "inputs" / "ladder_2_spec.txt"
 
+
+def reference_reachable(automaton: TBA) -> set[str]:
+    """The locations that the edges reach from the initial ones, grown by
+    whole rounds of set iteration."""
+    seen = set(automaton.initial)
+    while True:
+        grown = seen | {t.dst for t in automaton.transitions
+                        if t.src in seen}
+        if grown == seen:
+            return seen
+        seen = grown
+
+
+class TestReachablePart:
+    """``TBA.reachable`` keeps the locations that a run can enter, guards
+    ignored, the edges from them, in order, and the accepting ones among
+    them; it reuses the compiled edges."""
+
+    @staticmethod
+    def assert_reachable_part(a: TBA) -> TBA:
+        part, kept = a.reachable, reference_reachable(a)
+        if kept == a.locations:
+            assert part is a
+            return part
+        want = [k for k, t in enumerate(a.transitions) if t.src in kept]
+        assert part == dataclasses.replace(
+            a, locations=frozenset(kept), accepting=a.accepting & kept,
+            transitions=tuple(a.transitions[k] for k in want))
+        assert all(e is a.compiled[k] for e, k in zip(part.compiled, want))
+        assert len(part.compiled) == len(want)
+        assert part.reachable is part and not part.memo
+        return part
+
+    def test_shipped_automata_and_io_products(self):
+        sizes = {}
+        for path in SHIPPED:
+            a = parse_tba(path.read_text(), 10)
+            sizes[path.stem] = [len(self.assert_reachable_part(a).locations)]
+            if a.has_io_partition:
+                sizes[path.stem].append(len(
+                    self.assert_reachable_part(a.io_product).locations))
+        assert sizes["ladder_2_spec"] == [8, 9]
+        assert sizes["ladder_4_complement"] == [11, 12]
+        assert sizes["gear_spec"] == [3, 4]
+        assert sizes["deadline_spec"] == [4]
+
+    def test_freed_without_the_garbage_collector(self):
+        """An automaton that caches its reachable part, itself or a smaller
+        one, holds no reference cycle: it goes with its last reference."""
+        base = parse_tba(LADDER_2.read_text(), 10)
+        gear = parse_tba((LADDER_2.parent / "gear_spec.txt").read_text(), 1)
+        assert gear.reachable is gear and base.reachable is not base
+        refs = [weakref.ref(a) for a in (base, base.reachable, gear)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del base, gear
+            assert [r() for r in refs] == [None] * 3
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_with_islands(self, chunk):
+        smaller = 0
+        for seed in range(50 * chunk, 50 * chunk + 50):
+            rng = random.Random(24_000 + seed)
+            a = random_tba(rng, n_clocks=rng.choice([1, 2]),
+                           n_locs=rng.choice([2, 3, 4]), max_const=3)
+            for b in (a, with_islands(a, rng), io_alternation_product(
+                    with_io(with_islands(a, rng)))):
+                smaller += self.assert_reachable_part(b) is not b
+        assert smaller >= 100
+
 # An automaton over ``a`` with one location ``q`` and one clock ``x``, and
 # edges given per test.
 ONE_LOCATION = dict(alphabet=frozenset({"a"}), locations=frozenset({"q"}),
@@ -683,6 +760,13 @@ class TestSetUpRunsEachStepOnce:
         product = base.io_product
         assert product.compiled and product.inactive_clocks
         assert nonempty_states(product).zones
+        assert calls == {"validate": 0, "_compile": 0}
+
+    def test_reachable_part_neither_checks_nor_compiles(self, calls):
+        product = parse_tba(LADDER_2.read_text(), 10).io_product
+        calls.update(validate=0, _compile=0)
+        part = product.reachable
+        assert part is not product and part.compiled
         assert calls == {"validate": 0, "_compile": 0}
 
     def test_direct_constructor_checks_and_compiles(self, calls):

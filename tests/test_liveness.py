@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import delaymon.liveness as liveness
+import delaymon.monitor as monitor_module
 from delaymon.automata import (
     AtomicConstraint,
     SymbolicState,
@@ -24,6 +26,7 @@ from delaymon.dbm import (DBM, LE_ZERO, bound, included_in_union,
                           reduce_union)
 from delaymon.liveness import (LivenessError, intersects_nonempty,
                                nonempty_states)
+from delaymon.monitor import DelayBounds, Monitor, Verdict
 
 from helpers_automata import (
     eventually_then_safe_tba,
@@ -34,6 +37,7 @@ from helpers_automata import (
     textbook_free,
     textbook_meet,
     with_io,
+    with_islands,
 )
 from helpers_oracle import complement_pair
 from helpers_regions import RegionGraph
@@ -379,6 +383,87 @@ class TestMatchesReferenceLoop:
         monkeypatch.setattr(DBM, "pre", counted_pre)
         nonempty_states(product)
         assert 0 < len(calls) <= 40
+
+
+# -- engines analyse the reachable part ---------------------------------------
+
+
+def assert_engine_map_agrees(a: TBA) -> bool:
+    """Check the map that engines read for ``a``, the analysis of its
+    reachable part, against the analysis of all of ``a``: the same
+    locations with zones among those a run can enter, and at each the same
+    valuations.  When both analyses run the same rounds and meet the
+    reachable accepting locations in the same order, also check the same
+    matrices in the same order, and return True.
+
+    Otherwise the two can list a location's zones differently, with the
+    same union: the whole automaton's analysis runs more rounds when a
+    core outside the part settles later, and the part's smaller accepting
+    set may iterate in another order, which is the order of the first
+    backward reach."""
+    part = a.reachable
+    rounds: list[int] = []
+    reach = liveness._backward_reach
+
+    def counted(*args):
+        rounds.append(1)
+        return reach(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liveness, "_backward_reach", counted)
+        got = monitor_module._nonempty(a)
+        analysed_rounds = len(rounds)
+        full = nonempty_states(a)
+    assert set(got.zones) == {q for q in full.zones if q in part.locations}
+    for q, zones in got.zones.items():
+        assert federation_equals(zones, full.zones[q]), q
+    if (len(rounds) != 2 * analysed_rounds or list(part.accepting)
+            != [q for q in a.accepting if q in part.locations]):
+        return False
+    for q, zones in got.zones.items():
+        assert [z.m for z in zones] == [z.m for z in full.zones[q]], q
+    return True
+
+
+class TestEnginesAnalyseTheReachablePart:
+    def test_shipped_automata_and_io_products(self):
+        automata = shipped_and_products()
+        smaller = [a for a in automata if a.reachable is not a]
+        same = sum(map(assert_engine_map_agrees, automata))
+        assert len(smaller) >= 20 and same >= len(automata) // 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_with_islands(self, seed):
+        rng = random.Random(6000 + seed)
+        same = 0
+        for _ in range(20):
+            a = random_tba(rng, n_clocks=rng.choice([1, 2, 3]), max_const=3,
+                           guard_ratio=0.4)
+            same += assert_engine_map_agrees(with_islands(a, rng))
+            same += assert_engine_map_agrees(io_alternation_product(
+                with_io(with_islands(a, rng))))
+            for b in complement_pair(rng, n_clocks=rng.choice([1, 2])):
+                same += assert_engine_map_agrees(with_islands(b, rng))
+        assert same >= 20
+
+    def test_unreachable_part_spends_no_budget(self, monkeypatch):
+        """An island whose loop, guarded by ``x<=1000``, takes more zones
+        than the budget allows refuses the whole automaton, but not an
+        engine on it."""
+        island = Transition("island", "island", "a",
+                            guard=(AtomicConstraint("x", "<=", 1000),))
+        spec = TBA(alphabet=frozenset("a"),
+                   locations=frozenset({"p", "island"}),
+                   initial=frozenset({"p"}), clocks=("x",),
+                   transitions=(Transition("p", "p", "a"), island),
+                   accepting=frozenset({"p", "island"}))
+        comp = dataclasses.replace(spec, accepting=frozenset({"island"}))
+        monkeypatch.setattr(liveness, "MAX_INSERTIONS", 100)
+        for a in (spec, comp):
+            with pytest.raises(LivenessError, match="iteration budget"):
+                nonempty_states(a)
+        m = Monitor(spec, comp, DelayBounds(0, 0, 0))
+        assert m.verdict is Verdict.TRUE
+        assert set(m.pos.nonempty.zones) == {"p"} and not m.neg.nonempty.zones
 
 
 class TestOneBudget:

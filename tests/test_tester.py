@@ -456,7 +456,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestOneAnalysisPerAutomaton:
     """Every engine built on one parsed automaton reads the nonemptiness map
-    and the I/O product that the first engine on it computed."""
+    and the I/O product that the first engine on it computed.  The map is
+    the analysis of the automaton's reachable part."""
 
     @staticmethod
     def parse() -> tuple:
@@ -489,8 +490,11 @@ class TestOneAnalysisPerAutomaton:
                             counted_product)
         spec, comp = self.parse()
         engines = self.build(spec, comp)
-        distinct = [spec, comp, spec.io_product, comp.io_product]
+        distinct = [a.reachable for a in (spec, comp, spec.io_product,
+                                          comp.io_product)]
         assert sorted(map(id, analysed)) == sorted(map(id, distinct))
+        # the products' other phase is never analysed
+        assert [len(a.locations) for a in distinct[2:]] == [4, 4]
         assert [id(a) for a in products] == [id(spec), id(comp)]
 
         again = self.build(spec, comp)
