@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import random
 import sys
@@ -36,7 +35,7 @@ from .automata import TBA, TBAError, parse_tba
 from .dbm import INF, ScaleError, _scale_digits, format_scaled, parse_scaled
 from .liveness import LivenessError
 from .monitor import DelayBounds, Monitor, MonitorError, Verdict
-from .tester import IODelayBounds, Tester
+from .tester import IODelayBounds, IOLatencyReport, Tester
 
 
 class CliError(Exception):
@@ -60,24 +59,59 @@ class TraceEvent:
 IntervalText = tuple[str, bool, str, bool]
 
 
-@functools.lru_cache(maxsize=1)
-def _report_texts(report: tuple, scale: int) -> tuple:
-    """Each field of a latency report as text, in field order: a union as
-    one :data:`IntervalText` per interval, a jitter bound as its decimal.
-    The one slot holds the last report, which the verdict block and the CSV
-    row of an observation both render, as do the events after a conclusive
-    verdict, whose report stays the same."""
-    return tuple(
-        format_scaled(field, scale) if isinstance(field, int) else tuple(
-            (format_scaled(iv.lo, scale), iv.lo_strict,
-             format_scaled(iv.hi, scale), iv.hi_strict) for iv in field)
-        for field in report)
-
-
 def fmt_union(ivs: tuple[IntervalText, ...]) -> str:
     return "{" + ",".join(
         f"{'(' if lo_strict else '['}{lo},{hi}{')' if hi_strict else ']'}"
         for lo, lo_strict, hi, hi_strict in ivs) + "}"
+
+
+_last_texts: tuple = (None, None, None, None)  # report, verdict, scale, texts
+
+
+def _report_texts(report: tuple, verdict: Verdict, scale: int
+                  ) -> tuple[str, str]:
+    """The verdict block and the CSV cells (the row after its index; a
+    monitor's fill only the output columns) of a latency report.  One slot,
+    keyed on the verdict, the scale and the report object, which it holds
+    so that no other object takes its identity, serves the block and the
+    row of an observation and every later one that moves no bound."""
+    global _last_texts
+    last, last_verdict, last_scale, texts = _last_texts
+    if last is report and last_verdict is verdict and last_scale == scale:
+        return texts
+    fields = [
+        format_scaled(field, scale) if isinstance(field, int) else tuple(
+            (format_scaled(iv.lo, scale), iv.lo_strict,
+             format_scaled(iv.hi, scale), iv.hi_strict) for iv in field)
+        for field in report]
+    if isinstance(report, IOLatencyReport):
+        pin, pout, psum, nin, nout, nsum, in_jitter, out_jitter = fields
+        block = ("Positive:\n"
+                 f"Consistent input latencies: {fmt_union(pin)}\n"
+                 f"Consistent output latencies: {fmt_union(pout)}\n"
+                 f"Consistent combined latencies: {fmt_union(psum)}\n"
+                 "Negative:\n"
+                 f"Consistent input latencies: {fmt_union(nin)}\n"
+                 f"Consistent output latencies: {fmt_union(nout)}\n"
+                 f"Consistent combined latencies: {fmt_union(nsum)}\n"
+                 f"Input jitter bound: {in_jitter}\n"
+                 f"Output jitter bound: {out_jitter}\n")
+        cols = fields[:6]
+    else:
+        positive, negative, jitter = fields
+        block = ("Positive:\n"
+                 f"Consistent latencies: {fmt_union(positive)}\n"
+                 f"Jitter bound: {jitter}\n"
+                 "Negative:\n"
+                 f"Consistent latencies: {fmt_union(negative)}\n"
+                 f"Jitter bound: {jitter}\n")
+        cols = ((), positive, (), (), negative, ())
+    cells = ",".join(  # per union its low ends, then its high ends
+        ";".join(iv[k] + "s" if iv[k + 1] else iv[k] for iv in ivs)
+        for ivs in cols for k in (0, 2))
+    texts = f"Verdict: {verdict.value}\n{block}", cells
+    _last_texts = (report, verdict, scale, texts)
+    return texts
 
 
 # -- trace handling ----------------------------------------------------------
@@ -133,30 +167,13 @@ def inject_delay(events: Iterable[TraceEvent], assigned: dict[str, int],
 
 
 def monitor_block(m: Monitor, verdict: Verdict, scale: int) -> str:
-    positive, negative, jitter = _report_texts(m.latency_report(), scale)
-    return (f"Verdict: {verdict.value}\n"
-            "Positive:\n"
-            f"Consistent latencies: {fmt_union(positive)}\n"
-            f"Jitter bound: {jitter}\n"
-            "Negative:\n"
-            f"Consistent latencies: {fmt_union(negative)}\n"
-            f"Jitter bound: {jitter}\n")
+    """The verdict block of a monitor's current report."""
+    return _report_texts(m.latency_report(), verdict, scale)[0]
 
 
 def tester_block(t: Tester, verdict: Verdict, scale: int) -> str:
-    (pin, pout, psum, nin, nout, nsum, in_jitter,
-     out_jitter) = _report_texts(t.latency_report(), scale)
-    return (f"Verdict: {verdict.value}\n"
-            "Positive:\n"
-            f"Consistent input latencies: {fmt_union(pin)}\n"
-            f"Consistent output latencies: {fmt_union(pout)}\n"
-            f"Consistent combined latencies: {fmt_union(psum)}\n"
-            "Negative:\n"
-            f"Consistent input latencies: {fmt_union(nin)}\n"
-            f"Consistent output latencies: {fmt_union(nout)}\n"
-            f"Consistent combined latencies: {fmt_union(nsum)}\n"
-            f"Input jitter bound: {in_jitter}\n"
-            f"Output jitter bound: {out_jitter}\n")
+    """The verdict block of a tester's current report."""
+    return _report_texts(t.latency_report(), verdict, scale)[0]
 
 
 CSV_HEADER = ("obs,pos_in_low,pos_in_high,pos_out_low,pos_out_high,"
@@ -165,19 +182,9 @@ CSV_HEADER = ("obs,pos_in_low,pos_in_high,pos_out_low,pos_out_high,"
 
 
 def csv_row(engine, obs_index: int, scale: int) -> str:
-    texts = _report_texts(engine.latency_report(), scale)
-    if isinstance(engine, Tester):
-        cols = texts[:6]
-    else:
-        positive, negative, _ = texts
-        cols = ((), positive, (), (), negative, ())
-    cells = [str(obs_index)]
-    for ivs in cols:
-        cells.append(";".join(lo + "s" if lo_strict else lo
-                              for lo, lo_strict, _, _ in ivs))
-        cells.append(";".join(hi + "s" if hi_strict else hi
-                              for _, _, hi, hi_strict in ivs))
-    return ",".join(cells)
+    """The CSV row of an engine's current report."""
+    cells = _report_texts(engine.latency_report(), engine.verdict, scale)[1]
+    return f"{obs_index},{cells}"
 
 
 # -- argument handling -------------------------------------------------------

@@ -140,14 +140,15 @@ def nonempty_states(automaton: TBA) -> NonEmptyMap:
     pin = [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)]  # z = 0
 
     # greatest fixpoint: accepting states allowing one more productive lap
-    core: dict[str, list[DBM]] = {q: [universal] for q in automaton.accepting}
+    accepting = sorted(automaton.accepting)  # no order from the hash seed
+    core: dict[str, list[DBM]] = {q: [universal] for q in accepting}
     inserted = 0
     while True:
         back, inserted = _backward_reach(by_dst, universal, {
             q: [z.and_constraints(lap) for z in zs]
             for q, zs in core.items()}, inserted)
         refreshed: dict[str, list[DBM]] = {}
-        for q in automaton.accepting:
+        for q in accepting:
             zs = []
             for z in back.get(q, ()):
                 pinned = z.and_constraints(pin)

@@ -33,10 +33,12 @@ touches, so meeting it commutes with both, and a nonempty zone has one
 canonical DBM.  So the window is met once per state, not once per
 successor; :func:`~delaymon.automata.post` and :func:`_advance` say which
 steps copy a matrix.  A latency report merges the encoded bounds of
-the met zones and builds an :class:`~delaymon.dbm.Interval` per merged
-piece only, once per observation (:meth:`_Engine._report_once`); past a
-conclusive verdict the reach sets stay as they are, so it is never
-computed again.
+the met zones into an :class:`~delaymon.dbm.Interval` per merged piece,
+once per observation (:meth:`_Engine._report_once`), and only where they
+moved: a union whose sorted bounds, or merged union, equal the last
+report's stays that object, and so does a report whose unions all do.
+That is exact, and the usual case: a channel's latency is fixed for the
+run, so the latencies that explain the trace only shrink.
 
 Verdicts are three-valued: a polarity becomes impossible exactly when its
 reach-set stops intersecting the corresponding nonempty-language states.
@@ -81,6 +83,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import is_not
 from typing import Iterator, NamedTuple
 
 from .automata import TBA, SymbolicState, post, prune_subsumed
@@ -257,10 +260,10 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
 
 
 def _latencies(side: _Side, measures: tuple[Measure, ...]
-               ) -> list[tuple[Interval, ...]]:
-    """Per measure, the latency values consistent with this polarity: the
-    union over every reach zone met with a nonempty zone, merged on the
-    encoded bounds of the met zones."""
+               ) -> list[list[tuple[int, int]]]:
+    """Per measure, the encoded bounds ``(m[y][x], m[x][y])`` of every reach
+    zone met with a nonempty zone, sorted as :func:`merge_difference_bounds`
+    sorts them, which merges equal lists to equal latency unions."""
     t = side.track.time
     cells = [(t + x, t + y) for x, y in measures]
     unions: list[list[tuple[int, int]]] = [[] for _ in measures]
@@ -272,7 +275,9 @@ def _latencies(side: _Side, measures: tuple[Measure, ...]
             m = z.m
             for (x, y), pairs in zip(cells, unions):
                 pairs.append((m[y][x], m[x][y]))
-    return [merge_difference_bounds(pairs) for pairs in unions]
+    for pairs in unions:
+        pairs.sort(reverse=True)
+    return unions
 
 
 class _Engine:
@@ -296,7 +301,8 @@ class _Engine:
         self.neg = _Side(neg, _nonempty(complement))
         self.last_obs_time = 0
         self.observation_count = 0
-        self._report = None
+        self._report = self._pairs = None
+        self._stale = True
         self._verdict = self._compute_verdict(0)
 
     def _make_track(self, automaton: TBA) -> _Track:
@@ -340,14 +346,25 @@ class _Engine:
     # -- internals -----------------------------------------------------------
 
     def _report_once(self):
-        """The current observation's latency report, built on the first call
+        """The current observation's latency report, found on the first call
         after a step of the reach sets and returned as is by every later
         one.  Its fields are, in order: per polarity, one union per entry of
         ``measures``, then one jitter bound per channel."""
-        if self._report is None:
-            self._report = self._report_type(
-                *_latencies(self.pos, self.measures),
-                *_latencies(self.neg, self.measures), *self._jitters)
+        if self._stale:
+            self._stale = False
+            pairs = (_latencies(self.pos, self.measures)
+                     + _latencies(self.neg, self.measures))
+            last = self._report
+            if last is None:
+                self._report = self._report_type(
+                    *map(merge_difference_bounds, pairs), *self._jitters)
+            elif pairs != self._pairs:  # merge only the lists that moved
+                unions = [
+                    u if p == q or (m := merge_difference_bounds(p)) == u
+                    else m for p, q, u in zip(pairs, self._pairs, last)]
+                if any(map(is_not, unions, last)):
+                    self._report = self._report_type(*unions, *self._jitters)
+            self._pairs = pairs
         return self._report
 
     def _next_slot(self) -> int:
@@ -376,7 +393,7 @@ class _Engine:
             lo, hi = _window(self.channels[k], tau)
             for track in self.tracks:
                 track.reach = _step(track, symbol, track.time + 1 + k, lo, hi)
-            self._report = None
+            self._stale = True
             self._verdict = self._compute_verdict(tau)
         return self._verdict
 

@@ -8,6 +8,7 @@ gear-controller fixture runs, and a throughput/size benchmark.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -27,7 +28,7 @@ from delaymon.automata import (
     parse_tba,
     prune_subsumed,
 )
-from delaymon.cli import main
+from delaymon.cli import main, read_trace
 from delaymon.dbm import DBM, INF, LE_ZERO, bound, included_in_union
 from delaymon.liveness import nonempty_states
 from delaymon.monitor import (
@@ -1091,3 +1092,109 @@ class TestNoPruneInVerdict:
         assert includes[True] == 0 and covers[True] == 0
         assert covers[False] > 0  # the counter is live: _step still prunes
         assert peak <= self.REACH_PEAK
+
+
+def interval_within(a, b) -> bool:
+    """Whether interval ``a`` lies inside interval ``b``: a closed end
+    sorts before an open one at the same value."""
+    return ((b.lo, b.lo_strict) <= (a.lo, a.lo_strict)
+            and (a.hi, not a.hi_strict) <= (b.hi, not b.hi_strict))
+
+
+def union_within(inner, outer) -> bool:
+    """Whether every interval of ``inner`` lies inside one of ``outer``'s
+    (whose intervals are disjoint and maximal)."""
+    return all(any(interval_within(a, b) for b in outer) for a in inner)
+
+
+def fresh_report(engine):
+    """The engine's report merged from freshly met bounds, reusing no union
+    and no report."""
+    return engine._report_type(*(
+        dbm_module.merge_difference_bounds(pairs)
+        for side in (engine.pos, engine.neg)
+        for pairs in monitor_module._latencies(side, engine.measures)),
+        *engine._jitters)
+
+
+def gear_fixture_runs() -> list:
+    """(engine, observe, events) of the two shipped gear test sessions,
+    with the channel flags of :class:`TestGearControllerRuns`."""
+    spec, comp = (parse_tba((FIXTURES / f"gear_{role}.txt").read_text(), 1)
+                  for role in ("spec", "complement"))
+    runs = []
+    for trace, din, dout in (("narrow", (10, 50), (60, 100)),
+                             ("wide", (0, 90), (100, 200))):
+        text = (FIXTURES / f"gear_{trace}_trace.txt").read_text()
+        events = [(ev.symbol, ev.timestamp)
+                  for ev in read_trace(text.splitlines(), 1)]
+        runs.append((Tester(spec, comp, IODelayBounds(
+            DelayBounds(*din, 10), DelayBounds(*dout, 10))), "observe_io",
+            events))
+    return runs
+
+
+class TestLatencyReportReuse:
+    """A channel's latency is fixed for the run, so the latencies that
+    explain the trace only shrink; a report whose unions all equal the
+    last one's is that report object, and reuse never changes a value."""
+
+    @staticmethod
+    def walk(engine, observe: str, events) -> collections.Counter:
+        """Feed ``events`` up to a conclusive verdict or an error, checking
+        after each that every union lies inside the last report's, that the
+        report equals a fresh merge, and that a union or report equal to
+        the last one is that object.  Every fifth event also goes to a deep
+        copy first, which must leave the engine's report as it is.  Counts
+        the reports kept and built, and the kept ones whose bounds moved."""
+        seen = collections.Counter()
+        last = engine.latency_report()  # the report before any observation
+        assert last == fresh_report(engine)
+        n = 2 * len(engine.measures)
+        for k, (sym, tau) in enumerate(events):
+            if k % 5 == 0:
+                twin = copy.deepcopy(engine)
+                try:
+                    getattr(twin, observe)(sym, tau)
+                except MonitorError:
+                    pass
+                assert twin.latency_report() == fresh_report(twin)
+                assert engine.latency_report() is last
+            bounds = engine._pairs
+            try:
+                verdict = getattr(engine, observe)(sym, tau)
+            except MonitorError:
+                break
+            report = engine.latency_report()
+            assert report == fresh_report(engine)
+            for union, before in zip(report[:n], last[:n]):
+                assert union_within(union, before)
+                assert union != before or union is before
+            if report[:n] == last[:n]:
+                assert report is last
+                seen["kept"] += 1
+                seen["kept, bounds moved"] += engine._pairs != bounds
+            else:
+                seen["built"] += 1
+            last = report
+            if verdict.conclusive:
+                break
+        return seen
+
+    @pytest.mark.parametrize("spec,comp", [
+        pytest.param(spec, comp, id=name)
+        for name, spec, comp in shipped_pairs()])
+    def test_shipped_pairs(self, spec, comp):
+        seen = collections.Counter()
+        for seed in range(3):
+            for engine, observe, events in engine_runs(spec, comp, seed):
+                seen += self.walk(engine, observe, events)
+        assert seen["kept"] > 0
+
+    def test_fixture_sessions(self):
+        seen = collections.Counter()
+        for engine, observe, events in gear_fixture_runs():
+            seen += self.walk(engine, observe, events)
+            assert engine.verdict is Verdict.FALSE
+        assert seen["kept"] > 0 and seen["built"] > 0
+        assert seen["kept, bounds moved"] > 0

@@ -410,6 +410,53 @@ class TestOneReportPerObservation:
             b"%d,%s" % (k, row) for k in range(23, 23 + len(self.AFTER)))
 
 
+class TestRunsInOneProcess:
+    """The rendered texts of the last report stay in the process between
+    runs of ``main``; each run's stdout and CSV bytes are those of the same
+    run in a process of its own.  The deadline runs at scales 1 and 10 make
+    reports of equal value that print differently."""
+
+    RUNS = {  # argument vector and trace
+        "monitor": (DEADLINE_ARGS + ["--latency", "0", "100", "--jitter", "2",
+                                     "--keep-going"],
+                    "@173 a\n@180 a\n@190 a\n@271 b\n@400 a\n"),
+        "test": (GEAR_ARGS, (FIXTURES / "gear_narrow_trace.txt").read_text()),
+        "scale_1": (DEADLINE_ARGS + ["--latency", "0", "1000", "--jitter",
+                                     "2"], "@50 a\n@60 a\n@70 a\n"),
+        # the last --scale given is the one that holds
+        "scale_10": (DEADLINE_ARGS + ["--scale", "10", "--latency", "0",
+                                      "100", "--jitter", "0.2"],
+                     "@5 a\n@6 a\n@7 a\n"),
+    }
+
+    def argv(self, tmp_path, name: str, csv: Path) -> list[str]:
+        flags, trace = self.RUNS[name]
+        path = tmp_path / f"{name}_trace.txt"
+        path.write_text(trace)
+        return flags + ["--trace", str(path), "--csv", str(csv)]
+
+    @pytest.mark.parametrize("names", [["monitor", "test"],
+                                       ["scale_1", "scale_10"],
+                                       ["scale_10", "scale_1"]])
+    def test_each_run_as_alone(self, capsys, tmp_path, names):
+        alone = []
+        for name in names:
+            csv = tmp_path / f"{name}_alone.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "delaymon.cli",
+                 *self.argv(tmp_path, name, csv)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+            alone.append((proc.returncode, proc.stdout, csv.read_bytes()))
+        together = []
+        for name in names:
+            csv = tmp_path / f"{name}.csv"
+            code, out, _ = run(capsys, self.argv(tmp_path, name, csv))
+            together.append((code, out, csv.read_bytes()))
+        assert together == alone
+        assert all(out.count("Verdict: ") >= 3 for _, out, _ in together)
+
+
 class TestStreamControl:
     FALSE_TRACE = "@173 a\n@271 b\n@400 a\n"
 
