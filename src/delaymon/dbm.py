@@ -122,13 +122,6 @@ class Interval(NamedTuple):
     hi: int
     hi_strict: bool
 
-    def is_empty(self) -> bool:
-        if self.lo == -INF or self.hi == INF:
-            return False
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_strict or self.hi_strict)
-
     def contains(self, value: int) -> bool:
         if self.lo != -INF:
             if value < self.lo or (value == self.lo and self.lo_strict):
@@ -422,25 +415,19 @@ def included_in_union(zone: DBM, zones: Iterable[DBM]) -> bool:
     """Exact test whether ``zone`` is covered by a union of zones.
 
     Subtraction is the last resort, as in UPPAAL's federations (Behrmann et
-    al., FTRTFT 2002): an empty zone is covered by any union, a zone that
-    one member includes is covered, and a member whose matrix closes a
-    negative two-cycle ``z[i][j] + zone[j][i]`` with the zone's is
-    disjoint from it and cannot help.  With no member including the zone
-    and at most one member left, the zone is not covered; with more left,
-    it is covered iff subtracting them from it leaves nothing.  The
-    two-cycle test is not complete, so a disjoint member may be left; it
-    changes no answer."""
+    al., FTRTFT 2002): an empty zone is covered by any union, and a zone
+    that one member includes is covered.  With no member including the
+    zone and fewer than two nonempty members, the zone is not covered; with
+    more, it is covered iff subtracting them from it leaves nothing."""
     if zone.is_empty():
         return True
-    m = zone.m
     near: list[DBM] = []
     for z in zones:
         if z.is_empty():
             continue
         if z.includes(zone):
             return True
-        if not _apart(z.m, m):
-            near.append(z)
+        near.append(z)
     if len(near) < 2:
         return False
     remains = [zone]
@@ -451,17 +438,6 @@ def included_in_union(zone: DBM, zones: Iterable[DBM]) -> bool:
         remains = nxt
         if not remains:
             return True
-    return False
-
-
-def _apart(a: list[list[int]], b: list[list[int]]) -> bool:
-    """Whether some ``a[i][j] + b[j][i]`` is negative: then the zones of
-    the canonical matrices ``a`` and ``b`` share no valuation."""
-    for ra, cb in zip(a, zip(*b)):
-        for x, y in zip(ra, cb):
-            if (x != INF and y != INF
-                    and x + y - ((x | y) & 1) < LE_ZERO):
-                return True
     return False
 
 

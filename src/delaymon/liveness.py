@@ -3,9 +3,9 @@ accepting run exist?
 
 The computation is the nested Büchi fixpoint over federations (per-location
 zone lists): each round takes the backward reach of the accepting "core"
-states with at least one time unit elapsing (tracked with an auxiliary
-divergence clock ``z``), and the next core is its accepting part at zero
-elapsed time.  The rounds shrink the core to the states that admit
+states with at least a lap length ``K`` of time elapsing (tracked with an
+auxiliary divergence clock ``z``), and the next core is its accepting part
+at zero elapsed time.  The rounds shrink the core to the states that admit
 infinitely many productive revisits, and the last round's backward reach,
 with ``z`` projected away, is every state that can reach that core.
 Backward preimages are exact — no extrapolation — which is what the
@@ -32,9 +32,10 @@ result, its key order, every zone and the count of insertions towards
 One budget, :data:`MAX_INSERTIONS` zones inserted by all backward reaches
 of one analysis, bounds it.  A round whose reach inserts nothing leaves an
 empty core, on which the next round ends, so an analysis that inserts
-``k`` zones runs at most ``k + 2`` rounds.  Rounds grow with the guard
-constants in scaled units, as ``z`` gains 1 per lap: a loop guarded by
-``x<=c`` takes about ``c`` rounds.
+``k`` zones runs at most ``k + 2`` rounds.  ``K`` starts at one scaled
+unit and doubles each round up to the largest guard constant plus 1, so
+rounds grow with the logarithm of the constants: a loop guarded by
+``x<=c`` takes about ``log2 c`` rounds.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import TBA, Edge, SymbolicState
-from .dbm import DBM, INF, LE_ZERO, bound, included_in_union, reduce_union
+from .dbm import (DBM, INF, LE_ZERO, bound, bound_value, included_in_union,
+                  reduce_union)
 
 MAX_INSERTIONS = 200_000
 
@@ -119,11 +121,15 @@ def nonempty_states(automaton: TBA) -> NonEmptyMap:
     """Compute the states admitting an accepting run.
 
     As the infinite-word semantics demands, the witness run must let time
-    grow beyond every bound: a divergence clock ``z`` must reach 1 per lap
-    (Tripakis, Yovine & Bouajjani, FMSD 2005).  The rounds are the nested
-    Büchi fixpoint (Emerson & Lei, LICS 1986).  The step is monotone and
-    starts from the universal zones, so the core only shrinks, and the core
-    lying within its refresh marks the fixpoint.  That round's backward
+    grow beyond every bound: a divergence clock ``z`` must reach ``K`` per
+    lap (Tripakis, Yovine & Bouajjani, FMSD 2005).  The rounds are the
+    nested Büchi fixpoint (Emerson & Lei, LICS 1986).  For every ``K >= 1``
+    the step is monotone with the same greatest fixpoint, the states with
+    a time-divergent accepting run (laps of at least ``K`` diverge, and a
+    divergent run has accepting visits ``K`` apart).  So a round may take
+    any such ``K``: starting from the universal zones, every core lies
+    above the fixpoint, and a core lying within its refresh is a
+    post-fixpoint, so it is the fixpoint.  That round's backward
     reach with ``z`` projected away (``z`` can be chosen large at the
     source) is exactly the states with a path of one or more edges into the
     core.  It holds every core state, which has a productive lap back into
@@ -136,7 +142,9 @@ def nonempty_states(automaton: TBA) -> NonEmptyMap:
     for e in automaton.compiled:
         by_dst.setdefault(e.dst, []).append(e)
     universal = DBM.universal(zi + 1)
-    lap = [(0, zi, bound(-1))]  # z >= 1, in raw scaled units
+    cap = 1 + max((abs(bound_value(b)) for e in automaton.compiled
+                   for _, _, b in e.guard), default=0)
+    k = 1  # the lap length, in raw scaled units: doubles up to ``cap``
     pin = [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)]  # z = 0
 
     # greatest fixpoint: accepting states allowing one more productive lap
@@ -144,6 +152,7 @@ def nonempty_states(automaton: TBA) -> NonEmptyMap:
     core: dict[str, list[DBM]] = {q: [universal] for q in accepting}
     inserted = 0
     while True:
+        lap = [(0, zi, bound(-k))]  # z >= k
         back, inserted = _backward_reach(by_dst, universal, {
             q: [z.and_constraints(lap) for z in zs]
             for q, zs in core.items()}, inserted)
@@ -163,6 +172,7 @@ def nonempty_states(automaton: TBA) -> NonEmptyMap:
                for q, zs in core.items() for z in zs):
             break
         core = refreshed
+        k = min(2 * k, cap)
 
     # every state with a path into the core, divergence clock projected away
     return NonEmptyMap(zones={

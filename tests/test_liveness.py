@@ -25,8 +25,8 @@ from delaymon.automata import (
     parse_tba,
 )
 from delaymon.cli import main as cli_main
-from delaymon.dbm import (DBM, LE_ZERO, bound, included_in_union,
-                          reduce_union)
+from delaymon.dbm import (DBM, LE_ZERO, bound, bound_value,
+                          included_in_union, reduce_union)
 from delaymon.liveness import (LivenessError, intersects_nonempty,
                                nonempty_states)
 from delaymon.monitor import DelayBounds, Monitor, Verdict
@@ -158,6 +158,8 @@ SHIPPED = sorted(
     p for d in ("perfbench/inputs", "tests/fixtures")
     for p in (Path(__file__).parent.parent / d).glob("*.txt")
     if not p.name.endswith("_trace.txt"))
+LADDER_3 = (Path(__file__).parent.parent / "perfbench" / "inputs"
+            / "ladder_3_spec.txt")
 
 
 def freed_zones_stay_nonempty(a: TBA) -> int:
@@ -279,10 +281,12 @@ class TestAnalysisIgnoresTheHashSeed:
 #
 # The reference keeps each core zone over the automaton clocks alone: every
 # round lifts it to one more clock, unconstrained even in sign (a textbook
-# meet with a universal zone one clock larger), meets z >= 1, and projects z
-# away from every refreshed zone.  Its backward reach takes a preimage
-# through every edge, also into a location whose zones already hold every
-# valuation, and it tests union inclusion by subtraction alone.  The
+# meet with a universal zone one clock larger), meets z >= K for the same
+# lap schedule (K = 1, doubling each round up to the largest guard constant
+# plus 1), and projects z away from every refreshed zone.  Its backward
+# reach takes a preimage through every edge, also into a location whose
+# zones already hold every valuation, and it tests union inclusion by
+# subtraction alone.  The
 # analysis must give the same map zone for zone, and its one budget must
 # run out at the count of zones that all the reference's reaches inserted.
 
@@ -338,10 +342,13 @@ def reference_map(a: TBA) -> tuple[dict[str, list[DBM]], int]:
     own = range(1, zi)  # the automaton's clocks
     accepting = sorted(a.accepting)
     core = {q: [DBM.universal(zi)] for q in accepting}
+    cap = max((abs(bound_value(b)) for e in a.compiled for _, _, b in e.guard),
+              default=0) + 1
+    k = 1
     inserted = 0
     while True:
         back, n = reference_backward_reach(a, {
-            q: [textbook_meet(reference_embed(z), [(0, zi, bound(-1))])
+            q: [textbook_meet(reference_embed(z), [(0, zi, bound(-k))])
                 for z in zs]
             for q, zs in core.items()})
         inserted += n
@@ -357,6 +364,7 @@ def reference_map(a: TBA) -> tuple[dict[str, list[DBM]], int]:
                for q, zs in core.items() for z in zs):
             break
         core = refreshed
+        k = min(2 * k, cap)
     return ({q: reduce_union(z.restrict(own) for z in zs)
              for q, zs in back.items()}, inserted)
 
@@ -487,18 +495,18 @@ class TestEnginesAnalyseTheReachablePart:
         assert same >= 20
 
     def test_unreachable_part_spends_no_budget(self, monkeypatch):
-        """An island whose loop, guarded by ``x<=1000``, takes more zones
-        than the budget allows refuses the whole automaton, but not an
-        engine on it."""
-        island = Transition("island", "island", "a",
-                            guard=(AtomicConstraint("x", "<=", 1000),))
-        spec = TBA(alphabet=frozenset("a"),
-                   locations=frozenset({"p", "island"}),
-                   initial=frozenset({"p"}), clocks=("x",),
-                   transitions=(Transition("p", "p", "a"), island),
-                   accepting=frozenset({"p", "island"}))
-        comp = dataclasses.replace(spec, accepting=frozenset({"island"}))
-        monkeypatch.setattr(liveness, "MAX_INSERTIONS", 100)
+        """An island, ladder_3's property that no run from ``p`` can
+        enter, takes more zones than the lowered budget allows: it refuses
+        the whole automaton, but not an engine on it."""
+        ladder = parse_tba(LADDER_3.read_text(), 10)
+        spec = dataclasses.replace(
+            ladder, locations=ladder.locations | {"p"},
+            initial=frozenset({"p"}),
+            transitions=ladder.transitions + tuple(
+                Transition("p", "p", a) for a in sorted(ladder.alphabet)),
+            accepting=ladder.accepting | {"p"})
+        comp = dataclasses.replace(spec, accepting=ladder.accepting)
+        monkeypatch.setattr(liveness, "MAX_INSERTIONS", 50)
         for a in (spec, comp):
             with pytest.raises(LivenessError, match="iteration budget"):
                 nonempty_states(a)
@@ -509,9 +517,10 @@ class TestEnginesAnalyseTheReachablePart:
 
 class TestOneBudget:
     """One budget, the zones inserted by all backward reaches of one
-    analysis, bounds the rounds too.  A loop guarded by ``x<=c`` takes
-    about ``c`` rounds (``z`` gains 1 per lap), so ``x<=100`` at scale 10
-    takes about 1,000."""
+    analysis, bounds the rounds too.  The lap length doubles each round up
+    to the largest guard constant plus 1, so a loop guarded by ``x<=c``
+    takes about ``log2 c`` rounds: the largest legal constant, ``2**49``,
+    takes 51."""
 
     @staticmethod
     def count_rounds(monkeypatch) -> list[int]:
@@ -532,36 +541,63 @@ class TestOneBudget:
         assert nonempty_states(spec).zones == {}  # x<=1000 cannot diverge
         assert set(nonempty_states(comp).zones) == {"q", "bad"}
 
+    def test_largest_constant_is_analysed_quickly(self):
+        spec, comp = loop_pair(2 ** 49)
+        start = time.thread_time()
+        assert nonempty_states(spec).zones == {}
+        assert time.thread_time() - start < 0.25
+        assert set(nonempty_states(comp).zones) == {"q", "bad"}
+
     def test_rounds_stay_within_insertions(self, monkeypatch):
         totals = self.count_rounds(monkeypatch)
-        nonempty_states(loop_pair(500)[0])
-        assert 500 <= len(totals) <= totals[-1] + 2
+        nonempty_states(loop_pair(2 ** 49)[0])
+        assert 50 <= len(totals) <= totals[-1] + 2
 
     def test_budget_ends_a_long_fixpoint(self, monkeypatch):
+        """The budget ends the longest fixpoint, ``loop_pair(2**49)``'s 51
+        rounds, and an analysis that inserts many zones in few rounds,
+        ladder_3's I/O product (98 zones in 2 rounds), once either has
+        inserted more zones than it allows."""
+        ladder = parse_tba(LADDER_3.read_text(), 10)
+        product = io_alternation_product(ladder)
         totals = self.count_rounds(monkeypatch)
-        monkeypatch.setattr(liveness, "MAX_INSERTIONS", 2_000)
-        start = time.thread_time()
-        with pytest.raises(LivenessError, match="iteration budget"):
-            nonempty_states(loop_pair(2 ** 49)[0])
-        assert time.thread_time() - start < 1.0
-        assert len(totals) <= 2_000 + 2
+        for a, budget in ((loop_pair(2 ** 49)[0], 25), (product, 50)):
+            totals.clear()
+            monkeypatch.setattr(liveness, "MAX_INSERTIONS", budget)
+            start = time.thread_time()
+            with pytest.raises(LivenessError, match="iteration budget"):
+                nonempty_states(a)
+            assert time.thread_time() - start < 1.0
+            assert len(totals) <= budget + 2
 
-    def test_cli_takes_a_loop_bound_of_100_at_scale_10(self, capsys,
-                                                       tmp_path):
+    @staticmethod
+    def run_loop_cli(capsys, tmp_path, c: str, scale: str,
+                     trace: str) -> None:
+        """Run the CLI on ``loop_pair``'s automata with ``x<=c`` and check
+        that it ends with a verdict."""
         header = ("alphabet a\nclocks x\nlocation q initial{}\n"
-                  "location bad{}\nedge q -> q on a when x<=100\n"
-                  "edge q -> bad on a when x>100\nedge bad -> bad on a\n")
-        spec, comp, trace = (tmp_path / name for name in (
+                  f"location bad{{}}\nedge q -> q on a when x<={c}\n"
+                  f"edge q -> bad on a when x>{c}\nedge bad -> bad on a\n")
+        spec, comp, path = (tmp_path / name for name in (
             "spec.txt", "complement.txt", "trace.txt"))
         spec.write_text(header.format(" accepting", ""))
         comp.write_text(header.format("", " accepting"))
-        trace.write_text("@5 a\n@99.5 a\n")
+        path.write_text(trace)
         code = cli_main(["--spec", str(spec), "--complement", str(comp),
-                         "--scale", "10", "--latency", "0", "1",
-                         "--trace", str(trace)])
+                         "--scale", scale, "--latency", "0", "1",
+                         "--trace", str(path)])
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), err
         assert err == "" and "Verdict:" in out
+
+    def test_cli_takes_a_loop_bound_of_100_at_scale_10(self, capsys,
+                                                       tmp_path):
+        self.run_loop_cli(capsys, tmp_path, "100", "10", "@5 a\n@99.5 a\n")
+
+    def test_cli_takes_a_loop_bound_of_1000_at_scale_100(self, capsys,
+                                                         tmp_path):
+        self.run_loop_cli(capsys, tmp_path, "1000", "100",
+                          "@5 a\n@999.25 a\n")
 
 
 # A monitor's zones over eventually_then_safe_tba: x, then time and etime.
