@@ -62,25 +62,36 @@ class NonEmptyMap:
     """Per-location federation of zones over the automaton clocks.
 
     ``constraints`` holds each zone's finite off-diagonal entries as
-    ``(i, j, bound)`` tuples.  Every zone built for the automaton numbers
-    its clocks ``1..n`` as these zones do and appends auxiliary clocks
-    after them, so the tuples apply unchanged to a reach zone: tightening
-    it by them meets it with the nonempty zone, and on a canonical reach
-    zone this is the same as meeting its projection onto the automaton
-    clocks (a canonical DBM's projection is its sub-matrix)."""
+    ``(i, j, bound)`` tuples, less every ``(0, i, LE_ZERO)``, which says
+    ``x_i >= 0``.  Every zone built for the automaton numbers its clocks
+    ``1..n`` as these zones do, keeps them at least 0 and appends auxiliary
+    clocks after them, so the tuples apply unchanged to a reach zone:
+    tightening it by them meets it with the nonempty zone (a left-out
+    entry never tightens it), and on a canonical reach zone this is the
+    same as meeting its projection onto the automaton clocks (a canonical
+    DBM's projection is its sub-matrix).
+
+    ``full`` holds the *full* locations, whose zones include the universal
+    zone: their entry holds ``()``, and a meet with it is the reach zone
+    itself, with no copy."""
 
     zones: dict[str, tuple[DBM, ...]]
     constraints: dict[str, tuple[tuple[tuple[int, int, int], ...], ...]] = (
         field(init=False, repr=False, compare=False))
+    full: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __deepcopy__(self, memo: dict) -> NonEmptyMap:
         # never mutated: a copied engine shares its automaton's map
         return self
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", {
-            q: tuple(tuple(z.constraints()) for z in zs)
-            for q, zs in self.zones.items()})
+        constraints = {  # less each x_i >= 0, as (0, i, LE_ZERO)
+            q: tuple(tuple((i, j, b) for i, j, b in z.constraints()
+                           if i or b != LE_ZERO) for z in zs)
+            for q, zs in self.zones.items()}
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "full", frozenset(
+            q for q, cs in constraints.items() if () in cs))
 
 
 def _backward_reach(by_dst: dict[str, list[Edge]], universal: DBM,

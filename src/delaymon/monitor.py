@@ -44,12 +44,17 @@ Verdicts are three-valued: a polarity becomes impossible exactly when its
 reach-set stops intersecting the corresponding nonempty-language states.
 The verdict probes this lazily, one zone per reach state (see
 :func:`_advance`), and stops at the first zone that meets a nonempty zone.
+A state at a *full* location, one whose nonempty zones include the
+universal zone, meets as it is: the probe advances it with no copy, and
+its meet, like a latency union's, tightens nothing, since the nonempty
+constraints leave out the ``x >= 0`` bounds that every reach zone has.
 
 Each observation prunes the reach-set modulo inactive clocks (Daws & Yovine,
 "Reducing the number of clock variables of timed automata", RTSS 1996): a
 state is dropped when its zone, with the automaton clocks that every path
 from its location resets before reading left out, is included in a
-sibling's at the same location.  The kept zones stay as ``post`` made them.
+sibling's at the same location.  The kept zones stay as ``post`` made them,
+and a step that leaves a single state compares nothing.
 This loses no answer:
 
 - an inactive clock is reset on every path before it is read, so states
@@ -224,17 +229,23 @@ def _window(channel: Channel, tau: int) -> tuple[int, int]:
 
 def _step(track: _Track, symbol: str, ci: int, lo: int, hi: int
           ) -> list[SymbolicState]:
+    """The track's reach set after one event on channel clock ``ci``,
+    stamped into ``[lo, hi]``, pruned modulo inactive clocks.  A step that
+    leaves fewer than two states is not pruned: ``post`` has dropped the
+    empty successors, and one state has no sibling to be included in."""
     window = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
-    return prune_subsumed(post(track.reach, symbol, track.automaton, window),
-                          track.automaton.inactive_clocks)
+    states = post(track.reach, symbol, track.automaton, window)
+    if len(states) < 2:
+        return states
+    return prune_subsumed(states, track.automaton.inactive_clocks)
 
 
 def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
     """Reach-set once it is known that the next event's clock (index
     ``ci``) is at least ``cutoff``, with its delay successors: a zone whose
-    clock is already at least the cutoff is yielded as it is, with no copy;
-    any other lets time pass and keeps the part where the clock has reached
-    the cutoff, in one copy.
+    clock is already at least the cutoff, or that lies at a full location,
+    is yielded as it is, with no copy; any other lets time pass and keeps
+    the part where the clock has reached the cutoff, in one copy.
 
     This gives the verdict of the exact set, the reach states that time
     takes to the cutoff or that are already past it.  Every state of the
@@ -243,16 +254,24 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
     under the past: a state that can delay into it has an accepting run
     itself.  So both sets meet the nonempty zones, or neither does.
 
+    At a full location (:attr:`NonEmptyMap.full`) a reach zone meets the
+    universal zone as it is, and so does its delayed part: ``up`` leaves
+    every clock unbounded above and the cutoff bounds only the channel
+    clock from below, so a nonempty reach zone keeps a nonempty part past
+    the cutoff.  So the zone is yielded unadvanced, and it answers the
+    same.
+
     The states are yielded lazily and unpruned, for a liveness test only:
     a state at a location without nonempty zones is skipped before any zone
     work, and a zone included in a sibling cannot change whether some state
     meets the nonempty zones."""
     live = side.nonempty.constraints
+    full = side.nonempty.full
     at_least = bound(-cutoff)  # 0 - clock <= -cutoff
     for s in side.reach:
         if not live.get(s.location):
             continue
-        if s.zone.m[0][ci] <= at_least:
+        if s.location in full or s.zone.m[0][ci] <= at_least:
             yield s
         else:
             yield SymbolicState(s.location,

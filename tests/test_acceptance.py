@@ -24,12 +24,15 @@ import delaymon.dbm as dbm_module
 import delaymon.monitor as monitor_module
 from delaymon.automata import (
     TBA,
+    SymbolicState,
     io_alternation_product,
     parse_tba,
+    post,
     prune_subsumed,
 )
 from delaymon.cli import main, read_trace
-from delaymon.dbm import DBM, INF, LE_ZERO, bound, included_in_union
+from delaymon.dbm import (DBM, INF, LE_ZERO, bound, bound_value,
+                          included_in_union)
 from delaymon.liveness import nonempty_states
 from delaymon.monitor import (
     ComplementViolationError,
@@ -500,11 +503,11 @@ class TestNoClosurePerEvent:
 
     PAIRS = 100
     # DBMs built per observe in classic, monitor and test mode: one for up
-    # and the window, one per edge whose guard tightens or that resets, and
-    # one per reach state that the verdict probe advances to the cutoff
-    # (none in classic and monitor mode, where the window already puts
-    # every state past it)
-    ALLOCS_PER_EVENT = (2.5, 2.5, 3.5)
+    # and the window, and one per edge whose guard tightens or that resets.
+    # The verdict probe builds none: in classic and monitor mode the window
+    # already puts every state past the cutoff, and in test mode the state
+    # it would advance lies at a full location, which it leaves as it is
+    ALLOCS_PER_EVENT = (2.5, 2.5, 2.5)
 
     def runs(self) -> list:
         """(engine, observe, events) for classic, monitor and test mode."""
@@ -1198,3 +1201,132 @@ class TestLatencyReportReuse:
             assert engine.verdict is Verdict.FALSE
         assert seen["kept"] > 0 and seen["built"] > 0
         assert seen["kept, bounds moved"] > 0
+
+
+def elapsing_advance(side, ci: int, cutoff: int):
+    """The verdict probe's advance that elapses every state short of the
+    cutoff, full location or not."""
+    at_least = bound(-cutoff)
+    for s in side.reach:
+        if not side.nonempty.zones.get(s.location):
+            continue
+        if s.zone.m[0][ci] <= at_least:
+            yield s
+        else:
+            yield SymbolicState(s.location,
+                                s.zone.elapse(((0, ci, at_least),)))
+
+
+def whole_constraint_latencies(side, measures):
+    """Each measure's encoded bounds over the reach zones met with every
+    finite entry of each nonempty zone, ``x >= 0`` bounds included."""
+    t = side.track.time
+    cells = [(t + x, t + y) for x, y in measures]
+    unions = [[] for _ in measures]
+    for s in side.reach:
+        for nonempty in side.nonempty.zones.get(s.location, ()):
+            z = s.zone.and_constraints(tuple(nonempty.constraints()))
+            if z.is_empty():
+                continue
+            for (x, y), pairs in zip(cells, unions):
+                pairs.append((z.m[y][x], z.m[x][y]))
+    for pairs in unions:
+        pairs.sort(reverse=True)
+    return unions
+
+
+def always_pruning_step(track, symbol: str, ci: int, lo: int, hi: int):
+    """An engine step that prunes every successor set, however small."""
+    window = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
+    return prune_subsumed(post(track.reach, symbol, track.automaton, window),
+                          track.automaton.inactive_clocks)
+
+
+class TestFullLocationsAndLoneStatesChangeNoAnswer:
+    """Three shortcuts skip zone work that cannot change an answer: the
+    nonempty constraints leave out ``x >= 0``, the verdict probe advances
+    no state at a full location, and a step with fewer than two successors
+    does not prune.  Along seeded walks in classic, monitor and test mode,
+    each engine agrees after every event with one that takes none of them:
+    on the verdict, on the report, and on ``verdict_at`` where the next
+    channel's cutoff reaches a reach zone's lower bound on that channel's
+    clock, one unit either side of it, and ``10**6`` after the last
+    observation."""
+
+    @staticmethod
+    def query_times(engine) -> list[int]:
+        """Query times at which the next channel's cutoff equals some reach
+        zone's lower bound on that channel's clock, one unit either side,
+        and ``10**6`` later, none before the last observation."""
+        k = engine._next_slot()
+        last = engine.last_obs_time
+        lag = last - monitor_module._window(engine.channels[k], last)[0]
+        lows = {-bound_value(s.zone.m[0][track.time + 1 + k]) + lag
+                for track in engine.tracks for s in track.reach
+                if s.zone.m[0][track.time + 1 + k] != INF}
+        times = {t + d for t in lows for d in (-1, 0, 1)}
+        return sorted(t for t in times | {last + 10**6} if t >= last)
+
+    @classmethod
+    def compare(cls, spec: TBA, comp: TBA, seed: int) -> collections.Counter:
+        """Events compared over the three modes, and among them those at
+        which some reach state lay at a full location, or a step left one
+        state per track; none when the pair is not complementary enough to
+        build its engines."""
+
+        def at(e, t):
+            try:
+                return e.verdict_at(t)
+            except MonitorError as err:
+                return type(err)
+
+        @contextlib.contextmanager
+        def no_shortcuts():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(monitor_module, "_advance", elapsing_advance)
+                mp.setattr(monitor_module, "_latencies",
+                           whole_constraint_latencies)
+                mp.setattr(monitor_module, "_step", always_pruning_step)
+                yield
+
+        seen = collections.Counter()
+        try:
+            runs = engine_runs(spec, comp, seed)
+            refs = engine_runs(spec, comp, seed)
+        except ComplementViolationError:  # no polarity lives at the start
+            return seen
+        for (engine, observe, events), (ref, _, _) in zip(runs, refs):
+            for got in lockstep(engine, ref, observe, events, no_shortcuts):
+                if got is not Verdict.INCONCLUSIVE:
+                    continue
+                seen["events"] += 1
+                seen["at a full location"] += any(
+                    s.location in side.nonempty.full
+                    for side in (engine.pos, engine.neg) for s in side.reach)
+                seen["one state"] += all(len(t.reach) == 1
+                                         for t in engine.tracks)
+                for t in cls.query_times(engine):
+                    with no_shortcuts():
+                        want = at(ref, t)
+                    assert at(engine, t) == want, t
+        return seen
+
+    @pytest.mark.parametrize("spec,comp", [
+        pytest.param(spec, comp, id=name)
+        for name, spec, comp in shipped_pairs()])
+    def test_shipped_pairs(self, spec, comp):
+        seen = self.compare(spec, comp, seed=17)
+        assert seen["events"] >= 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_complement_pairs(self, seed):
+        rng = random.Random(f"shortcuts/{seed}")
+        seen = collections.Counter()
+        for _ in range(6):
+            spec = random_tba(rng, n_clocks=rng.choice([1, 2, 3]),
+                              max_const=4, guard_ratio=0.4)
+            comp = dataclasses.replace(
+                spec, accepting=spec.locations - spec.accepting)
+            seen += self.compare(spec, comp, seed)
+        assert seen["at a full location"] > 0 and seen["one state"] > 0
+        assert seen["events"] > seen["one state"]

@@ -23,6 +23,7 @@ from delaymon.automata import (
     Transition,
     io_alternation_product,
     parse_tba,
+    post,
 )
 from delaymon.cli import main as cli_main
 from delaymon.dbm import (DBM, LE_ZERO, bound, bound_value,
@@ -667,3 +668,96 @@ class TestIntersection:
             assert got == want, (loc, zone)
             outcomes.add(got)
         assert outcomes == {True, False}
+
+
+def walk_states(a: TBA, rng: random.Random, steps: int = 12
+                ) -> list[SymbolicState]:
+    """Reach states along a seeded walk of ``a``, stepped as a classic
+    monitor steps them: the automaton's clocks, then time and one channel
+    clock, each event pinning the channel clock to its stamp and taking a
+    symbol with successors.  Stops early when no symbol has one."""
+    ci = len(a.clocks) + 2
+    horizon = 1 + max((abs(bound_value(b)) for e in a.compiled
+                       for _, _, b in e.guard), default=0)
+    states = [SymbolicState(q, DBM.universal(ci + 1))
+              for q in sorted(a.initial)]
+    seen, tau = list(states), 0
+    for _ in range(steps):
+        tau += rng.randint(0, horizon)
+        window = [(ci, 0, bound(tau)), (0, ci, bound(-tau))]
+        for symbol in rng.sample(sorted(a.alphabet), len(a.alphabet)):
+            successors = post(states, symbol, a, window)
+            if successors:
+                break
+        else:
+            break
+        states = rng.sample(successors, min(len(successors), 4))
+        seen += states
+    return seen
+
+
+def check_nonempty_map(a: TBA, rng: random.Random) -> tuple[int, int]:
+    """Check ``a``'s map: its full locations are those whose zones include
+    the universal zone; each constraint tuple is its zone's finite entries
+    less exactly the ``x >= 0`` ones, in the same order; and meeting reach
+    zones of a seeded walk with either gives the same matrix.  Returns the
+    full locations and the meets compared."""
+    m = nonempty_states(a)
+    universal = DBM.universal(1 + len(a.clocks))
+    assert m.full == {q for q, zs in m.zones.items()
+                      if any(z.includes(universal) for z in zs)}
+    assert m.constraints.keys() == m.zones.keys()
+    for q, zs in m.zones.items():
+        assert len(m.constraints[q]) == len(zs)
+        for z, cons in zip(zs, m.constraints[q]):
+            whole = list(z.constraints())
+            assert [c for c in whole if c in cons] == list(cons)
+            assert [c for c in whole if c not in cons] == [
+                (0, i, LE_ZERO) for i in range(1, z.dim)
+                if z.m[0][i] == LE_ZERO]
+    compared = 0
+    for s in walk_states(a, rng):
+        for z, cons in zip(m.zones.get(s.location, ()),
+                           m.constraints.get(s.location, ())):
+            old = s.zone.and_constraints(tuple(z.constraints()))
+            new = s.zone.and_constraints(cons)
+            assert old.is_empty() == new.is_empty()
+            assert old.is_empty() or old.m == new.m
+            compared += 1
+    return len(m.full), compared
+
+
+class TestNonEmptyMapLeavesOutNonNegativity:
+    """Every reach zone has its automaton clocks at least 0, so the map's
+    constraint tuples leave those bounds out: a full location's tuple is
+    ``()``, and meeting a reach zone with it is the zone itself."""
+
+    def test_shipped_automata_products_and_reachable_parts(self):
+        rng = random.Random(7000)
+        automata = []
+        for a in shipped_and_products():
+            automata += [a] if a.reachable is a else [a, a.reachable]
+        full, compared = map(sum, zip(*(check_nonempty_map(a, rng)
+                                        for a in automata)))
+        assert len(automata) >= 40 and full > 0 and compared > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random(self, seed):
+        rng = random.Random(7100 + seed)
+        full = compared = 0
+        for _ in range(20):
+            a = random_tba(rng, n_clocks=rng.choice([1, 2, 3]), max_const=4,
+                           guard_ratio=0.4)
+            f, c = check_nonempty_map(a, rng)
+            full, compared = full + f, compared + c
+        assert full > 0 and compared > 0
+
+    def test_a_full_location_meets_without_a_copy(self):
+        spec = eventually_then_safe_tba(accept_good=True)
+        m = nonempty_states(spec)
+        assert m.full and m.full < set(m.zones)
+        z = DBM.universal(MONITOR_DIM).and_constraints(
+            [(1, 0, bound(150)), (0, 1, bound(-150))])
+        for q in m.full:
+            assert m.constraints[q] == ((),)
+            assert z.and_constraints(*m.constraints[q]) is z
