@@ -289,12 +289,13 @@ def post(states: Iterable[SymbolicState], a: str, automaton: TBA,
 
 def prune_subsumed(states: Iterable[SymbolicState], inactive: dict[str, int]
                    ) -> list[SymbolicState]:
-    """Drop empty states and states whose zone, with the location's inactive
-    clocks (``inactive``, as from :attr:`TBA.inactive_clocks`) left out, is
-    included in a sibling's at the same location.  The kept states' zones
-    are returned as given.  An empty map prunes on whole zones.  This
-    changes none of the engines' answers: :mod:`delaymon.monitor` says why
-    (Daws & Yovine, RTSS 1996)."""
+    """Drop the states whose zone, with the location's inactive clocks
+    (``inactive``, as from :attr:`TBA.inactive_clocks`) left out, is
+    included in a sibling's at the same location; every zone is nonempty,
+    as :func:`post` leaves it.  The kept states' zones are returned as
+    given.  An empty map prunes on whole zones.  This changes none of the
+    engines' answers: :mod:`delaymon.monitor` says why (Daws & Yovine,
+    RTSS 1996)."""
     by_loc: dict[str, list[DBM]] = {}
     for s in states:
         by_loc.setdefault(s.location, []).append(s.zone)

@@ -19,6 +19,12 @@ FTRTFT 2002).  A meet whose first tightening constraint contradicts the
 zone makes no copy: that test reads the source matrix.  A latency union is
 merged on the encoded bounds of the met zones by
 :func:`merge_difference_bounds`.
+
+Every zone handed to an operation, to :func:`included_in_union` or to
+:func:`reduce_union` (so to the pruner too) is nonempty: the caller that
+builds a zone tests it once, where it is made, and drops an empty one.  As
+in UPPAAL's DBM library, a meet reports emptiness and the other operations
+assume a closed, nonempty DBM.
 """
 
 from __future__ import annotations
@@ -169,6 +175,8 @@ class DBM:
     refine with the pure operations below; every operation returns a fresh,
     canonical DBM and keeps it canonical without a full closure.
     ``DBM(dim, m)`` closes an arbitrary matrix (Floyd-Warshall, O(n^3)).
+    Operations take nonempty zones (see the module docstring); an empty
+    one answers :meth:`is_empty`, ``==`` and ``hash`` only.
     """
 
     __slots__ = ("dim", "m", "_empty")
@@ -262,8 +270,6 @@ class DBM:
         ``up`` keeps a canonical matrix canonical: it only relaxes
         ``m[i][0]``, and ``m[i][j] <= m[i][0] + m[0][j]`` holds trivially
         for the new value."""
-        if self._empty:
-            return self
         m = self.copy_matrix()
         for row in m[1:]:
             row[0] = INF
@@ -283,8 +289,6 @@ class DBM:
         canonical matrix canonical."""
         if 0 in resets:
             raise ValueError("cannot reset the reference clock")
-        if self._empty:
-            return self
         m = self.m
         for i, j, b in cons:
             if b < m[i][j]:
@@ -320,8 +324,6 @@ class DBM:
         relaxes each lower bound to ``>= 0`` and re-tightens it by the
         difference constraints, ``m[0][i] = min_k (max(m[0][k], <=0) +
         m[k][i])`` over ``k >= 1``; the other rows stay as they are."""
-        if self._empty:
-            return self
         dim = self.dim
         m = self.copy_matrix()
         for x in resets:
@@ -349,21 +351,11 @@ class DBM:
 
     def includes(self, other: "DBM") -> bool:
         """True iff every valuation of ``other`` satisfies ``self``."""
-        if other.is_empty():
-            return True
-        if self.is_empty():
-            return False
         for ra, rb in zip(self.m, other.m):
             for a, b in zip(ra, rb):
                 if b > a:
                     return False
         return True
-
-    def difference_bounds(self, x: int, y: int) -> Interval:
-        """Tightest interval containing {v(x) - v(y) | v in zone}."""
-        if self.is_empty():
-            return Interval(0, True, 0, True)  # empty
-        return _interval(self.m[y][x], self.m[x][y])
 
     # -- queries -------------------------------------------------------------
 
@@ -374,14 +366,10 @@ class DBM:
         """
         idx = [0] + [i for i in keep if i != 0]
         m = [[self.m[i][j] for j in idx] for i in idx]
-        return DBM._canonical(len(idx), m, empty=self.is_empty())
+        return DBM._canonical(len(idx), m)
 
     def subtract(self, other: "DBM") -> list["DBM"]:
         """Zone difference self \\ other as a list of disjoint zones."""
-        if self.is_empty():
-            return []
-        if other.is_empty():
-            return [self]
         out: list[DBM] = []
         rest = self
         for i, j, b in other.constraints():
@@ -412,19 +400,16 @@ class DBM:
 
 
 def included_in_union(zone: DBM, zones: Iterable[DBM]) -> bool:
-    """Exact test whether ``zone`` is covered by a union of zones.
+    """Exact test whether the nonempty ``zone`` is covered by a union of
+    nonempty zones.
 
     Subtraction is the last resort, as in UPPAAL's federations (Behrmann et
-    al., FTRTFT 2002): an empty zone is covered by any union, and a zone
-    that one member includes is covered.  With no member including the
-    zone and fewer than two nonempty members, the zone is not covered; with
-    more, it is covered iff subtracting them from it leaves nothing."""
-    if zone.is_empty():
-        return True
+    al., FTRTFT 2002): a zone that one member includes is covered.  With no
+    member including the zone and fewer than two members, the zone is not
+    covered; with more, it is covered iff subtracting them from it leaves
+    nothing."""
     near: list[DBM] = []
     for z in zones:
-        if z.is_empty():
-            continue
         if z.includes(zone):
             return True
         near.append(z)
@@ -454,15 +439,15 @@ def merge_difference_bounds(pairs: list[tuple[int, int]]
     """Union of difference ranges as sorted maximal disjoint intervals.
 
     Each pair is ``(m[y][x], m[x][y])`` of a nonempty canonical zone: the
-    encoded bounds on ``x_y - x_x`` and ``x_x - x_y``.  ``pairs`` is sorted
-    in place.  Descending encoded lower bounds are ascending low ends, a
-    closed end before an open one; so the merge reads ints only and builds
-    an :class:`Interval` per merged piece.  A piece ending at ``hi`` and
-    the next one starting at ``lo`` overlap or touch iff ``hi - lo > 0``,
-    or ``hi = lo`` with an end closed."""
+    encoded bounds on ``x_y - x_x`` and ``x_x - x_y``.  ``pairs`` comes
+    sorted descending, ``sorted(pairs, reverse=True)``: descending encoded
+    lower bounds are ascending low ends, a closed end before an open one;
+    so the merge reads ints only and builds an :class:`Interval` per
+    merged piece.  A piece ending at ``hi`` and the next one starting at
+    ``lo`` overlap or touch iff ``hi - lo > 0``, or ``hi = lo`` with an end
+    closed."""
     if not pairs:
         return ()
-    pairs.sort(reverse=True)
     out: list[Interval] = []
     rest = iter(pairs)
     lo, hi = next(rest)
@@ -484,16 +469,16 @@ def _covers(big: list[int], small: list[int]) -> bool:
 
 
 def reduce_union(zones: Iterable[DBM], skip: int = 0) -> list[DBM]:
-    """Drop empty zones and zones included in a sibling (pairwise inclusion
-    only), comparing projections that leave out the clocks whose bit is set
-    in ``skip`` (bit ``i`` for index ``i``).  The kept zones are returned
-    whole.
+    """Of the nonempty ``zones``, drop each one included in a sibling
+    (pairwise inclusion only), comparing projections that leave out the
+    clocks whose bit is set in ``skip`` (bit ``i`` for index ``i``).  The
+    kept zones are returned whole.
 
     On a canonical nonempty DBM the projection is the sub-matrix (Behrmann
     et al., "UPPAAL implementation secrets", FTRTFT 2002), so no zone is
     built: each zone's kept rows and columns are flattened once into a list
     of ints, and a pair is compared entry by entry."""
-    zs = [z for z in zones if not z.is_empty()]
+    zs = list(zones)
     if len(zs) < 2:
         return zs
     keep = [i for i in range(zs[0].dim) if not skip >> i & 1]

@@ -281,8 +281,9 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
 def _latencies(side: _Side, measures: tuple[Measure, ...]
                ) -> list[list[tuple[int, int]]]:
     """Per measure, the encoded bounds ``(m[y][x], m[x][y])`` of every reach
-    zone met with a nonempty zone, sorted as :func:`merge_difference_bounds`
-    sorts them, which merges equal lists to equal latency unions."""
+    zone met with a nonempty zone, sorted descending as
+    :func:`merge_difference_bounds` takes them, so equal unions of bounds
+    are equal lists."""
     t = side.track.time
     cells = [(t + x, t + y) for x, y in measures]
     unions: list[list[tuple[int, int]]] = [[] for _ in measures]
@@ -320,7 +321,9 @@ class _Engine:
         self.neg = _Side(neg, _nonempty(complement))
         self.last_obs_time = 0
         self.observation_count = 0
-        self._report = self._pairs = None
+        # unequal to every list of bounds and every union: the first report
+        # merges each list, as a later one merges each list that moved
+        self._report = self._pairs = (None,) * (2 * len(self.measures))
         self._stale = True
         self._verdict = self._compute_verdict(0)
 
@@ -373,11 +376,8 @@ class _Engine:
             self._stale = False
             pairs = (_latencies(self.pos, self.measures)
                      + _latencies(self.neg, self.measures))
-            last = self._report
-            if last is None:
-                self._report = self._report_type(
-                    *map(merge_difference_bounds, pairs), *self._jitters)
-            elif pairs != self._pairs:  # merge only the lists that moved
+            if pairs != self._pairs:  # merge only the lists that moved
+                last = self._report
                 unions = [
                     u if p == q or (m := merge_difference_bounds(p)) == u
                     else m for p, q, u in zip(pairs, self._pairs, last)]

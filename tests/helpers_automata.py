@@ -23,6 +23,7 @@ from delaymon.dbm import (
     bound_is_strict,
     bound_value,
     format_scaled,
+    merge_difference_bounds,
 )
 from delaymon.liveness import NonEmptyMap
 
@@ -38,6 +39,13 @@ def holds(g: AtomicConstraint, value: int) -> bool:
 def zero_zone(dim: int) -> DBM:
     """The single valuation with every clock equal to 0."""
     return DBM(dim, [[LE_ZERO] * dim for _ in range(dim)])
+
+
+def difference_bounds(zone: DBM, x: int, y: int):
+    """The tightest interval holding ``v(x) - v(y)`` over the valuations
+    ``v`` of the nonempty ``zone``."""
+    (interval,) = merge_difference_bounds([(zone.m[y][x], zone.m[x][y])])
+    return interval
 
 
 def zone_contains(zone: DBM, valuation: tuple[int, ...]) -> bool:

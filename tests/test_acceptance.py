@@ -44,6 +44,7 @@ from delaymon.monitor import (
 from delaymon.tester import IODelayBounds, Tester
 
 from helpers_automata import (
+    difference_bounds,
     eventually_then_safe_tba,
     holds,
     random_tba,
@@ -73,9 +74,9 @@ class TestSymbolicStateRegression:
         x, e = X, ETIME
         assert s.location == "q0"
         # [DERIVED] x = 0 and the event clock ranges over the latency band.
-        assert spans([s.zone.difference_bounds(x, 0)]) == [
+        assert spans([difference_bounds(s.zone, x, 0)]) == [
             (0, False, 0, False)]
-        assert spans([s.zone.difference_bounds(e, 0)]) == [
+        assert spans([difference_bounds(s.zone, e, 0)]) == [
             (0, False, 100, False)]
 
     def test_state_after_first_observation(self):
@@ -85,17 +86,17 @@ class TestSymbolicStateRegression:
         assert {s.location for s in m.pos.reach} == {"q1", "bad"}
         (s,) = [st for st in m.pos.reach if st.location == "q1"]
         # [DERIVED] on-time branch: ground delivery within the guard window.
-        assert spans([s.zone.difference_bounds(x, 0)]) == [
+        assert spans([difference_bounds(s.zone, x, 0)]) == [
             (71, False, 100, False)]
-        assert spans([s.zone.difference_bounds(e, 0)]) == [
+        assert spans([difference_bounds(s.zone, e, 0)]) == [
             (171, False, 173, False)]
-        assert spans([s.zone.difference_bounds(e, x)]) == [
+        assert spans([difference_bounds(s.zone, e, x)]) == [
             (71, False, 100, False)]
         (b,) = [st for st in m.pos.reach if st.location == "bad"]
         # [DERIVED] late branch: delivery after the deadline has passed.
-        assert spans([b.zone.difference_bounds(x, 0)]) == [
+        assert spans([difference_bounds(b.zone, x, 0)]) == [
             (100, True, 173, False)]
-        assert spans([b.zone.difference_bounds(e, x)]) == [
+        assert spans([difference_bounds(b.zone, e, x)]) == [
             (0, False, 73, True)]
 
     def test_state_after_second_observation(self):
@@ -104,11 +105,11 @@ class TestSymbolicStateRegression:
         assert m.observe("b", 275) is Verdict.INCONCLUSIVE
         x, e = X, ETIME
         (s,) = [st for st in m.pos.reach if st.location == "good"]
-        assert spans([s.zone.difference_bounds(x, 0)]) == [
+        assert spans([difference_bounds(s.zone, x, 0)]) == [
             (200, True, 204, False)]
-        assert spans([s.zone.difference_bounds(e, 0)]) == [
+        assert spans([difference_bounds(s.zone, e, 0)]) == [
             (273, False, 275, False)]
-        assert spans([s.zone.difference_bounds(e, x)]) == [
+        assert spans([difference_bounds(s.zone, e, x)]) == [
             (71, False, 75, True)]
 
     def test_early_second_observation_is_a_violation(self):

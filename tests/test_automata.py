@@ -30,6 +30,7 @@ from delaymon.liveness import nonempty_states
 
 from helpers_automata import (
     ConcreteState,
+    difference_bounds,
     eventually_then_safe_tba,
     explicit_run,
     max_constant,
@@ -293,9 +294,9 @@ class TestSucc:
         out = succ(s0, "a", 173, a)
         assert {s.location for s in out} == {"bad"}
         (s,) = out
-        iv = s.zone.difference_bounds(X, 0)
+        iv = difference_bounds(s.zone, X, 0)
         assert (iv.lo, iv.hi) == (173, 173)
-        tv = s.zone.difference_bounds(TIME, 0)
+        tv = difference_bounds(s.zone, TIME, 0)
         assert (tv.lo, tv.hi) == (173, 173)
 
     def test_time_regression_gives_empty(self):
@@ -310,7 +311,7 @@ class TestSucc:
         for tau in (30, 80, 150):
             s0 = succ(s0, "a", tau, a)
             for s in s0:
-                iv = s.zone.difference_bounds(TIME, 0)
+                iv = difference_bounds(s.zone, TIME, 0)
                 assert (iv.lo, iv.hi, iv.lo_strict, iv.hi_strict) == (
                     tau, tau, False, False)
 
@@ -331,7 +332,7 @@ class TestSucc:
             # each zone is a single point here: times are fully determined
             vals = []
             for i in range(1, len(a.clocks) + 1):
-                iv = s.zone.difference_bounds(i, 0)
+                iv = difference_bounds(s.zone, i, 0)
                 assert iv.lo == iv.hi
                 vals.append(iv.lo)
             got.add(ConcreteState(s.location, tuple(vals)))

@@ -355,10 +355,10 @@ def reference_map(a: TBA) -> tuple[dict[str, list[DBM]], int]:
         inserted += n
         refreshed = {}
         for q in accepting:
-            zs = reduce_union(
-                textbook_meet(z, [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)]
-                              ).restrict(own)
-                for z in back.get(q, ()))
+            pinned = (textbook_meet(z, [(zi, 0, LE_ZERO), (0, zi, LE_ZERO)])
+                      for z in back.get(q, ()))
+            zs = reduce_union(z.restrict(own) for z in pinned
+                              if not z.is_empty())
             if zs:
                 refreshed[q] = zs
         if all(reference_included_in_union(z, refreshed.get(q, ()))

@@ -21,7 +21,8 @@ from delaymon.monitor import (
     Verdict,
 )
 
-from helpers_automata import eventually_then_safe_tba, scale_tba
+from helpers_automata import (difference_bounds, eventually_then_safe_tba,
+                              scale_tba)
 from helpers_oracle import OracleBounds, complement_pair, oracle_consistent, \
     oracle_verdict
 from helpers_regions import RegionGraph
@@ -138,10 +139,11 @@ class TestWorkedExample:
         (s,) = m.pos.reach
         assert s.location == "q0"
         x, t, e = X, TIME, ETIME
-        assert spans([s.zone.difference_bounds(x, 0)]) == [(0, False, 0, False)]
-        assert spans([s.zone.difference_bounds(e, 0)]) == [
+        assert spans([difference_bounds(s.zone, x, 0)]) == [
+            (0, False, 0, False)]
+        assert spans([difference_bounds(s.zone, e, 0)]) == [
             (0, False, 100, False)]
-        assert spans([s.zone.difference_bounds(e, x)]) == [
+        assert spans([difference_bounds(s.zone, e, x)]) == [
             (0, False, 100, False)]
 
     def test_after_first_event(self):
@@ -150,16 +152,16 @@ class TestWorkedExample:
         assert {s.location for s in m.pos.reach} == {"q1", "bad"}
         x, t, e = X, TIME, ETIME
         (s,) = [st for st in m.pos.reach if st.location == "q1"]
-        assert spans([s.zone.difference_bounds(x, 0)]) == [
+        assert spans([difference_bounds(s.zone, x, 0)]) == [
             (71, False, 100, False)]
-        assert spans([s.zone.difference_bounds(e, 0)]) == [
+        assert spans([difference_bounds(s.zone, e, 0)]) == [
             (171, False, 173, False)]
-        assert spans([s.zone.difference_bounds(e, x)]) == [
+        assert spans([difference_bounds(s.zone, e, x)]) == [
             (71, False, 100, False)]
         (b,) = [st for st in m.pos.reach if st.location == "bad"]
-        assert spans([b.zone.difference_bounds(x, 0)]) == [
+        assert spans([difference_bounds(b.zone, x, 0)]) == [
             (100, True, 173, False)]
-        assert spans([b.zone.difference_bounds(e, x)]) == [
+        assert spans([difference_bounds(b.zone, e, x)]) == [
             (0, False, 73, True)]
 
     def test_after_second_event_late(self):
@@ -168,11 +170,11 @@ class TestWorkedExample:
         assert m.observe("b", 275) is Verdict.INCONCLUSIVE
         (s,) = [st for st in m.pos.reach if st.location == "good"]
         x, t, e = X, TIME, ETIME
-        assert spans([s.zone.difference_bounds(x, 0)]) == [
+        assert spans([difference_bounds(s.zone, x, 0)]) == [
             (200, True, 204, False)]
-        assert spans([s.zone.difference_bounds(e, 0)]) == [
+        assert spans([difference_bounds(s.zone, e, 0)]) == [
             (273, False, 275, False)]
-        assert spans([s.zone.difference_bounds(e, x)]) == [
+        assert spans([difference_bounds(s.zone, e, x)]) == [
             (71, False, 75, True)]
 
     def test_violation_variant(self):

@@ -2,15 +2,16 @@
 outside the tests, every module-level import is used, and the value types
 the engines build per event keep their contract.
 
-The caller scan is a floor, not a call graph: a whole-word mention anywhere
-in ``src/`` or ``perfbench/`` other than a definition of the name counts,
-a mention in a docstring or a comment included.  So it catches code that
-only tests reach, but not every dead name."""
+The caller scan is a floor, not a call graph: a name counts as called when
+code in ``src/`` or ``perfbench/`` reads it, as an ``ast.Name`` or an
+``ast.Attribute``, or when ``perfbench/spans.py`` wraps it by its dotted
+path.  A mention in a docstring or a comment does not count.  So the scan
+catches code that only tests reach, but not every dead name: a function
+that only calls itself passes."""
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,10 @@ from delaymon.tester import IOLatencyReport
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "delaymon").glob("*.py"))
 SCANNED = SRC + sorted((ROOT / "perfbench").glob("*.py"))
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # Library API that no program calls, with the reason each name stays.
 EXEMPT = {
-    "difference_bounds": "a zone's range of one clock difference; the "
-                         "worked-example tests read the zones with it",
     "verdict_at": "the verdict if nothing more is seen by a later time; "
                   "the README shows it and the engine tests check it",
 }
@@ -46,17 +46,38 @@ def definitions() -> dict[str, set[tuple[Path, int]]]:
     return found
 
 
+def span_targets() -> set[str]:
+    """Each part of the dotted paths in the ``*_TARGETS`` tables of
+    ``perfbench/spans.py``, which it wraps by name."""
+    found: set[str] = set()
+    for node in ast.parse(SPANS.read_text(), str(SPANS)).body:
+        if (isinstance(node, ast.Assign)
+                and node.targets[0].id.endswith("_TARGETS")):
+            for _, dotted, *_ in ast.literal_eval(node.value):
+                found.update(dotted.split("."))
+    return found
+
+
+def references() -> set[str]:
+    """Each name that code in ``src/`` or ``perfbench/`` reads, and each
+    name that ``perfbench/spans.py`` wraps."""
+    found = span_targets()
+    for path in SCANNED:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
 def test_every_name_has_a_caller_outside_the_tests():
-    lines = [(path, k, line) for path in SCANNED
-             for k, line in enumerate(path.read_text().splitlines(), 1)]
-    unused = []
-    for name, where in sorted(definitions().items()):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if name not in EXEMPT and not any(
-                (path, k) not in where and word.search(line)
-                for path, k, line in lines):
-            unused.append(name)
-    assert unused == []
+    unused = set(definitions()) - references() - set(EXEMPT)
+    assert sorted(unused) == []
+
+
+def test_span_targets_are_found():
+    assert {"Monitor", "observe", "subtract", "main"} <= span_targets()
 
 
 def test_every_exemption_is_still_defined():

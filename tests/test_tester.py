@@ -34,7 +34,8 @@ from delaymon.tester import (
     Tester,
 )
 
-from helpers_automata import request_response_tba, scale_tba
+from helpers_automata import (difference_bounds, request_response_tba,
+                              scale_tba)
 from helpers_oracle import (
     IOOracleBounds,
     io_complement_pair,
@@ -220,7 +221,7 @@ class TestRoundTripFromChannelRanges:
             for side in (t.pos, t.neg):
                 time = side.track.time
                 for s in side.reach:
-                    assert s.zone.difference_bounds(time + x, time + y) == \
+                    assert difference_bounds(s.zone, time + x, time + y) == \
                         Interval(lo, False, hi, hi == INF), (b_in, b_out)
 
 
