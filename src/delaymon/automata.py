@@ -7,11 +7,13 @@ clocks (no clock differences).  All constants are scaled integers below
 The automaton numbers its own clocks: ``clocks[k]`` is DBM index ``k + 1``
 in every zone built for it, and the engines and the nonemptiness analysis
 append their auxiliary clocks after index ``n``.  Each transition is
-compiled once into an :class:`Edge` in that numbering.  :meth:`TBA.validate`
-is the one check of the names that edges use: the parser reads each edge
-line once and computes a column only for a name it reports.  The I/O
-product renames its base's compiled edges, sharing their guard and resets
-tuples, so it checks and compiles no edge again.
+compiled once into an :class:`Edge` in that numbering, and :func:`post`
+takes each edge as a :class:`Step`, trimmed once per automaton by its
+inactive clocks.  :meth:`TBA.validate` is the one check of the names that
+edges use: the parser reads each edge line once and computes a column only
+for a name it reports.  The I/O product renames its base's compiled edges,
+sharing their guard and resets tuples, so it checks and compiles no edge
+again.
 """
 
 from __future__ import annotations
@@ -71,6 +73,17 @@ class Edge(NamedTuple):
     dst: str
     guard: tuple[tuple[int, int, int], ...]  # encoded DBM constraints
     resets: tuple[int, ...]  # DBM indices
+
+
+class Step(NamedTuple):
+    """An edge as :func:`post` takes it: its guard, the resets of the
+    clocks active at its target, and the clocks that die on it, active at
+    its source and inactive at its target (DBM indices, ascending)."""
+
+    dst: str
+    guard: tuple[tuple[int, int, int], ...]
+    resets: tuple[int, ...]
+    dead: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -176,8 +189,9 @@ class TBA:
     def has_io_partition(self) -> bool:
         return bool(self.inputs or self.outputs)
 
-    def edges(self, src: str, label: str) -> Sequence[Edge]:
-        return self._edges.get((src, label), ())
+    def steps(self, src: str, label: str) -> Sequence[Step]:
+        """The steps of the ``label``-edges from ``src``, in edge order."""
+        return self._steps.get((src, label), ())
 
     @cached_property
     def _edges(self) -> dict[tuple[str, str], list[Edge]]:
@@ -185,6 +199,31 @@ class TBA:
         for t, e in zip(self.transitions, self.compiled):
             by_key.setdefault((t.src, t.label), []).append(e)
         return by_key
+
+    @cached_property
+    def _steps(self) -> dict[tuple[str, str], tuple[Step, ...]]:
+        # from the one active-clock fixpoint: an edge into a location with
+        # inactive clocks drops their resets and lists those that die
+        inactive = self.inactive_clocks
+        clocks = range(1, len(self.clocks) + 1)
+        dying: dict[tuple[str, str], tuple[int, ...]] = {}
+        table = {}
+        for key, edges in self._edges.items():
+            steps = []
+            for src, dst, guard, resets in edges:
+                dead = ()
+                gone = inactive.get(dst)
+                if gone:
+                    if resets:
+                        resets = tuple(i for i in resets if not gone >> i & 1)
+                    dead = dying.get((src, dst))
+                    if dead is None:
+                        mask = gone & ~inactive.get(src, 0)
+                        dead = dying[src, dst] = tuple(
+                            i for i in clocks if mask >> i & 1)
+                steps.append(Step(dst, guard, resets, dead))
+            table[key] = tuple(steps)
+        return table
 
     @cached_property
     def io_product(self) -> TBA:
@@ -263,27 +302,32 @@ class SymbolicState(NamedTuple):
 
 def post(states: Iterable[SymbolicState], a: str, automaton: TBA,
          window: Sequence[tuple[int, int, int]]) -> list[SymbolicState]:
-    """Successors of a reach set on one ``a`` event: time elapses (``up``),
+    """Successors of a reach set on one ``a`` event, exact modulo the
+    clocks inactive at each successor's location: time elapses (``up``),
     the constraints ``window`` that hold at the event instant are met, then
-    each ``a``-edge's guard and reset apply.  A state whose location has no
-    ``a``-edge costs no zone work; one that has copies its matrix once for
-    the elapse and the window, and once more per edge whose guard tightens
-    the zone or that resets a clock.  Empty successors are dropped; the
-    rest are returned unpruned, in state and edge order."""
+    each ``a``-edge's :class:`Step` applies, its guard and its live resets.
+    A state whose location has no ``a``-edge costs no zone work; one that
+    has copies its matrix once for the elapse and the window, and once more
+    per edge whose guard tightens the zone or that resets a clock active at
+    its target.  On that copy the clocks that die on the edge are freed; an
+    edge that makes no copy, such as an unguarded loop at a sink where
+    every clock is inactive, yields the elapsed zone itself, dead clocks
+    and all.  Empty successors are dropped; the rest are returned
+    unpruned, in state and edge order."""
     if a not in automaton.alphabet:
         raise TBAError(f"symbol {a!r} not in alphabet")
     out: list[SymbolicState] = []
     for s in states:
-        edges = automaton.edges(s.location, a)
-        if not edges:
+        steps = automaton.steps(s.location, a)
+        if not steps:
             continue
         z = s.zone.elapse(window)
         if z.is_empty():
             continue
-        for e in edges:
-            g = z.and_constraints(e.guard, e.resets)
+        for dst, guard, resets, dead in steps:
+            g = z.and_constraints(guard, resets, dead)
             if not g.is_empty():
-                out.append(SymbolicState(e.dst, g))
+                out.append(SymbolicState(dst, g))
     return out
 
 

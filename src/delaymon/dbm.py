@@ -9,7 +9,8 @@ loop stays branch-free.  Two finite encoded bounds add as ``a + b - ((a | b)
 & 1)``: the values add, and the sum is weak iff both bounds are.
 
 A zone is refined by :meth:`DBM.and_constraints` (a meet, then optional
-clock resets), :meth:`DBM.elapse` (``up``, then a meet) and
+clock resets, and on a copy the freeing of clocks the caller no longer
+reads), :meth:`DBM.elapse` (``up``, then a meet) and
 :meth:`DBM.pre` (the preimage of an edge: pin and free its reset clocks,
 meet its guard, then ``down``).  Each applies its whole chain of steps to
 one copy of the matrix, keeping it canonical in place through
@@ -168,6 +169,20 @@ def _tighten(m: list[list[int]], i: int, j: int, b: int) -> bool:
     return True
 
 
+def _free(m: list[list[int]], x: int) -> None:
+    """Drop every constraint on the non-negative clock ``x`` of the
+    canonical, nonempty matrix ``m`` but ``x >= 0``, in place: its row
+    becomes unbounded, and its column takes column 0's bounds (so
+    ``m[0][x]`` reads ``x >= 0``).  The result is canonical: a path through
+    ``x`` now bounds nothing that column 0 does not already bound
+    directly."""
+    for row in m:
+        row[x] = row[0]
+    row = [INF] * len(m)
+    row[x] = LE_ZERO
+    m[x] = row
+
+
 class DBM:
     """Canonical difference-bound matrix; immutable from the caller's side.
 
@@ -279,11 +294,15 @@ class DBM:
         return DBM._canonical(self.dim, m)
 
     def and_constraints(self, cons: Iterable[tuple[int, int, int]],
-                        resets: Sequence[int] = ()) -> "DBM":
+                        resets: Sequence[int] = (),
+                        dead: Sequence[int] = ()) -> "DBM":
         """Intersect with the encoded constraints ``cons``, then set each
         clock in ``resets`` to 0 and project its old value away: one copy,
         and none when ``cons`` tightens nothing and ``resets`` is empty, or
-        when the first constraint that tightens contradicts the zone.
+        when the first constraint that tightens contradicts the zone.  On
+        that copy, each non-negative clock in ``dead``, whose value the
+        caller never reads again, is freed (:func:`_free`); with no copy it
+        keeps its bounds, so the result is exact modulo ``dead``.
 
         A reset copies row and column 0 into the clock's, which keeps a
         canonical matrix canonical."""
@@ -309,6 +328,8 @@ class DBM:
                     row[x] = row[0]
         if m is self.m:
             return self
+        for x in dead:
+            _free(m, x)
         return DBM._canonical(self.dim, m)
 
     def pre(self, guard: Iterable[tuple[int, int, int]],

@@ -26,17 +26,22 @@ a clip.
 
 An observation is one symbolic step per reach state
 (:func:`delaymon.automata.post`): up, then the channel window (the range of
-the channel clock for the event's stamp), then each edge's guard and reset.
-This gives the same canonical zones as meeting the window after the reset:
-the window bounds only the channel clock, which no guard reads and no reset
-touches, so meeting it commutes with both, and a nonempty zone has one
-canonical DBM.  So the window is met once per state, not once per
-successor; :func:`~delaymon.automata.post` and :func:`_advance` say which
-steps copy a matrix.  A latency report merges the encoded bounds of
-the met zones into an :class:`~delaymon.dbm.Interval` per merged piece,
-once per observation (:meth:`_Engine._report_once`), and only where they
-moved: a union whose sorted bounds, or merged union, equal the last
-report's stays that object, and so does a report whose unions all do.
+the channel clock for the event's stamp), then each edge's guard and the
+resets of the clocks active at its target.  A clock that dies on the edge,
+active at its source and inactive at its target, is freed on a matrix that
+the edge copies anyway, and keeps its bounds otherwise; a reset of a clock
+inactive at the target is dropped.  So an unguarded loop at a sink where
+every clock is inactive costs no copy.  Meeting the window before the edge
+gives the same canonical zones as meeting it after: the window bounds only
+the channel clock, which no guard reads and no reset or free touches, so
+meeting it commutes with them, and a nonempty zone has one canonical DBM.
+So the window is met once per state, not once per successor;
+:func:`~delaymon.automata.post` and :func:`_advance` say which steps copy a
+matrix.  A latency report merges the encoded bounds of the met zones into
+an :class:`~delaymon.dbm.Interval` per merged piece, once per observation
+(:meth:`_Engine._report_once`), and only where they moved: a union whose
+sorted bounds, or merged union, equal the last report's stays that object,
+and so does a report whose unions all do.
 That is exact, and the usual case: a channel's latency is fixed for the
 run, so the latencies that explain the trace only shrink.
 
@@ -49,18 +54,23 @@ universal zone, meets as it is: the probe advances it with no copy, and
 its meet, like a latency union's, tightens nothing, since the nonempty
 constraints leave out the ``x >= 0`` bounds that every reach zone has.
 
-Each observation prunes the reach-set modulo inactive clocks (Daws & Yovine,
-"Reducing the number of clock variables of timed automata", RTSS 1996): a
-state is dropped when its zone, with the automaton clocks that every path
-from its location resets before reading left out, is included in a
-sibling's at the same location.  The kept zones stay as ``post`` made them,
-and a step that leaves a single state compares nothing.
-This loses no answer:
+The step is exact modulo inactive clocks (Daws & Yovine, "Reducing the
+number of clock variables of timed automata", RTSS 1996), the automaton
+clocks that every path from a location resets before reading.  Each
+observation also prunes the reach-set modulo them: a state is dropped when
+its zone, with the inactive clocks of its location left out, is included
+in a sibling's at the same location.  Pruning cannot compare whole zones
+instead, since a zone that arrived by an edge that made no copy keeps its
+dead clocks' bounds.  The kept zones stay as ``post`` made them, and a
+step that leaves a single state compares nothing.  Neither the step nor
+pruning loses an answer:
 
 - an inactive clock is reset on every path before it is read, so states
   that agree on the other clocks have successors that agree too;
 - ``up`` and the channel and cutoff constraints touch no automaton clock,
-  and the auxiliary clocks are never left out;
+  and the auxiliary clocks are never inactive;
+- on a canonical zone, freeing a clock leaves the other clocks' entries as
+  they are;
 - the nonempty set at a location is a cylinder in its inactive clocks, so
   the verdict probe and the latency unions see the same projection.
 
@@ -283,20 +293,28 @@ def _latencies(side: _Side, measures: tuple[Measure, ...]
     """Per measure, the encoded bounds ``(m[y][x], m[x][y])`` of every reach
     zone met with a nonempty zone, sorted descending as
     :func:`merge_difference_bounds` takes them, so equal unions of bounds
-    are equal lists."""
+    are equal lists.  At a full location the meet is the reach zone itself
+    (see :func:`_advance`), whose cells are read as they are."""
     t = side.track.time
     cells = [(t + x, t + y) for x, y in measures]
     unions: list[list[tuple[int, int]]] = [[] for _ in measures]
+    live = side.nonempty.constraints
+    full = side.nonempty.full
     for s in side.reach:
-        for cons in side.nonempty.constraints.get(s.location, ()):
-            z = s.zone.and_constraints(cons)
-            if z.is_empty():
-                continue
-            m = z.m
+        if s.location in full:
+            met = [s.zone.m]
+        else:
+            met = []
+            for cons in live.get(s.location, ()):
+                z = s.zone.and_constraints(cons)
+                if not z.is_empty():
+                    met.append(z.m)
+        for m in met:
             for (x, y), pairs in zip(cells, unions):
                 pairs.append((m[y][x], m[x][y]))
     for pairs in unions:
-        pairs.sort(reverse=True)
+        if len(pairs) > 1:
+            pairs.sort(reverse=True)
     return unions
 
 

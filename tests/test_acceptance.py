@@ -25,6 +25,7 @@ import delaymon.monitor as monitor_module
 from delaymon.automata import (
     TBA,
     SymbolicState,
+    TBAError,
     io_alternation_product,
     parse_tba,
     post,
@@ -57,7 +58,8 @@ from helpers_automata import (
 from helpers_oracle import IOOracleBounds, OracleBounds, complement_pair, \
     oracle_io_verdict, oracle_verdict
 from helpers_regions import RegionGraph
-from test_monitor import DENOM, ETIME, X, make_monitor, random_setup, spans
+from test_monitor import (DENOM, ETIME, TIME, X, make_monitor, random_setup,
+                          spans)
 from test_tester import random_io_setup
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -94,9 +96,16 @@ class TestSymbolicStateRegression:
             (71, False, 100, False)]
         (b,) = [st for st in m.pos.reach if st.location == "bad"]
         # [DERIVED] late branch: delivery after the deadline has passed.
+        # No path from bad reads x, so the step frees it; ground time,
+        # which x tracked until then, keeps the branch's bounds.
+        t = TIME
         assert spans([difference_bounds(b.zone, x, 0)]) == [
+            (0, False, INF, True)]
+        assert spans([difference_bounds(b.zone, t, 0)]) == [
             (100, True, 173, False)]
         assert spans([difference_bounds(b.zone, e, x)]) == [
+            (-INF, True, 173, False)]
+        assert spans([difference_bounds(b.zone, e, t)]) == [
             (0, False, 73, True)]
 
     def test_state_after_second_observation(self):
@@ -105,11 +114,18 @@ class TestSymbolicStateRegression:
         assert m.observe("b", 275) is Verdict.INCONCLUSIVE
         x, e = X, ETIME
         (s,) = [st for st in m.pos.reach if st.location == "good"]
+        # [DERIVED] no path from good reads x, so the step frees it; ground
+        # time, which x tracked until then, keeps its bounds
+        t = TIME
         assert spans([difference_bounds(s.zone, x, 0)]) == [
+            (0, False, INF, True)]
+        assert spans([difference_bounds(s.zone, t, 0)]) == [
             (200, True, 204, False)]
         assert spans([difference_bounds(s.zone, e, 0)]) == [
             (273, False, 275, False)]
         assert spans([difference_bounds(s.zone, e, x)]) == [
+            (-INF, True, 275, False)]
+        assert spans([difference_bounds(s.zone, e, t)]) == [
             (71, False, 75, True)]
 
     def test_early_second_observation_is_a_violation(self):
@@ -504,7 +520,8 @@ class TestNoClosurePerEvent:
 
     PAIRS = 100
     # DBMs built per observe in classic, monitor and test mode: one for up
-    # and the window, and one per edge whose guard tightens or that resets.
+    # and the window, and one per edge whose guard tightens or that resets
+    # a clock active at its target.
     # The verdict probe builds none: in classic and monitor mode the window
     # already puts every state past the cutoff, and in test mode the state
     # it would advance lies at a full location, which it leaves as it is
@@ -563,6 +580,46 @@ class TestNoClosurePerEvent:
         assert closures == []
         DBM(2, [[LE_ZERO] * 2 for _ in range(2)])  # the counter is live
         assert closures == [2]
+
+
+class TestWideBandZonesPerEvent:
+    """On ``WIDE_BAND`` walks the reach sets grow to several zones, many of
+    them at the violation sink ``bad``, where no clock is active.  The step
+    drops the sink loop's dead reset, so the loop yields the elapsed zone
+    itself with no copy, and frees a dying clock only on a matrix that an
+    edge copies anyway.  The zones each walk builds are pinned, so that a
+    change that copies a matrix again on a sink loop fails; the exact step,
+    which takes every reset, builds more."""
+
+    # DBMs built by the 100 observations of the walks that
+    # TestPruneModuloInactiveClocks runs in monitor and test mode
+    BUILT = {"monitor": 570, "test": 687}
+
+    @staticmethod
+    def built(run, seed: int) -> int:
+        spec, comp = wide_band_pair()
+        build, observe, events = run(seed)
+        engine = build(spec, comp)
+        made = [0]
+        init = DBM.__init__
+
+        def counted(dbm, *args, **kwargs):
+            made[0] += 1
+            init(dbm, *args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DBM, "__init__", counted)
+            for sym, tau in events:
+                assert getattr(engine, observe)(sym, tau) is (
+                    Verdict.INCONCLUSIVE)
+        return made[0]
+
+    @pytest.mark.parametrize("mode", ["monitor", "test"])
+    def test_walk_builds_pinned_zones(self, mode):
+        run, seed = ((wide_band_monitor_run, 7) if mode == "monitor"
+                     else (wide_band_test_run, 8))
+        assert self.built(run, seed) == self.BUILT[mode]
+        with exact_steps():
+            assert self.built(run, seed) > self.BUILT[mode]
 
 
 WIDE_BAND = """
@@ -686,12 +743,41 @@ def lockstep(engine, ref, observe: str, events,
             return
 
 
+def exact_post(states, a: str, automaton: TBA, window):
+    """The symbolic step that applies every reset of each edge and frees no
+    clock: the exact successors, dead clocks included."""
+    if a not in automaton.alphabet:
+        raise TBAError(f"symbol {a!r} not in alphabet")
+    out = []
+    for s in states:
+        edges = automaton._edges.get((s.location, a), ())
+        if not edges:
+            continue
+        z = s.zone.elapse(window)
+        if z.is_empty():
+            continue
+        for e in edges:
+            g = z.and_constraints(e.guard, e.resets)
+            if not g.is_empty():
+                out.append(SymbolicState(e.dst, g))
+    return out
+
+
+@contextlib.contextmanager
+def exact_steps():
+    """Engines built and stepped inside take every reset and free no
+    clock."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monitor_module, "post", exact_post)
+        yield
+
+
 class TestPruneModuloInactiveClocks:
     """Pruning modulo inactive clocks changes no answer: along walks of 80
     events and more, each engine agrees after every event with the same
-    engine pruning on whole zones, on the verdict and on every latency
-    union.  (The oracle gates use 1-4 events, too few for reach sets to
-    grow.)"""
+    engine stepping exactly (:func:`exact_post`) and pruning on whole
+    zones, on the verdict and on every latency union.  (The oracle gates
+    use 1-4 events, too few for reach sets to grow.)"""
 
     @staticmethod
     def compare(monkeypatch, make, observe: str, events) -> tuple[int, int]:
@@ -704,6 +790,7 @@ class TestPruneModuloInactiveClocks:
         @contextlib.contextmanager
         def whole_zone_pruning():
             with monkeypatch.context() as mp:
+                mp.setattr(monitor_module, "post", exact_post)
                 mp.setattr(monitor_module, "prune_subsumed", whole_zones)
                 yield
 
@@ -1243,74 +1330,100 @@ def always_pruning_step(track, symbol: str, ci: int, lo: int, hi: int):
                           track.automaton.inactive_clocks)
 
 
+def cutoff_query_times(engine) -> list[int]:
+    """Query times at which the next channel's cutoff equals some reach
+    zone's lower bound on that channel's clock, one unit either side, and
+    ``10**6`` later, none before the last observation."""
+    k = engine._next_slot()
+    last = engine.last_obs_time
+    lag = last - monitor_module._window(engine.channels[k], last)[0]
+    lows = {-bound_value(s.zone.m[0][track.time + 1 + k]) + lag
+            for track in engine.tracks for s in track.reach
+            if s.zone.m[0][track.time + 1 + k] != INF}
+    times = {t + d for t in lows for d in (-1, 0, 1)}
+    return sorted(t for t in times | {last + 10**6} if t >= last)
+
+
+def compare_with_queries(spec: TBA, comp: TBA, seed: int, ref_context,
+                         tally) -> collections.Counter:
+    """Feed the walks of :func:`engine_runs` to its engines and, inside
+    ``ref_context()``, to a second set built there, in lockstep; after
+    each inconclusive event also compare ``verdict_at`` at
+    :func:`cutoff_query_times`.  Counts the events compared, plus what
+    ``tally(engine, ref)`` counts after each; none when the pair is not
+    complementary enough to build its engines."""
+
+    def at(e, t):
+        try:
+            return e.verdict_at(t)
+        except MonitorError as err:
+            return type(err)
+
+    seen = collections.Counter()
+    try:
+        runs = engine_runs(spec, comp, seed)
+        with ref_context():
+            refs = engine_runs(spec, comp, seed)
+    except ComplementViolationError:  # no polarity lives at the start
+        return seen
+    for (engine, observe, events), (ref, _, _) in zip(runs, refs):
+        for got in lockstep(engine, ref, observe, events, ref_context):
+            if got is not Verdict.INCONCLUSIVE:
+                continue
+            seen["events"] += 1
+            seen += tally(engine, ref)
+            for t in cutoff_query_times(engine):
+                with ref_context():
+                    want = at(ref, t)
+                assert at(engine, t) == want, t
+    return seen
+
+
+def random_complement_pairs(rng: random.Random, count: int):
+    """``count`` random automata, each with its other locations accepting
+    as the complement."""
+    for _ in range(count):
+        spec = random_tba(rng, n_clocks=rng.choice([1, 2, 3]), max_const=4,
+                          guard_ratio=0.4)
+        yield spec, dataclasses.replace(
+            spec, accepting=spec.locations - spec.accepting)
+
+
 class TestFullLocationsAndLoneStatesChangeNoAnswer:
     """Three shortcuts skip zone work that cannot change an answer: the
-    nonempty constraints leave out ``x >= 0``, the verdict probe advances
-    no state at a full location, and a step with fewer than two successors
-    does not prune.  Along seeded walks in classic, monitor and test mode,
-    each engine agrees after every event with one that takes none of them:
-    on the verdict, on the report, and on ``verdict_at`` where the next
-    channel's cutoff reaches a reach zone's lower bound on that channel's
-    clock, one unit either side of it, and ``10**6`` after the last
-    observation."""
+    nonempty constraints leave out ``x >= 0``, the verdict probe and the
+    latency unions advance and meet no state at a full location, and a
+    step with fewer than two successors does not prune.  Along seeded
+    walks in classic, monitor and test mode, each engine agrees after
+    every event with one that takes none of them: on the verdict, on the
+    report, and on ``verdict_at`` where the next channel's cutoff reaches a
+    reach zone's lower bound on that channel's clock, one unit either side
+    of it, and ``10**6`` after the last observation."""
 
     @staticmethod
-    def query_times(engine) -> list[int]:
-        """Query times at which the next channel's cutoff equals some reach
-        zone's lower bound on that channel's clock, one unit either side,
-        and ``10**6`` later, none before the last observation."""
-        k = engine._next_slot()
-        last = engine.last_obs_time
-        lag = last - monitor_module._window(engine.channels[k], last)[0]
-        lows = {-bound_value(s.zone.m[0][track.time + 1 + k]) + lag
-                for track in engine.tracks for s in track.reach
-                if s.zone.m[0][track.time + 1 + k] != INF}
-        times = {t + d for t in lows for d in (-1, 0, 1)}
-        return sorted(t for t in times | {last + 10**6} if t >= last)
+    @contextlib.contextmanager
+    def no_shortcuts():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monitor_module, "_advance", elapsing_advance)
+            mp.setattr(monitor_module, "_latencies",
+                       whole_constraint_latencies)
+            mp.setattr(monitor_module, "_step", always_pruning_step)
+            yield
+
+    @staticmethod
+    def tally(engine, ref) -> collections.Counter:
+        """Whether some reach state lies at a full location, and whether
+        the step left one state per track."""
+        return collections.Counter({
+            "at a full location": any(
+                s.location in side.nonempty.full
+                for side in (engine.pos, engine.neg) for s in side.reach),
+            "one state": all(len(t.reach) == 1 for t in engine.tracks)})
 
     @classmethod
     def compare(cls, spec: TBA, comp: TBA, seed: int) -> collections.Counter:
-        """Events compared over the three modes, and among them those at
-        which some reach state lay at a full location, or a step left one
-        state per track; none when the pair is not complementary enough to
-        build its engines."""
-
-        def at(e, t):
-            try:
-                return e.verdict_at(t)
-            except MonitorError as err:
-                return type(err)
-
-        @contextlib.contextmanager
-        def no_shortcuts():
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(monitor_module, "_advance", elapsing_advance)
-                mp.setattr(monitor_module, "_latencies",
-                           whole_constraint_latencies)
-                mp.setattr(monitor_module, "_step", always_pruning_step)
-                yield
-
-        seen = collections.Counter()
-        try:
-            runs = engine_runs(spec, comp, seed)
-            refs = engine_runs(spec, comp, seed)
-        except ComplementViolationError:  # no polarity lives at the start
-            return seen
-        for (engine, observe, events), (ref, _, _) in zip(runs, refs):
-            for got in lockstep(engine, ref, observe, events, no_shortcuts):
-                if got is not Verdict.INCONCLUSIVE:
-                    continue
-                seen["events"] += 1
-                seen["at a full location"] += any(
-                    s.location in side.nonempty.full
-                    for side in (engine.pos, engine.neg) for s in side.reach)
-                seen["one state"] += all(len(t.reach) == 1
-                                         for t in engine.tracks)
-                for t in cls.query_times(engine):
-                    with no_shortcuts():
-                        want = at(ref, t)
-                    assert at(engine, t) == want, t
-        return seen
+        return compare_with_queries(spec, comp, seed, cls.no_shortcuts,
+                                    cls.tally)
 
     @pytest.mark.parametrize("spec,comp", [
         pytest.param(spec, comp, id=name)
@@ -1323,11 +1436,70 @@ class TestFullLocationsAndLoneStatesChangeNoAnswer:
     def test_random_complement_pairs(self, seed):
         rng = random.Random(f"shortcuts/{seed}")
         seen = collections.Counter()
-        for _ in range(6):
-            spec = random_tba(rng, n_clocks=rng.choice([1, 2, 3]),
-                              max_const=4, guard_ratio=0.4)
-            comp = dataclasses.replace(
-                spec, accepting=spec.locations - spec.accepting)
+        for spec, comp in random_complement_pairs(rng, 6):
             seen += self.compare(spec, comp, seed)
         assert seen["at a full location"] > 0 and seen["one state"] > 0
         assert seen["events"] > seen["one state"]
+
+
+def freed(zone: DBM, i: int) -> bool:
+    """Whether clock ``i`` of ``zone`` is free: bounded by nothing but
+    ``x_i >= 0``."""
+    return all(b == INF for j, b in enumerate(zone.m[i]) if j != i)
+
+
+class TestDeadClocksChangeNoAnswer:
+    """The step drops each reset of a clock inactive at the edge's target
+    and frees the clocks that die on an edge whose matrix it copies anyway.
+    Along seeded walks in classic, monitor and test mode, each engine
+    agrees after every event with one stepping by :func:`exact_post`, which
+    takes every reset and frees nothing: on the verdict, on the report,
+    and on ``verdict_at`` at each cutoff of
+    :class:`TestFullLocationsAndLoneStatesChangeNoAnswer`.  The two reach
+    sets hold the same locations in the same order, with zones equal on
+    every clock active there."""
+
+    @staticmethod
+    def tally(engine, ref) -> collections.Counter:
+        """Whether some reach zone differs from the exact one, and whether
+        some dead clock is free in it and bounded in the exact one."""
+        seen = collections.Counter()
+        for track, exact in zip(engine.tracks, ref.tracks):
+            assert ([s.location for s in track.reach]
+                    == [s.location for s in exact.reach])
+            inactive = track.automaton.inactive_clocks
+            for s, r in zip(track.reach, exact.reach):
+                dead = inactive.get(s.location, 0)
+                live = [i for i in range(s.zone.dim) if not dead >> i & 1]
+                assert s.zone.restrict(live) == r.zone.restrict(live)
+                seen["zones differ"] |= s.zone != r.zone
+                seen["clock freed"] |= any(
+                    dead >> i & 1 and freed(s.zone, i)
+                    and not freed(r.zone, i) for i in range(s.zone.dim))
+        return seen
+
+    @classmethod
+    def compare(cls, spec: TBA, comp: TBA, seed: int) -> collections.Counter:
+        return compare_with_queries(spec, comp, seed, exact_steps, cls.tally)
+
+    # the shipped pairs whose walks below free a clock
+    FREEING = {"inputs/ladder_1", "inputs/ladder_2", "inputs/ladder_3",
+               "inputs/ladder_4", "inputs/wide_band", "eventually_then_safe"}
+
+    @pytest.mark.parametrize("name,spec,comp", [
+        pytest.param(name, spec, comp, id=name)
+        for name, spec, comp in shipped_pairs()])
+    def test_shipped_pairs(self, name, spec, comp):
+        seen = self.compare(spec, comp, seed=19)
+        assert seen["events"] >= 3
+        assert seen["zones differ"] >= seen["clock freed"]
+        assert seen["clock freed"] > 0 or name not in self.FREEING
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_complement_pairs(self, seed):
+        rng = random.Random(f"dead clocks/{seed}")
+        seen = collections.Counter()
+        for spec, comp in random_complement_pairs(rng, 10):
+            seen += self.compare(spec, comp, seed)
+        assert seen["events"] > seen["zones differ"] > 0
+        assert seen["zones differ"] >= seen["clock freed"]

@@ -22,6 +22,7 @@ from delaymon.dbm import (
     LE_ZERO,
     MAX_SCALED,
     ScaleError,
+    _free,
     bound,
     bound_is_strict,
     bound_value,
@@ -35,6 +36,7 @@ from delaymon.dbm import (
 from helpers_automata import (
     difference_bounds,
     textbook_down,
+    textbook_free,
     textbook_meet,
     textbook_pre,
     textbook_reset,
@@ -618,6 +620,27 @@ class TestKernelMatchesClosure:
                         "guard" if ref.is_empty() else "none"] += 1
         assert all(emptied.values()), emptied
 
+    def test_guard_reset_then_dead(self, dim):
+        # the step's edge: the dead clocks are freed on a copy only
+        copied = set()
+        for rng, z in random_zones(dim):
+            nonneg = [x for x in range(1, dim) if z.m[0][x] <= LE_ZERO]
+            for _ in range(4):
+                guard = random_constraints(rng, dim, rng.randint(0, 2))
+                resets = sorted(rng.sample(nonneg,
+                                           rng.randint(0, len(nonneg))))
+                dead = [x for x in nonneg
+                        if x not in resets and rng.random() < 0.5]
+                ref = textbook_reset(textbook_meet(z, guard), resets)
+                fast = z.and_constraints(guard, resets, dead)
+                if fast is z:
+                    assert ref == z
+                elif not ref.is_empty():
+                    ref = textbook_free(ref, dead)
+                assert_same(fast, ref)
+                copied.add(fast is not z and bool(dead))
+        assert copied == {True, False}
+
     def test_intersects(self, dim):
         # meeting two zones by tightening one with the other's entries, as
         # the verdict probe and the latency report do
@@ -625,6 +648,33 @@ class TestKernelMatchesClosure:
         for a, b in zip(zones, zones[1:]):
             assert_same(a.and_constraints(b.constraints()),
                         textbook_meet(a, entries(b)))
+
+
+@st.composite
+def zones_and_clocks(draw):
+    """A nonempty canonical zone of 1-6 non-negative clocks, closed fully,
+    and a set of its clocks."""
+    dim = draw(st.integers(2, 7))
+    cons = draw(st.lists(st.tuples(
+        st.integers(0, dim - 1), st.integers(0, dim - 1),
+        st.integers(-4, 6), st.booleans()).map(
+        lambda t: (t[0], t[1], bound(t[2], strict=t[3]))), max_size=2 * dim))
+    z = textbook_meet(DBM.universal(dim), cons)
+    assume(not z.is_empty())
+    return z, sorted(draw(st.sets(st.integers(1, dim - 1))))
+
+
+@given(zones_and_clocks())
+@settings(max_examples=300)
+def test_free_keeps_canonical(zone_clocks):
+    """Freeing a clock in place equals dropping every constraint on it but
+    ``>= 0`` and closing the matrix: the freed matrix is canonical."""
+    z, clocks = zone_clocks
+    m = z.copy_matrix()
+    for x in clocks:
+        _free(m, x)
+    assert m == textbook_free(z, clocks).m
+    assert DBM(z.dim, [row[:] for row in m]).m == m
 
 
 def test_intersects_needs_more_than_the_pair_test():

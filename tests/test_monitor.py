@@ -159,9 +159,14 @@ class TestWorkedExample:
         assert spans([difference_bounds(s.zone, e, x)]) == [
             (71, False, 100, False)]
         (b,) = [st for st in m.pos.reach if st.location == "bad"]
+        # x is dead at bad and freed there; time keeps the late branch
         assert spans([difference_bounds(b.zone, x, 0)]) == [
+            (0, False, INF, True)]
+        assert spans([difference_bounds(b.zone, t, 0)]) == [
             (100, True, 173, False)]
         assert spans([difference_bounds(b.zone, e, x)]) == [
+            (-INF, True, 173, False)]
+        assert spans([difference_bounds(b.zone, e, t)]) == [
             (0, False, 73, True)]
 
     def test_after_second_event_late(self):
@@ -170,11 +175,16 @@ class TestWorkedExample:
         assert m.observe("b", 275) is Verdict.INCONCLUSIVE
         (s,) = [st for st in m.pos.reach if st.location == "good"]
         x, t, e = X, TIME, ETIME
+        # x is dead at good and freed there; time keeps its bounds
         assert spans([difference_bounds(s.zone, x, 0)]) == [
+            (0, False, INF, True)]
+        assert spans([difference_bounds(s.zone, t, 0)]) == [
             (200, True, 204, False)]
         assert spans([difference_bounds(s.zone, e, 0)]) == [
             (273, False, 275, False)]
         assert spans([difference_bounds(s.zone, e, x)]) == [
+            (-INF, True, 275, False)]
+        assert spans([difference_bounds(s.zone, e, t)]) == [
             (71, False, 75, True)]
 
     def test_violation_variant(self):

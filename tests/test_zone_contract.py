@@ -2,7 +2,9 @@
 
 No operation of :mod:`delaymon.dbm` handles an empty operand: every zone
 handed to a DBM operation, to a union helper or to the pruner is nonempty,
-since the caller that builds a zone tests it where it is made.  And
+since the caller that builds a zone tests it where it is made.  A clock
+that a meet frees as dead is a non-negative automaton clock that the same
+meet does not reset.  And
 :func:`~delaymon.dbm.merge_difference_bounds` does not sort: every list of
 encoded bounds reaching it is sorted descending.  These tests run the
 engines and the nonemptiness analysis with each of those entry points
@@ -19,10 +21,11 @@ import random
 import pytest
 
 import delaymon.automata as automata
+import delaymon.dbm as dbm
 import delaymon.liveness as liveness
 import delaymon.monitor as monitor
 from delaymon.automata import TBA, io_alternation_product, parse_tba
-from delaymon.dbm import DBM
+from delaymon.dbm import DBM, LE_ZERO
 from delaymon.liveness import nonempty_states
 from delaymon.monitor import ComplementViolationError, MonitorError
 
@@ -34,6 +37,20 @@ from test_liveness import SHIPPED
 def nonempty_zone(zone: DBM, *rest):
     assert not zone.is_empty()
     return (zone, *rest)
+
+
+def nonempty_step(zone: DBM, cons=(), resets=(), dead=()):
+    """A nonempty operand, and dead clocks that are automaton clocks,
+    non-negative in it and not reset with them."""
+    assert not zone.is_empty()
+    assert not set(dead) & {0, *resets}
+    assert all(zone.m[0][x] <= LE_ZERO for x in dead)
+    return zone, cons, resets, dead
+
+
+def nonnegative_clock(m: list[list[int]], x: int):
+    assert x != 0 and m[0][x] <= LE_ZERO
+    return m, x
 
 
 def nonempty_pair(a: DBM, b: DBM):
@@ -61,7 +78,8 @@ def sorted_descending(pairs):
 # (owner, attribute, the check that sees and returns its arguments)
 WRAPPED = {
     "DBM.elapse": (DBM, "elapse", nonempty_zone),
-    "DBM.and_constraints": (DBM, "and_constraints", nonempty_zone),
+    "DBM.and_constraints": (DBM, "and_constraints", nonempty_step),
+    "dbm._free": (dbm, "_free", nonnegative_clock),
     "DBM.pre": (DBM, "pre", nonempty_zone),
     "DBM.restrict": (DBM, "restrict", nonempty_zone),
     "DBM.includes": (DBM, "includes", nonempty_pair),
