@@ -301,27 +301,30 @@ class SymbolicState(NamedTuple):
 
 
 def post(states: Iterable[SymbolicState], a: str, automaton: TBA,
-         window: Sequence[tuple[int, int, int]]) -> list[SymbolicState]:
+         window: tuple[int, int, int]) -> list[SymbolicState]:
     """Successors of a reach set on one ``a`` event, exact modulo the
     clocks inactive at each successor's location: time elapses (``up``),
-    the constraints ``window`` that hold at the event instant are met, then
-    each ``a``-edge's :class:`Step` applies, its guard and its live resets.
-    A state whose location has no ``a``-edge costs no zone work; one that
-    has copies its matrix once for the elapse and the window, and once more
-    per edge whose guard tightens the zone or that resets a clock active at
-    its target.  On that copy the clocks that die on the edge are freed; an
+    the ``window`` ``(x, low, high)`` that holds at the event instant, the
+    encoded bounds ``0 - x_x <= low`` and ``x_x - 0 <= high`` on the one
+    clock ``x``, is met (:meth:`DBM.elapse`), then each ``a``-edge's
+    :class:`Step` applies, its guard and its live resets.  A state whose
+    location has no ``a``-edge costs no zone work; one that has copies its
+    matrix once for the elapse and the window, and once more per edge
+    whose guard tightens the zone or that resets a clock active at its
+    target.  On that copy the clocks that die on the edge are freed; an
     edge that makes no copy, such as an unguarded loop at a sink where
     every clock is inactive, yields the elapsed zone itself, dead clocks
     and all.  Empty successors are dropped; the rest are returned
     unpruned, in state and edge order."""
     if a not in automaton.alphabet:
         raise TBAError(f"symbol {a!r} not in alphabet")
+    x, low, high = window
     out: list[SymbolicState] = []
     for s in states:
         steps = automaton.steps(s.location, a)
         if not steps:
             continue
-        z = s.zone.elapse(window)
+        z = s.zone.elapse(x, low, high)
         if z.is_empty():
             continue
         for dst, guard, resets, dead in steps:

@@ -10,16 +10,19 @@ loop stays branch-free.  Two finite encoded bounds add as ``a + b - ((a | b)
 
 A zone is refined by :meth:`DBM.and_constraints` (a meet, then optional
 clock resets, and on a copy the freeing of clocks the caller no longer
-reads), :meth:`DBM.elapse` (``up``, then a meet) and
-:meth:`DBM.pre` (the preimage of an edge: pin and free its reset clocks,
-meet its guard, then ``down``).  Each applies its whole chain of steps to
-one copy of the matrix, keeping it canonical in place through
-:func:`_tighten`, so a derived zone costs one copy and no closure (as in
-UPPAAL's DBM library: Behrmann et al., "UPPAAL implementation secrets",
-FTRTFT 2002).  A meet whose first tightening constraint contradicts the
-zone makes no copy: that test reads the source matrix.  A latency union is
-merged on the encoded bounds of the met zones by
-:func:`merge_difference_bounds`.
+reads), :meth:`DBM.elapse` (``up``, then a window on one clock: its lower
+and upper bound) and :meth:`DBM.pre` (the preimage of an edge: pin and
+free its reset clocks, meet its guard, then ``down``).  Each applies its
+whole chain of steps to one copy of the matrix and keeps it canonical, so
+a derived zone costs one copy and no closure (as in UPPAAL's DBM library:
+Behrmann et al., "UPPAAL implementation secrets", FTRTFT 2002; Bengtsson &
+Yi, "Timed automata: semantics, algorithms and tools", 2004).  A meet
+tightens in place through :func:`_tighten`; :meth:`DBM.elapse` writes
+``up`` and its window in closed form while it copies, touching only the
+entries they move.  A meet whose first tightening constraint contradicts
+the zone, and an elapse into an empty window, make no copy: that test
+reads the source matrix.  A latency union is merged on the encoded bounds
+of the met zones by :func:`merge_difference_bounds`.
 
 Every zone handed to an operation, to :func:`included_in_union` or to
 :func:`reduce_union` (so to the pruner too) is nonempty: the caller that
@@ -278,20 +281,62 @@ class DBM:
 
     # -- operations ----------------------------------------------------------
 
-    def elapse(self, cons: Iterable[tuple[int, int, int]]) -> "DBM":
+    def elapse(self, x: int, low: int = INF, high: int = INF) -> "DBM":
         """Future operator ``up`` (drop the upper bounds of the clocks),
-        then the meet with the encoded constraints ``cons``: one copy.
+        then the window ``0 - x_x <= low`` and ``x_x - 0 <= high`` on the
+        one clock ``x``: encoded bounds, :data:`INF` for none.  One pass
+        over one fresh copy, touching only the entries the window moves.
 
-        ``up`` keeps a canonical matrix canonical: it only relaxes
-        ``m[i][0]``, and ``m[i][j] <= m[i][0] + m[0][j]`` holds trivially
-        for the new value."""
-        m = self.copy_matrix()
-        for row in m[1:]:
-            row[0] = INF
-        for i, j, b in cons:
-            if b < m[i][j] and not _tighten(m, i, j, b):
-                return DBM._canonical(self.dim, m, empty=True)
-        return DBM._canonical(self.dim, m)
+        ``up`` leaves row 0 and every ``m[p][q]`` with ``q >= 1`` as they
+        are and unbounds column 0 below row 0.  The edge ``x -> 0`` of
+        weight ``high`` then gives ``m[p][0] = m[p][x] + high``, and lowers
+        ``m[p][q]`` to ``m[p][x] + high + m[0][q]`` only in the columns
+        where ``high + m[0][q] < m[x][q]``: elsewhere the canonical matrix
+        already has ``m[p][q] <= m[p][x] + m[x][q]``.  Row 0 keeps its
+        bounds, as ``m[0][x] + high >= <=0``.  The edge ``0 -> x`` of
+        weight ``low`` lowers ``m[0][q]`` to ``low + m[x][q]`` and no other
+        row: every row ``p >= 1`` has ``m[p][0] + low = m[p][x] + high +
+        low >= m[p][x]``, since ``high + low >= <=0``, so a path through
+        it, or through both new edges, is no shorter.  The result is empty
+        iff ``high + m[0][x] < <=0`` or ``high + low < <=0``."""
+        dim = self.dim
+        m0 = self.m[0]
+        cols = []
+        if high != INF:
+            b = m0[x]
+            if b != INF and high + b - ((high | b) & 1) < LE_ZERO or (
+                    low != INF and high + low - ((high | low) & 1) < LE_ZERO):
+                return DBM._canonical(dim, self.m, empty=True)
+            mx = self.m[x]
+            for q in range(1, dim):
+                b = m0[q]
+                if b != INF:
+                    c = high + b - ((high | b) & 1)
+                    if c < mx[q]:
+                        cols.append((q, c))
+        m = [m0.copy()]
+        for mp in self.m[1:]:
+            row = mp.copy()
+            a = mp[x]
+            if a == INF or high == INF:
+                row[0] = INF
+            else:
+                row[0] = a + high - ((a | high) & 1)
+                for q, c in cols:
+                    s = a + c - ((a | c) & 1)
+                    if s < row[q]:
+                        row[q] = s
+            m.append(row)
+        row0 = m[0]
+        if low < row0[x]:
+            mx = m[x]
+            for q in range(1, dim):
+                b = mx[q]
+                if b != INF:
+                    s = low + b - ((low | b) & 1)
+                    if s < row0[q]:
+                        row0[q] = s
+        return DBM._canonical(dim, m)
 
     def and_constraints(self, cons: Iterable[tuple[int, int, int]],
                         resets: Sequence[int] = (),
@@ -340,11 +385,12 @@ class DBM:
         ``>= 0``), meet the guard, then the past operator ``down``.  One
         copy for the four steps.
 
-        On the pinned canonical matrix a reset clock's column already
-        equals column 0, so freeing it only clears its row.  ``down``
-        relaxes each lower bound to ``>= 0`` and re-tightens it by the
-        difference constraints, ``m[0][i] = min_k (max(m[0][k], <=0) +
-        m[k][i])`` over ``k >= 1``; the other rows stay as they are."""
+        Each reset clock is freed by :func:`_free`; on the pinned canonical
+        matrix its column already equals column 0, so only its row
+        changes.  ``down`` relaxes each lower bound to ``>= 0`` and
+        re-tightens it by the difference constraints, ``m[0][i] = min_k
+        (max(m[0][k], <=0) + m[k][i])`` over ``k >= 1``; the other rows
+        stay as they are."""
         dim = self.dim
         m = self.copy_matrix()
         for x in resets:
@@ -352,8 +398,7 @@ class DBM:
                 if LE_ZERO < m[i][j] and not _tighten(m, i, j, LE_ZERO):
                     return DBM._canonical(dim, m, empty=True)
         for x in resets:
-            m[x] = [INF] * dim
-            m[x][x] = LE_ZERO
+            _free(m, x)
         for i, j, b in guard:
             if b < m[i][j] and not _tighten(m, i, j, b):
                 return DBM._canonical(dim, m, empty=True)

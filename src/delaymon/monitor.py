@@ -26,8 +26,9 @@ a clip.
 
 An observation is one symbolic step per reach state
 (:func:`delaymon.automata.post`): up, then the channel window (the range of
-the channel clock for the event's stamp), then each edge's guard and the
-resets of the clocks active at its target.  A clock that dies on the edge,
+the channel clock for the event's stamp), both in one pass over one copy
+(:meth:`~delaymon.dbm.DBM.elapse`), then each edge's guard and the resets
+of the clocks active at its target.  A clock that dies on the edge,
 active at its source and inactive at its target, is freed on a matrix that
 the edge copies anyway, and keeps its bounds otherwise; a reset of a clock
 inactive at the target is dropped.  So an unguarded loop at a sink where
@@ -240,11 +241,13 @@ def _window(channel: Channel, tau: int) -> tuple[int, int]:
 def _step(track: _Track, symbol: str, ci: int, lo: int, hi: int
           ) -> list[SymbolicState]:
     """The track's reach set after one event on channel clock ``ci``,
-    stamped into ``[lo, hi]``, pruned modulo inactive clocks.  A step that
+    stamped into ``[lo, hi]``, pruned modulo inactive clocks.  ``post``
+    takes the window as the triple ``(ci, bound(-lo), bound(hi))``: the
+    encoded bounds ``0 - x_ci <= -lo`` and ``x_ci - 0 <= hi``.  A step that
     leaves fewer than two states is not pruned: ``post`` has dropped the
     empty successors, and one state has no sibling to be included in."""
-    window = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
-    states = post(track.reach, symbol, track.automaton, window)
+    states = post(track.reach, symbol, track.automaton,
+                  (ci, bound(-lo), bound(hi)))
     if len(states) < 2:
         return states
     return prune_subsumed(states, track.automaton.inactive_clocks)
@@ -255,7 +258,9 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
     ``ci``) is at least ``cutoff``, with its delay successors: a zone whose
     clock is already at least the cutoff, or that lies at a full location,
     is yielded as it is, with no copy; any other lets time pass and keeps
-    the part where the clock has reached the cutoff, in one copy.
+    the part where the clock has reached the cutoff, in one copy: the
+    window ``(ci, bound(-cutoff), INF)``, a lower end only, so the delayed
+    zone is never empty.
 
     This gives the verdict of the exact set, the reach states that time
     takes to the cutoff or that are already past it.  Every state of the
@@ -284,8 +289,7 @@ def _advance(side: _Side, ci: int, cutoff: int) -> Iterator[SymbolicState]:
         if s.location in full or s.zone.m[0][ci] <= at_least:
             yield s
         else:
-            yield SymbolicState(s.location,
-                                s.zone.elapse(((0, ci, at_least),)))
+            yield SymbolicState(s.location, s.zone.elapse(ci, at_least))
 
 
 def _latencies(side: _Side, measures: tuple[Measure, ...]

@@ -394,7 +394,7 @@ def succ(states: list[SymbolicState], a: str, tau: int, automaton: TBA
     """Delay-free symbolic successor set: ``post`` with the auxiliary
     ``time`` clock, the one after the automaton's, pinned to ``tau``."""
     ti = len(automaton.clocks) + 1
-    pinned = [(ti, 0, bound(tau)), (0, ti, bound(-tau))]
+    pinned = (ti, bound(-tau), bound(tau))
     return prune_subsumed(post(states, a, automaton, pinned), {})
 
 

@@ -753,7 +753,7 @@ def exact_post(states, a: str, automaton: TBA, window):
         edges = automaton._edges.get((s.location, a), ())
         if not edges:
             continue
-        z = s.zone.elapse(window)
+        z = s.zone.elapse(*window)
         if z.is_empty():
             continue
         for e in edges:
@@ -1301,8 +1301,7 @@ def elapsing_advance(side, ci: int, cutoff: int):
         if s.zone.m[0][ci] <= at_least:
             yield s
         else:
-            yield SymbolicState(s.location,
-                                s.zone.elapse(((0, ci, at_least),)))
+            yield SymbolicState(s.location, s.zone.elapse(ci, at_least))
 
 
 def whole_constraint_latencies(side, measures):
@@ -1325,7 +1324,7 @@ def whole_constraint_latencies(side, measures):
 
 def always_pruning_step(track, symbol: str, ci: int, lo: int, hi: int):
     """An engine step that prunes every successor set, however small."""
-    window = [(ci, 0, bound(hi)), (0, ci, bound(-lo))]
+    window = (ci, bound(-lo), bound(hi))
     return prune_subsumed(post(track.reach, symbol, track.automaton, window),
                           track.automaton.inactive_clocks)
 

@@ -265,25 +265,26 @@ class TestPost:
     def test_branching_on_threshold(self):
         a = eventually_then_safe_tba(accept_good=True)
         z0 = zero_zone(DIM)
-        out = post([SymbolicState("q0", z0)], "a", a, [])
+        out = post([SymbolicState("q0", z0)], "a", a, (X, INF, INF))
         assert {s.location for s in out} == {"q1", "bad"}
 
     def test_self_loop_keeps_location(self):
         a = eventually_then_safe_tba(accept_good=True)
         z = DBM.universal(DIM)
-        out = post([SymbolicState("good", z)], "a", a, [])
+        out = post([SymbolicState("good", z)], "a", a, (X, INF, INF))
         assert [s.location for s in out] == ["good"]
 
     def test_unknown_symbol_rejected(self):
         a = eventually_then_safe_tba(accept_good=True)
         with pytest.raises(TBAError, match="alphabet"):
-            post([SymbolicState("q0", zero_zone(DIM))], "zz", a, [])
+            post([SymbolicState("q0", zero_zone(DIM))], "zz", a,
+                 (X, INF, INF))
 
     def test_empty_guard_drops_candidate(self):
         a = eventually_then_safe_tba(accept_good=True)
         # pin x above 20: the x<=10 edge candidate must be dropped
         z = DBM.universal(DIM).and_constraints([(0, X, bound(-300))])
-        out = post([SymbolicState("q0", z)], "a", a, [])
+        out = post([SymbolicState("q0", z)], "a", a, (X, INF, INF))
         assert {s.location for s in out} == {"bad"}
 
 

@@ -211,7 +211,7 @@ class TestOperations:
     def test_up_keeps_differences_drops_upper(self, cons):
         z = zone_from(cons)
         assume(not z.is_empty())
-        u = z.elapse(())
+        u = z.elapse(1)
         for v in points_of(z):
             # every uniform time shift of a member stays in up(z)
             for d in range(0, 3):
@@ -554,7 +554,7 @@ class TestKernelMatchesClosure:
 
     def test_up(self, dim):
         for _, z in random_zones(dim):
-            assert_same(z.elapse(()), textbook_up(z))
+            assert_same(z.elapse(1), textbook_up(z))
 
     def test_reset(self, dim):
         for rng, z in random_zones(dim):
@@ -575,17 +575,35 @@ class TestKernelMatchesClosure:
 
     def test_elapse_then_window(self, dim):
         # up, then one clock's window, as post and the verdict probe do;
-        # random_zones lets clocks go negative, like an input channel's
-        outcomes = set()
+        # random_zones lets clocks go negative, like an input channel's.
+        # Windows have both ends, an upper or a lower end only, or none;
+        # ends are weak or strict, and some windows are empty (lo > hi, or
+        # lo == hi with an end open).  INF meets as no bound.
+        shapes, outcomes = set(), set()
         for rng, z in random_zones(dim):
-            for _ in range(4):
+            for _ in range(6):
                 c = rng.randrange(1, dim)
                 lo = rng.randint(-6, 10)
-                window = [(c, 0, bound(lo + rng.randint(0, 3))),
-                          (0, c, bound(-lo))]
-                ref = textbook_meet(textbook_up(z), window)
-                assert_same(z.elapse(window), ref)
+                hi = lo + rng.randint(-2, 3)
+                lo_strict, hi_strict = rng.random() < 0.3, rng.random() < 0.3
+                ends = rng.choice(("both", "upper", "lower", "none"))
+                low = (bound(-lo, lo_strict) if ends in ("both", "lower")
+                       else INF)
+                high = (bound(hi, hi_strict) if ends in ("both", "upper")
+                        else INF)
+                ref = textbook_meet(textbook_up(z), [(c, 0, high),
+                                                     (0, c, low)])
+                assert_same(z.elapse(c, low, high), ref)
+                if ends == "both" and (lo > hi or lo == hi and (
+                        lo_strict or hi_strict)):
+                    ends = "empty window"
+                strict = (low != INF and bound_is_strict(low)
+                          or high != INF and bound_is_strict(high))
+                shapes.add((ends, strict))
                 outcomes.add(ref.is_empty())
+        assert shapes == {(ends, strict) for ends in (
+            "both", "upper", "lower", "empty window") for strict in (
+            True, False)} | {("none", False)}
         assert outcomes == {True, False}
 
     def test_guard_then_reset(self, dim):

@@ -684,7 +684,7 @@ def walk_states(a: TBA, rng: random.Random, steps: int = 12
     seen, tau = list(states), 0
     for _ in range(steps):
         tau += rng.randint(0, horizon)
-        window = [(ci, 0, bound(tau)), (0, ci, bound(-tau))]
+        window = (ci, bound(-tau), bound(tau))
         for symbol in rng.sample(sorted(a.alphabet), len(a.alphabet)):
             successors = post(states, symbol, a, window)
             if successors:

@@ -91,9 +91,10 @@ WRAPPED = {
     "monitor.merge_difference_bounds": (
         monitor, "merge_difference_bounds", sorted_descending),
 }
-# what the nonemptiness analysis alone calls
-ANALYSIS = {"DBM.and_constraints", "DBM.pre", "DBM.restrict", "DBM.includes",
-            "DBM.subtract", "liveness.included_in_union",
+# what the nonemptiness analysis alone calls; DBM.pre frees its reset
+# clocks with dbm._free
+ANALYSIS = {"DBM.and_constraints", "DBM.pre", "dbm._free", "DBM.restrict",
+            "DBM.includes", "DBM.subtract", "liveness.included_in_union",
             "liveness.reduce_union"}
 
 
